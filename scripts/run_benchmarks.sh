@@ -6,7 +6,7 @@
 #                             [--out-dir DIR] [name...]
 #
 # Configures and builds the bench_runner target if the build directory
-# does not contain it yet, then runs the requested benchmarks (all 17
+# does not contain it yet, then runs the requested benchmarks (all 22
 # by default). --quick shrinks each benchmark so the whole suite
 # finishes in seconds; --jobs N runs benchmarks on N threads
 # (bit-identical output to --jobs 1); extra positional names select a

@@ -330,6 +330,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     PreemptMode mode = PreemptMode::Slice;
     parsePreemptMode(online_.preempt, &mode); // Validated at create().
     const bool memory_aware = online_.kvBudgetGiB > 0;
+    const bool continuous = online_.batching == "continuous";
 
     // --- Tiering / cost-aware victim state. All of it is inert at
     //     the defaults (kvTier "off", victimSelect "admission"):
@@ -359,30 +360,6 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     const auto effectiveKv = [&](double predicted_bytes) {
         return calibrate_kv ? predicted_bytes * kv_scale
                             : predicted_bytes;
-    };
-    const auto calibrateKv = [&](double predicted_bytes,
-                                 double observed_bytes) {
-        if (!calibrate_kv || predicted_bytes <= 0
-            || observed_bytes <= 0)
-            return;
-        kv_scale = 0.8 * kv_scale
-            + 0.2 * (observed_bytes / predicted_bytes);
-    };
-    // Victim cost estimate from a suspended request's actual resident
-    // bytes: restoring costs the host-link copy when a tier is
-    // attached (and the engine chose to swap), the re-prefill
-    // otherwise.
-    const auto victimCost = [&](double resident_bytes,
-                                double last_run_at) {
-        VictimCandidate candidate;
-        candidate.kvBytes = resident_bytes;
-        candidate.lastRunAt = last_run_at;
-        candidate.recomputeSeconds =
-            recompute_per_byte * resident_bytes;
-        if (tier != nullptr)
-            candidate.transferSeconds =
-                tier->transferSeconds(resident_bytes);
-        return candidate;
     };
 
     // --- Build and validate tickets in submission order. ---
@@ -482,11 +459,10 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
         return problem;
     };
 
-    // --- Fault-tolerance state shared by both serve loops. All of it
-    //     is inert when faults == "off": the injector is null, the
-    //     watchdog is disabled by default and the retry queue never
-    //     gains an entry, so the loops run their legacy schedules
-    //     bit-for-bit. ---
+    // --- Fault-tolerance state. All of it is inert when faults ==
+    //     "off": the injector is null, the watchdog is disabled by
+    //     default and the retry queue never gains an entry, so the
+    //     loop runs its fault-free schedule bit-for-bit. ---
     FaultInjector *injector = faults_.get();
     const long faults_before =
         injector != nullptr ? injector->injectedCount() : 0;
@@ -514,541 +490,59 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
         injector != nullptr && online_.retryMax > 0;
     const double watchdog = online_.requestTimeout;
 
-    // Kill verdict for a retryable fault: re-queue the attempt after
-    // a capped exponential backoff, or fail the request for good once
-    // its retry budget is spent.
-    const auto scheduleRetry = [&](const Ticket &ticket, double at) {
-        if (ticket.attempts >= online_.retryMax) {
-            ++failed;
-            if (std::isfinite(ticket.meta.deadline))
-                ++failed_with_deadline;
-            return;
-        }
-        RetryEntry entry;
-        entry.ticket = ticket;
-        ++entry.ticket.attempts;
-        const int shift = std::min(entry.ticket.attempts - 1, 3);
-        entry.eligibleAt =
-            at + online_.retryBackoff * static_cast<double>(1 << shift);
-        retry_queue.push_back(std::move(entry));
-        ++retries;
-    };
-
-    // Backed-off attempts whose timer expired rejoin the policy queue
-    // (their original arrival intact, so backoff reads as queueing).
-    const auto drainRetryQueue = [&](std::vector<Ticket> &queued,
-                                     double at) {
-        for (size_t i = 0; i < retry_queue.size();) {
-            if (retry_queue[i].eligibleAt <= at) {
-                queued.push_back(std::move(retry_queue[i].ticket));
-                retry_queue.erase(retry_queue.begin()
-                                  + static_cast<long>(i));
-            } else {
-                ++i;
-            }
-        }
-    };
-
-    // Watchdog sweep over requests not yet in flight: queued and
-    // backing-off requests older than the timeout are dropped (their
-    // in-flight counterparts are swept by each loop, which must also
-    // unwind engine state).
-    const auto sweepWaiting = [&](std::vector<Ticket> &queued,
-                                  double at) {
-        if (watchdog <= 0)
-            return;
-        for (size_t i = queued.size(); i > 0; --i) {
-            const Ticket &ticket = queued[i - 1];
-            if (at - ticket.meta.arrival <= watchdog)
-                continue;
-            ++timeouts;
-            if (std::isfinite(ticket.meta.deadline))
-                ++failed_with_deadline;
-            queued.erase(queued.begin() + static_cast<long>(i - 1));
-        }
-        for (size_t i = retry_queue.size(); i > 0; --i) {
-            const Ticket &ticket = retry_queue[i - 1].ticket;
-            if (at - ticket.meta.arrival <= watchdog)
-                continue;
-            ++timeouts;
-            if (std::isfinite(ticket.meta.deadline))
-                ++failed_with_deadline;
-            retry_queue.erase(retry_queue.begin()
-                              + static_cast<long>(i - 1));
-        }
-    };
-
-    // Flip the engine's degraded mode on a window-state change.
-    const auto updateDegraded = [&]() {
-        if (!degrade_enabled)
-            return;
-        const bool was = degrade.degraded();
-        const bool is = degrade.update();
-        if (is == was)
-            return;
-        system_.engine().setDegraded(is);
-        if (is)
-            ++degraded_episodes;
-    };
-
-    // Fold fault accounting into the aggregated trace. Completed-only
-    // population stands for latency statistics, but SLO attainment
-    // must charge deadline-bearing requests that never completed as
-    // misses — a fault that silently removed its victim from the
-    // denominator would otherwise IMPROVE attainment.
-    const auto stampFaultStats = [&](OnlineTraceResult &out) {
-        if (injector != nullptr)
-            out.injectedFaults =
-                injector->injectedCount() - faults_before;
-        out.retries = retries;
-        out.timeouts = timeouts;
-        out.failedRequests = failed;
-        out.faultWastedTokens = fault_wasted;
-        out.degradedWaves = degraded_waves;
-        out.degradedTime = degraded_time;
-        out.degradedEpisodes = degraded_episodes;
-        if (failed_with_deadline > 0) {
-            int completed_with_deadline = 0;
-            for (const OnlineRequestRecord &rec : out.records)
-                if (rec.hasDeadline())
-                    ++completed_with_deadline;
-            const int met =
-                completed_with_deadline - out.deadlineMisses;
-            out.deadlineMisses += failed_with_deadline;
-            out.sloAttainment = static_cast<double>(met)
-                / (completed_with_deadline + failed_with_deadline);
-        }
-        // The degraded engine mode must not leak into the next trace
-        // served by this server.
-        if (degrade_enabled)
-            system_.engine().setDegraded(false);
-    };
-
-    // --- Continuous batching: every wave co-schedules decode across
-    //     ALL in-flight requests in one fused engine wave
-    //     (sched/batch_scheduler.h); the time-slicing loop below is
-    //     bypassed entirely. Admission (policy pick, doomed shedding,
-    //     memory gate) is identical to the time-sliced path. ---
-    if (online_.batching == "continuous") {
-        const BatchScheduler scheduler(online_.maxBatchedTokens,
-                                       online_.prefillChunk);
-        const double step_tokens =
-            std::max(1.0, system_.engine().expectedStepTokens());
-
-        struct BatchFlight
-        {
-            Ticket ticket;
-            RequestId sysId = 0;
-            bool started = false; //!< rec.start stamped at the first
-                                  //!< wave that scheduled the request.
-            bool benched = false; //!< Force-evicted under memory
-                                  //!< pressure; sits waves out until
-                                  //!< the ledger can hold its
-                                  //!< predicted working set again.
-            long decoded = 0;     //!< Decode tokens this attempt has
-                                  //!< produced (wasted if killed).
-            double lastRunAt = 0; //!< Wave end of its last decode
-                                  //!< (cost-aware victim recency).
-            double peakKvBytes = 0; //!< Largest observed residency
-                                    //!< (EWMA calibration).
-            OnlineRequestRecord rec;
-        };
-
-        std::vector<Ticket> queued;
-        std::vector<BatchFlight> inflight;
-        std::vector<OnlineRequestRecord> records;
-        records.reserve(tickets.size());
-        std::vector<QueuedRequest> view; // pick() scratch.
-        size_t next_ticket = 0;
-        double now = 0;
-        double busy = 0;
-        int cancelled = 0;
-        int shed = 0;
-        long recomputed_tokens = 0;
-        long reprefilled_tokens = 0;
-        long preempt_evicted = 0;
-        long verified_tokens = 0;
-        long prefix_hit_tokens = 0;
-        long swapped_out_tokens = 0;
-        long swapped_in_tokens = 0;
-        double swap_transfer_time = 0;
-        long waves = 0;
-        long decode_members = 0;
-        const size_t max_inflight =
-            static_cast<size_t>(online_.maxInflight);
-
-        while (true) {
-            if (injector != nullptr)
-                injector->setNow(now);
-            while (next_ticket < tickets.size()
-                   && tickets[next_ticket].meta.arrival <= now)
-                queued.push_back(tickets[next_ticket++]);
-            drainRetryQueue(queued, now);
-
-            for (size_t i = queued.size(); i > 0; --i) {
-                const double cancel_at = queued[i - 1].cancelAt;
-                if (cancel_at >= 0 && cancel_at <= now) {
-                    queued.erase(queued.begin()
-                                 + static_cast<long>(i - 1));
-                    ++cancelled;
-                }
-            }
-
-            // Watchdog: abort requests older than the timeout.
-            // In-flight members are unwound through cancelWith, which
-            // refunds their KV charge and prefix pins exactly (the
-            // abnormal-exit path never publishes their prompt).
-            sweepWaiting(queued, now);
-            if (watchdog > 0) {
-                for (size_t i = inflight.size(); i > 0; --i) {
-                    BatchFlight &flight = inflight[i - 1];
-                    if (now - flight.rec.arrival <= watchdog)
-                        continue;
-                    ++timeouts;
-                    if (std::isfinite(flight.rec.deadline))
-                        ++failed_with_deadline;
-                    fault_wasted += flight.decoded;
-                    checkOk(system_.cancelWith(
-                        flight.sysId,
-                        Status::deadlineExceeded(
-                            "request exceeded --request-timeout")));
-                    checkOk(system_.release(flight.sysId));
-                    inflight.erase(inflight.begin()
-                                   + static_cast<long>(i - 1));
-                }
-            }
-
-            // Degraded mode halves the admission ceiling: fewer
-            // co-resident requests means each kill wastes less decode
-            // work and retries re-enter a calmer batch.
-            const size_t effective_inflight =
-                degrade_enabled && degrade.degraded()
-                    ? std::max<size_t>(1, max_inflight / 2)
-                    : max_inflight;
-            while (!queued.empty()
-                   && inflight.size() < effective_inflight) {
-                view.clear();
-                for (const Ticket &ticket : queued)
-                    view.push_back(ticket.meta);
-                size_t pick = policy_->pick(view, now);
-                if (pick >= queued.size())
-                    pick = 0; // Defensive against custom policies.
-                const Ticket ticket = queued[pick];
-                if (online_.shedDoomed
-                    && std::isfinite(ticket.meta.deadline)
-                    && now + ticket.meta.predictedCost
-                        > ticket.meta.deadline) {
-                    queued.erase(queued.begin()
-                                 + static_cast<long>(pick));
-                    ++shed;
-                    continue;
-                }
-                if (memory_aware && !inflight.empty()) {
-                    double inflight_kv = 0;
-                    for (const BatchFlight &f : inflight)
-                        inflight_kv += effectiveKv(f.ticket.kvBytes);
-                    if (inflight_kv + effectiveKv(ticket.kvBytes)
-                        > ledger_->totalBytes())
-                        break; // Wait for completions.
-                }
-                queued.erase(queued.begin() + static_cast<long>(pick));
-                BatchFlight flight;
-                flight.ticket = ticket;
-                flight.lastRunAt = now;
-                flight.rec.problemId = ticket.meta.problemId;
-                flight.rec.arrival = ticket.meta.arrival;
-                flight.rec.priority = ticket.meta.priority;
-                flight.rec.deadline = ticket.meta.deadline;
-                flight.sysId = system_.submit(ticketProblem(ticket));
-                // Park it immediately with a deferred prompt: the
-                // scheduler feeds the prompt in chunks so it never
-                // stalls the decoders already in the batch.
-                checkOk(system_.startSuspended(flight.sysId,
-                                               /*defer_prompt=*/true));
-                inflight.push_back(std::move(flight));
-            }
-
-            if (inflight.empty()) {
-                if (next_ticket >= tickets.size()
-                    && retry_queue.empty() && queued.empty())
-                    break; // Trace drained.
-                // Idle until the next arrival OR the next retry
-                // becomes eligible, whichever is sooner.
-                double next_event = kInfinity;
-                if (next_ticket < tickets.size())
-                    next_event = tickets[next_ticket].meta.arrival;
-                for (const RetryEntry &entry : retry_queue)
-                    next_event = std::min(next_event, entry.eligibleAt);
-                if (!std::isfinite(next_event))
-                    break; // Defensive: nothing can ever run.
-                now = std::max(now, next_event);
-                continue;
-            }
-
-            // Under budget pressure the later-admitted members are
-            // force-evicted and benched. Benching is sticky with
-            // hysteresis: a member returns only when the ledger can
-            // hold its predicted working set on top of double the
-            // pressure threshold — re-admitting it the moment its own
-            // eviction freed the room would lazily re-prefill its KV,
-            // re-create the pressure and evict it again, paying the
-            // recompute forever. The oldest member always runs (a
-            // benched member that becomes oldest after a completion
-            // is released), so a thrashing batch degenerates to the
-            // time-sliced server's one-resident-working-set shape
-            // instead of deadlocking or ping-ponging.
-            if (memory_aware) {
-                const double headroom = 0.10 * ledger_->totalBytes();
-                // A benched member that became front after a
-                // completion is force-returned (the progress
-                // guarantee: the oldest member always runs, so nobody
-                // starves). Remembered so the hysteresis rule below
-                // cannot clear the same flag twice.
-                const bool front_returned = inflight.front().benched;
-                inflight.front().benched = false;
-                if (!cost_victims) {
-                    // Legacy sweep: youngest-admitted member first.
-                    for (size_t i = inflight.size();
-                         i > 1 && ledger_->freeBytes() < headroom;
-                         --i) {
-                        if (inflight[i - 1].benched)
-                            continue;
-                        auto evicted = system_.evictSuspendedKv(
-                            inflight[i - 1].sysId);
-                        if (evicted.ok()) {
-                            preempt_evicted += *evicted;
-                            inflight[i - 1].benched = true;
-                        }
-                    }
-                } else if (ledger_->freeBytes() < headroom) {
-                    // Cost-aware sweep: bench the members whose KV is
-                    // cheapest to bring back (the front never benches
-                    // — it is the progress guarantee).
-                    std::vector<size_t> members;
-                    std::vector<VictimCandidate> candidates;
-                    for (size_t i = 1; i < inflight.size(); ++i) {
-                        if (inflight[i].benched)
-                            continue;
-                        auto info =
-                            system_.suspendedInfo(inflight[i].sysId);
-                        if (!info.ok() || info->residentKvBytes <= 0)
-                            continue;
-                        members.push_back(i);
-                        candidates.push_back(
-                            victimCost(info->residentKvBytes,
-                                       inflight[i].lastRunAt));
-                    }
-                    for (const size_t k :
-                         rankEvictionVictims(candidates)) {
-                        if (ledger_->freeBytes() >= headroom)
-                            break;
-                        BatchFlight &victim = inflight[members[k]];
-                        auto evicted =
-                            system_.evictSuspendedKv(victim.sysId);
-                        if (evicted.ok()) {
-                            preempt_evicted += *evicted;
-                            victim.benched = true;
-                        }
-                    }
-                }
-                // At most one return per wave, oldest benched first
-                // (pickBenchReturn holds the unit-tested contract).
-                std::vector<std::pair<bool, double>> wave;
-                wave.reserve(inflight.size());
-                for (const BatchFlight &flight : inflight)
-                    wave.emplace_back(flight.benched,
-                                      effectiveKv(flight.ticket.kvBytes));
-                const int back = pickBenchReturn(
-                    wave, ledger_->freeBytes(), headroom,
-                    front_returned);
-                if (back >= 0)
-                    inflight[static_cast<size_t>(back)].benched =
-                        false;
-            }
-
-            // Wave-step fault sweep: every member about to decode
-            // this wave probes the injector (benched members sit the
-            // wave out and are not at risk). A faulted member's
-            // attempt dies before the wave runs — it consumes no
-            // device time, its partial decode is wasted recompute and
-            // its KV/ledger/prefix pins are refunded by cancelWith.
-            if (injector != nullptr) {
-                for (size_t i = inflight.size(); i > 0; --i) {
-                    BatchFlight &flight = inflight[i - 1];
-                    if (flight.benched)
-                        continue;
-                    const bool fault = injector->shouldFault(
-                        FaultSite::kWaveStep,
-                        static_cast<long>(flight.ticket.meta.id));
-                    if (degrade_enabled)
-                        degrade.record(fault);
-                    if (!fault)
-                        continue;
-                    fault_wasted += flight.decoded;
-                    checkOk(system_.cancelWith(
-                        flight.sysId,
-                        Status::unavailable(
-                            "injected transient device error")));
-                    checkOk(system_.release(flight.sysId));
-                    scheduleRetry(flight.ticket, now);
-                    inflight.erase(inflight.begin()
-                                   + static_cast<long>(i - 1));
-                }
-                updateDegraded();
-                if (inflight.empty())
-                    continue; // Loop top re-admits / idles.
-            }
-
-            std::vector<RequestId> ids;
-            ids.reserve(inflight.size());
-            std::vector<BatchCandidate> candidates;
-            candidates.reserve(inflight.size());
-            for (size_t i = 0; i < inflight.size(); ++i) {
-                ids.push_back(inflight[i].sysId);
-                if (inflight[i].benched)
-                    continue;
-                const auto info =
-                    system_.suspendedInfo(inflight[i].sysId);
-                if (calibrate_kv)
-                    inflight[i].peakKvBytes =
-                        std::max(inflight[i].peakKvBytes,
-                                 info->residentKvBytes);
-                BatchCandidate candidate;
-                candidate.member = i;
-                candidate.promptRemaining = info->promptTokensPending;
-                candidate.prefixKey = info->prefixKey;
-                candidate.decodeTokens = std::max(
-                    1, static_cast<int>(
-                           std::max(1, info->activeBeams)
-                           * step_tokens));
-                candidates.push_back(candidate);
-            }
-
-            const BatchPlan plan = scheduler.plan(candidates);
-            auto outcome = system_.stepBatch(ids, plan);
-            if (!outcome.ok())
-                return outcome.status(); // Unreachable: all suspended.
-
-            ++waves;
-            decode_members += plan.decodeMembers();
-            const double wave_start = now;
-            now += outcome->schedule.waveTime;
-            busy += outcome->schedule.waveTime;
-            if (degrade_enabled && degrade.degraded()) {
-                ++degraded_waves;
-                degraded_time += outcome->schedule.waveTime;
-            }
-
-            for (size_t i = inflight.size(); i > 0; --i) {
-                const size_t idx = i - 1;
-                const BatchMemberOutcome &member =
-                    outcome->members[idx];
-                if (!member.participated)
-                    continue;
-                BatchFlight &flight = inflight[idx];
-                if (!flight.started) {
-                    flight.rec.start = wave_start;
-                    flight.started = true;
-                }
-                flight.rec.activeTime += member.activeDelta;
-                flight.decoded += member.decodedTokens;
-                flight.lastRunAt = now;
-                if (member.moreWork)
-                    continue;
-                // Finished this wave (stepBatch completed it).
-                flight.rec.finish = now;
-                auto result = system_.result(flight.sysId);
-                if (result.ok()) {
-                    verified_tokens += result->verifiedTokens;
-                    recomputed_tokens += static_cast<long>(
-                        result->kvStats.recomputedTokens);
-                    reprefilled_tokens += static_cast<long>(
-                        result->kvStats.reprefilledTokens);
-                    prefix_hit_tokens += static_cast<long>(
-                        result->kvStats.prefixHitTokens);
-                    swapped_out_tokens += static_cast<long>(
-                        result->kvStats.swappedOutTokens);
-                    swapped_in_tokens += static_cast<long>(
-                        result->kvStats.swappedInTokens);
-                    swap_transfer_time +=
-                        result->kvStats.swapTransferTime;
-                    calibrateKv(flight.ticket.kvBytes,
-                                flight.peakKvBytes);
-                    if (results_sink)
-                        results_sink->push_back(*std::move(result));
-                }
-                records.push_back(flight.rec);
-                checkOk(system_.release(flight.sysId));
-                inflight.erase(inflight.begin()
-                               + static_cast<long>(idx));
-            }
-        }
-
-        // Trace drained: drop the engine's idle context so the last
-        // finished request's KV charge leaves the shared ledger (only
-        // the prefix cache's own residency may remain).
-        system_.engine().releaseFinishedKv();
-
-        OnlineTraceResult out =
-            aggregateTrace(std::move(records), busy);
-        out.cancelled = cancelled;
-        out.shedRequests = shed;
-        out.recomputedTokens = recomputed_tokens;
-    out.reprefilledTokens = reprefilled_tokens;
-        out.reprefilledTokens = reprefilled_tokens;
-        out.preemptEvictedTokens = preempt_evicted;
-        out.verifiedTokens = verified_tokens;
-        out.prefixHitTokens = prefix_hit_tokens;
-        out.swappedOutTokens = swapped_out_tokens;
-        out.swappedInTokens = swapped_in_tokens;
-        out.swapTransferTime = swap_transfer_time;
-        out.batchOccupancy = waves > 0
-            ? static_cast<double>(decode_members)
-                / static_cast<double>(waves)
-            : 0.0;
-        stampFaultStats(out);
-        return out;
-    }
-
-    // --- In-flight bookkeeping. Callbacks capture their box's
-    //     address, so boxes live behind stable unique_ptrs. ---
-    struct FlightBox
-    {
-        double clock = 0; //!< Engine clock after the last iteration.
-        bool finished = false;
-        RequestResult result;
-    };
-
-    struct InFlight
+    // --- In-flight bookkeeping, one record type for both batching
+    //     modes. ---
+    struct Flight
     {
         Ticket ticket;
-        RequestId sysId = 0; //!< 0 until first mounted on the engine.
-        double wallBase = 0; //!< Wall time of the request's engine
-                             //!< clock zero: start + slices the device
-                             //!< spent on other requests since.
-        double lastRunAt = 0; //!< End of its last engine slice
-                              //!< (cost-aware victim recency).
+        RequestId sysId = 0;  //!< 0 until submitted: continuous
+                              //!< batching submits at admission, time
+                              //!< slicing at the first mount.
+        bool started = false; //!< rec.start stamped (first wave or
+                              //!< first mount).
+        bool benched = false; //!< Force-evicted under memory pressure
+                              //!< (continuous batching); sits waves
+                              //!< out until the ledger can hold its
+                              //!< predicted working set again.
+        long decoded = 0;     //!< Decode tokens this attempt has
+                              //!< produced (wasted if killed).
+        double wallBase = 0;  //!< Wall time of the request's engine
+                              //!< clock zero under time slicing:
+                              //!< admission + slices the device spent
+                              //!< on other requests since.
+        double clock = 0;     //!< Engine clock after its last slice.
+        double lastRunAt = 0; //!< End of its last wave (cost-aware
+                              //!< victim recency).
         double peakKvBytes = 0; //!< Largest observed residency
                                 //!< (EWMA calibration).
         OnlineRequestRecord rec;
-        std::unique_ptr<FlightBox> box;
     };
 
+    const BatchScheduler scheduler(online_.maxBatchedTokens,
+                                   online_.prefillChunk);
+    const double step_tokens =
+        std::max(1.0, system_.engine().expectedStepTokens());
+    const double headroom = 0.10 * ledger_->totalBytes();
+    const size_t max_inflight = static_cast<size_t>(online_.maxInflight);
     constexpr size_t kNone = static_cast<size_t>(-1);
     std::vector<Ticket> queued;
-    std::vector<InFlight> inflight;
+    std::vector<Flight> inflight;
     std::vector<OnlineRequestRecord> records;
     records.reserve(tickets.size());
     std::vector<QueuedRequest> view; // pick() scratch.
+    std::vector<BatchMemberOutcome> members; // This wave, per flight.
     size_t next_ticket = 0;
-    size_t rr = 0;        //!< Round-robin cursor (slice mode).
-    size_t current = kNone; //!< In-flight index mounted on the engine.
+    size_t rr = 0;          //!< Round-robin cursor ("slice" preempt).
+    size_t current = kNone; //!< In-flight index mounted on the engine
+                            //!< (time slicing only).
     double now = 0;
     double busy = 0;
     int cancelled = 0;
     int shed = 0;
     int context_switches = 0;
     int preemptions = 0;
+    long fused_waves = 0;   //!< Continuous-batching waves...
+    long fused_members = 0; //!< ...and their decode members.
     long recomputed_tokens = 0;
     long reprefilled_tokens = 0;
     long preempt_evicted = 0;
@@ -1057,69 +551,151 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     long swapped_out_tokens = 0;
     long swapped_in_tokens = 0;
     double swap_transfer_time = 0;
-    const size_t max_inflight =
-        static_cast<size_t>(online_.maxInflight);
 
+    // Drop in-flight entry idx, keeping the mounted index and the
+    // round-robin cursor on the requests they named.
+    const auto eraseFlight = [&](size_t idx) {
+        inflight.erase(inflight.begin() + static_cast<long>(idx));
+        if (current != kNone) {
+            if (idx == current)
+                current = kNone;
+            else if (idx < current)
+                --current;
+        }
+        if (idx < rr)
+            --rr;
+        if (rr >= inflight.size())
+            rr = 0;
+    };
+
+    // Abnormal exit of an in-flight attempt (watchdog or fault): its
+    // decode so far is wasted recompute, and cancelWith refunds every
+    // KV charge and prefix pin exactly (the abnormal-exit path never
+    // publishes the prompt). A flight never submitted has no engine
+    // state to unwind.
+    const auto killFlight = [&](size_t idx, Status reason) {
+        const RequestId id = inflight[idx].sysId;
+        fault_wasted += inflight[idx].decoded;
+        if (id != 0) {
+            checkOk(system_.cancelWith(id, std::move(reason)));
+            checkOk(system_.release(id));
+        }
+        eraseFlight(idx);
+    };
+
+    // Memory-pressure sweep: while the ledger is short of headroom,
+    // force-evict the suspended `victims` — in the order given (each
+    // mode's legacy order) or, under --victim-select cost,
+    // cheapest-to-restore first (ties in admission order). Returns
+    // the victims actually evicted.
+    const auto evictForHeadroom = [&](std::vector<size_t> victims) {
+        std::vector<size_t> evicted;
+        if (ledger_->freeBytes() >= headroom)
+            return evicted;
+        if (cost_victims) {
+            std::sort(victims.begin(), victims.end());
+            std::vector<size_t> resident;
+            std::vector<VictimCandidate> candidates;
+            for (const size_t i : victims) {
+                auto info = system_.suspendedInfo(inflight[i].sysId);
+                if (!info.ok() || info->residentKvBytes <= 0)
+                    continue;
+                // Restoring costs the host-link copy when a tier is
+                // attached (and the engine chose to swap), the
+                // re-prefill otherwise.
+                VictimCandidate candidate;
+                candidate.kvBytes = info->residentKvBytes;
+                candidate.lastRunAt = inflight[i].lastRunAt;
+                candidate.recomputeSeconds =
+                    recompute_per_byte * info->residentKvBytes;
+                if (tier != nullptr)
+                    candidate.transferSeconds =
+                        tier->transferSeconds(info->residentKvBytes);
+                resident.push_back(i);
+                candidates.push_back(candidate);
+            }
+            victims.clear();
+            for (const size_t k : rankEvictionVictims(candidates))
+                victims.push_back(resident[k]);
+        }
+        for (const size_t i : victims) {
+            if (ledger_->freeBytes() >= headroom)
+                break;
+            auto tokens = system_.evictSuspendedKv(inflight[i].sysId);
+            if (tokens.ok()) {
+                preempt_evicted += *tokens;
+                evicted.push_back(i);
+            }
+        }
+        return evicted;
+    };
+
+    // --- The serve loop. Each turn takes in arrivals and expired
+    //     retries, drops cancelled and timed-out requests, admits
+    //     through the policy, then runs one engine wave. `batching`
+    //     changes only what admission does with a new flight, the
+    //     step before each wave, and the wave itself. ---
     while (true) {
         if (injector != nullptr)
             injector->setNow(now);
-        // Requests whose arrival has passed join the policy's queue.
+        // Requests whose arrival has passed join the policy's queue;
+        // backed-off attempts whose timer expired rejoin it (their
+        // original arrival intact, so backoff reads as queueing).
         while (next_ticket < tickets.size()
                && tickets[next_ticket].meta.arrival <= now)
             queued.push_back(tickets[next_ticket++]);
-        drainRetryQueue(queued, now);
+        for (size_t i = 0; i < retry_queue.size();) {
+            if (retry_queue[i].eligibleAt <= now) {
+                queued.push_back(std::move(retry_queue[i].ticket));
+                retry_queue.erase(retry_queue.begin()
+                                  + static_cast<long>(i));
+            } else {
+                ++i;
+            }
+        }
 
         // Clients that gave up while queued leave it.
         for (size_t i = queued.size(); i > 0; --i) {
             const double cancel_at = queued[i - 1].cancelAt;
             if (cancel_at >= 0 && cancel_at <= now) {
-                queued.erase(queued.begin()
-                             + static_cast<long>(i - 1));
+                queued.erase(queued.begin() + static_cast<long>(i - 1));
                 ++cancelled;
             }
         }
 
-        // Watchdog: abort requests older than the timeout. Mounted
-        // and suspended victims alike are unwound through cancelWith,
-        // which refunds KV charges and prefix pins exactly; a victim
-        // admitted but never mounted (sysId 0) has no engine state.
-        sweepWaiting(queued, now);
+        // Watchdog: abort every request older than the timeout —
+        // queued, backing off or in flight (mounted and suspended
+        // alike).
         if (watchdog > 0) {
-            for (size_t i = inflight.size(); i > 0; --i) {
-                const size_t idx = i - 1;
-                InFlight &victim = inflight[idx];
-                if (now - victim.rec.arrival <= watchdog)
-                    continue;
+            const auto timedOut = [&](const Ticket &ticket) {
+                if (now - ticket.meta.arrival <= watchdog)
+                    return false;
                 ++timeouts;
-                if (std::isfinite(victim.rec.deadline))
+                if (std::isfinite(ticket.meta.deadline))
                     ++failed_with_deadline;
-                if (victim.sysId != 0) {
-                    if (idx == current)
-                        fault_wasted +=
-                            system_.engine().generatedTokensSoFar();
-                    checkOk(system_.cancelWith(
-                        victim.sysId,
-                        Status::deadlineExceeded(
-                            "request exceeded --request-timeout")));
-                    checkOk(system_.release(victim.sysId));
-                }
-                inflight.erase(inflight.begin()
-                               + static_cast<long>(idx));
-                if (current != kNone) {
-                    if (idx == current)
-                        current = kNone;
-                    else if (idx < current)
-                        --current;
-                }
-                if (idx < rr)
-                    --rr;
+                return true;
+            };
+            for (size_t i = queued.size(); i > 0; --i) {
+                if (timedOut(queued[i - 1]))
+                    queued.erase(queued.begin()
+                                 + static_cast<long>(i - 1));
             }
-            if (rr >= inflight.size())
-                rr = 0;
+            for (size_t i = retry_queue.size(); i > 0; --i) {
+                if (timedOut(retry_queue[i - 1].ticket))
+                    retry_queue.erase(retry_queue.begin()
+                                      + static_cast<long>(i - 1));
+            }
+            for (size_t i = inflight.size(); i > 0; --i) {
+                if (timedOut(inflight[i - 1].ticket))
+                    killFlight(i - 1,
+                               Status::deadlineExceeded(
+                                   "request exceeded --request-timeout"));
+            }
         }
 
-        // Degraded mode halves the admission ceiling (see the
-        // continuous loop for rationale).
+        // Degraded mode halves the admission ceiling: fewer
+        // co-resident requests means each kill wastes less decode
+        // work and retries re-enter a calmer batch.
         const size_t effective_inflight =
             degrade_enabled && degrade.degraded()
                 ? std::max<size_t>(1, max_inflight / 2)
@@ -1154,7 +730,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             // gracefully under budget pressure.
             if (memory_aware && !inflight.empty()) {
                 double inflight_kv = 0;
-                for (const InFlight &f : inflight)
+                for (const Flight &f : inflight)
                     inflight_kv += effectiveKv(f.ticket.kvBytes);
                 if (inflight_kv + effectiveKv(ticket.kvBytes)
                     > ledger_->totalBytes())
@@ -1162,9 +738,8 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             }
 
             queued.erase(queued.begin() + static_cast<long>(pick));
-            InFlight flight;
+            Flight flight;
             flight.ticket = ticket;
-            flight.box = std::make_unique<FlightBox>();
             flight.wallBase = std::max(ticket.meta.arrival, now);
             flight.lastRunAt = flight.wallBase;
             flight.rec.problemId = ticket.meta.problemId;
@@ -1172,6 +747,15 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             flight.rec.start = flight.wallBase;
             flight.rec.priority = ticket.meta.priority;
             flight.rec.deadline = ticket.meta.deadline;
+            if (continuous) {
+                // Park it immediately with a deferred prompt: the
+                // scheduler feeds the prompt in chunks so it never
+                // stalls the decoders already in the batch. Time
+                // slicing submits at the first mount instead.
+                flight.sysId = system_.submit(ticketProblem(ticket));
+                checkOk(system_.startSuspended(flight.sysId,
+                                               /*defer_prompt=*/true));
+            }
             inflight.push_back(std::move(flight));
         }
 
@@ -1193,244 +777,322 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             continue;
         }
 
-        // --- Choose which in-flight request runs this time slice. ---
-        size_t chosen;
-        switch (mode) {
-        case PreemptMode::Off:
-            // Run-to-completion: stick with the mounted request;
-            // otherwise take the earliest admitted.
-            chosen = current != kNone ? current : 0;
-            break;
-        case PreemptMode::Slice:
-            // Round-robin, one engine iteration per turn (continuous
-            // batching at the request level).
-            if (rr >= inflight.size())
-                rr = 0;
-            chosen = rr;
-            break;
-        case PreemptMode::Policy:
-        default: {
-            // The policy ranks the in-flight set every slice; it may
-            // take the engine from the running victim, but only when
-            // its preemption predicate says the challenger is
-            // strictly more urgent (no thrash on ties). predictedCost
-            // is discounted by the device time each request has
-            // already consumed, so "sjf" preempts on *remaining* work
-            // (SRPT) rather than yanking a nearly finished victim for
-            // a shorter total job.
-            view.clear();
-            for (const InFlight &f : inflight) {
-                QueuedRequest meta = f.ticket.meta;
-                meta.predictedCost = std::max(
-                    0.0, meta.predictedCost - f.box->clock);
-                view.push_back(meta);
-            }
-            size_t best = policy_->pick(view, now);
-            if (best >= inflight.size())
-                best = 0;
-            if (current == kNone)
-                chosen = best;
-            else if (best != current
-                     && policy_->shouldPreempt(view[current],
-                                               view[best], now))
-                chosen = best;
-            else
-                chosen = current;
-            break;
-        }
-        }
-
-        // --- Mount the chosen request on the engine. ---
-        if (current != chosen) {
-            if (current != kNone) {
-                checkOk(system_.suspend(inflight[current].sysId));
-                if (calibrate_kv) {
-                    // A freshly suspended victim's residency is the
-                    // trace's only honest observation of its real
-                    // working set.
-                    auto info = system_.suspendedInfo(
-                        inflight[current].sysId);
-                    if (info.ok())
-                        inflight[current].peakKvBytes = std::max(
-                            inflight[current].peakKvBytes,
-                            info->residentKvBytes);
-                }
-                ++inflight[current].rec.preemptions;
-                ++context_switches;
-                // Mid-run switches only happen through slice-mode
-                // rotation or the policy's shouldPreempt; only the
-                // latter is a preemption in the scheduling sense.
-                if (mode == PreemptMode::Policy)
-                    ++preemptions;
-            }
-            InFlight &f = inflight[chosen];
-            if (f.sysId == 0) {
-                // In the non-slicing modes an admitted request may sit
-                // unmounted behind run-to-completion predecessors (or
-                // a policy that ranks it low); that wait is queueing,
-                // not service, so service starts at first mount.
-                // wallBase has been advanced by every intervening
-                // slice, so it equals "now" here. Slice mode keeps the
-                // admission stamp: rotation reaches a new request
-                // within one round, and the legacy traces are defined
-                // that way.
-                if (mode != PreemptMode::Slice)
-                    f.rec.start = f.wallBase;
-                RequestCallbacks callbacks;
-                callbacks.onStep =
-                    [box = f.box.get()](const StepEvent &event) {
-                        box->clock = event.clock;
-                    };
-                callbacks.onComplete =
-                    [box = f.box.get()](RequestId,
-                                        const RequestResult &result) {
-                        box->finished = true;
-                        box->result = result;
-                    };
-                f.sysId = system_.submit(ticketProblem(f.ticket),
-                                         std::move(callbacks));
-            } else {
-                checkOk(system_.resume(f.sysId));
-            }
-            current = chosen;
-        }
-
-        // Under an explicit shared budget, make room for the running
-        // request by force-evicting suspended victims — in admission
-        // order by default, cheapest-to-restore first under
-        // --victim-select cost — before their caches squeeze it into
-        // thrashing.
-        if (memory_aware) {
-            const double headroom = 0.10 * ledger_->totalBytes();
-            if (!cost_victims) {
-                for (size_t i = 0;
-                     i < inflight.size()
-                     && ledger_->freeBytes() < headroom;
-                     ++i) {
-                    if (i == current || inflight[i].sysId == 0)
-                        continue;
-                    auto evicted =
-                        system_.evictSuspendedKv(inflight[i].sysId);
-                    if (evicted.ok())
-                        preempt_evicted += *evicted;
-                }
-            } else if (ledger_->freeBytes() < headroom) {
+        if (continuous) {
+            // Under budget pressure the later-admitted members are
+            // force-evicted and benched. Benching is sticky with
+            // hysteresis: a member returns only when the ledger can
+            // hold its predicted working set on top of double the
+            // pressure threshold — re-admitting it the moment its own
+            // eviction freed the room would lazily re-prefill its KV,
+            // re-create the pressure and evict it again, paying the
+            // recompute forever. The oldest member always runs (a
+            // benched member that becomes oldest after a completion
+            // is released), so a thrashing batch degenerates to the
+            // time-sliced server's one-resident-working-set shape
+            // instead of deadlocking or ping-ponging.
+            if (memory_aware) {
+                // Remembered so the hysteresis rule below cannot
+                // clear the front's flag twice.
+                const bool front_returned = inflight.front().benched;
+                inflight.front().benched = false;
+                // Legacy order: youngest-admitted member first.
                 std::vector<size_t> victims;
-                std::vector<VictimCandidate> candidates;
+                for (size_t i = inflight.size() - 1; i > 0; --i) {
+                    if (!inflight[i].benched)
+                        victims.push_back(i);
+                }
+                for (const size_t i : evictForHeadroom(std::move(victims)))
+                    inflight[i].benched = true;
+                // At most one return per wave, oldest benched first
+                // (pickBenchReturn holds the unit-tested contract).
+                std::vector<std::pair<bool, double>> wave;
+                wave.reserve(inflight.size());
+                for (const Flight &flight : inflight)
+                    wave.emplace_back(flight.benched,
+                                      effectiveKv(flight.ticket.kvBytes));
+                const int back = pickBenchReturn(
+                    wave, ledger_->freeBytes(), headroom,
+                    front_returned);
+                if (back >= 0)
+                    inflight[static_cast<size_t>(back)].benched = false;
+            }
+        } else {
+            // --- Choose which in-flight request runs this slice. ---
+            size_t chosen = 0;
+            switch (mode) {
+            case PreemptMode::Off:
+                // Run-to-completion: stick with the mounted request;
+                // otherwise take the earliest admitted.
+                chosen = current != kNone ? current : 0;
+                break;
+            case PreemptMode::Slice:
+                // Round-robin, one engine iteration per turn.
+                chosen = rr;
+                break;
+            case PreemptMode::Policy:
+            default: {
+                // The policy ranks the in-flight set every slice; it
+                // may take the engine from the running victim, but
+                // only when its preemption predicate says the
+                // challenger is strictly more urgent (no thrash on
+                // ties). predictedCost is discounted by the device
+                // time each request has already consumed, so "sjf"
+                // preempts on *remaining* work (SRPT) rather than
+                // yanking a nearly finished victim for a shorter
+                // total job.
+                view.clear();
+                for (const Flight &f : inflight) {
+                    QueuedRequest meta = f.ticket.meta;
+                    meta.predictedCost =
+                        std::max(0.0, meta.predictedCost - f.clock);
+                    view.push_back(meta);
+                }
+                size_t best = policy_->pick(view, now);
+                if (best >= inflight.size())
+                    best = 0;
+                chosen = current == kNone
+                        || (best != current
+                            && policy_->shouldPreempt(view[current],
+                                                      view[best], now))
+                    ? best
+                    : current;
+                break;
+            }
+            }
+
+            // --- Mount the chosen request on the engine. ---
+            if (current != chosen) {
+                if (current != kNone) {
+                    Flight &victim = inflight[current];
+                    checkOk(system_.suspend(victim.sysId));
+                    if (calibrate_kv) {
+                        // A freshly suspended victim's residency is
+                        // the trace's only honest observation of its
+                        // real working set.
+                        auto info = system_.suspendedInfo(victim.sysId);
+                        if (info.ok())
+                            victim.peakKvBytes = std::max(
+                                victim.peakKvBytes, info->residentKvBytes);
+                    }
+                    ++victim.rec.preemptions;
+                    ++context_switches;
+                    // Mid-run switches only happen through slice-mode
+                    // rotation or the policy's shouldPreempt; only the
+                    // latter is a preemption in the scheduling sense.
+                    if (mode == PreemptMode::Policy)
+                        ++preemptions;
+                }
+                Flight &f = inflight[chosen];
+                if (f.sysId == 0) {
+                    // In the non-slicing modes an admitted request may
+                    // sit unmounted behind run-to-completion
+                    // predecessors (or a policy that ranks it low);
+                    // that wait is queueing, not service, so service
+                    // starts at first mount. wallBase has been
+                    // advanced by every intervening slice, so it
+                    // equals "now" here. Slice mode keeps the
+                    // admission stamp: rotation reaches a new request
+                    // within one round, and the legacy traces are
+                    // defined that way.
+                    if (mode != PreemptMode::Slice)
+                        f.rec.start = f.wallBase;
+                    f.started = true;
+                    f.sysId = system_.submit(ticketProblem(f.ticket));
+                } else {
+                    checkOk(system_.resume(f.sysId));
+                }
+                current = chosen;
+            }
+
+            // Make room for the mounted request by force-evicting
+            // suspended victims (legacy order: earliest admitted
+            // first) before their caches squeeze it into thrashing.
+            if (memory_aware) {
+                std::vector<size_t> victims;
                 for (size_t i = 0; i < inflight.size(); ++i) {
-                    if (i == current || inflight[i].sysId == 0)
-                        continue;
-                    auto info =
-                        system_.suspendedInfo(inflight[i].sysId);
-                    if (!info.ok() || info->residentKvBytes <= 0)
-                        continue;
-                    victims.push_back(i);
-                    candidates.push_back(
-                        victimCost(info->residentKvBytes,
-                                   inflight[i].lastRunAt));
+                    if (i != current && inflight[i].sysId != 0)
+                        victims.push_back(i);
                 }
-                for (const size_t k :
-                     rankEvictionVictims(candidates)) {
-                    if (ledger_->freeBytes() >= headroom)
-                        break;
-                    auto evicted = system_.evictSuspendedKv(
-                        inflight[victims[k]].sysId);
-                    if (evicted.ok())
-                        preempt_evicted += *evicted;
-                }
+                (void)evictForHeadroom(std::move(victims));
             }
         }
 
-        InFlight &flight = inflight[current];
-        FlightBox &box = *flight.box;
-
-        // Wave-step fault probe: the mounted request is the one about
-        // to decode, so it alone is at risk this slice. A fault kills
-        // the attempt before the wave runs — no device time passes,
-        // the partial decode is wasted recompute and cancelWith
-        // refunds every KV charge and prefix pin.
+        // Wave-step fault probe: every request about to decode this
+        // wave — the mounted one under time slicing, every unbenched
+        // member under continuous batching — probes the injector. A
+        // fault kills the attempt before the wave runs: it consumes
+        // no device time and is retried after backoff or failed.
         if (injector != nullptr) {
-            const bool fault = injector->shouldFault(
-                FaultSite::kWaveStep,
-                static_cast<long>(flight.ticket.meta.id));
-            if (degrade_enabled)
-                degrade.record(fault);
-            updateDegraded();
-            if (fault) {
-                fault_wasted +=
-                    system_.engine().generatedTokensSoFar();
-                checkOk(system_.cancelWith(
-                    flight.sysId,
-                    Status::unavailable(
-                        "injected transient device error")));
-                checkOk(system_.release(flight.sysId));
-                scheduleRetry(flight.ticket, now);
-                const size_t killed = current;
-                inflight.erase(inflight.begin()
-                               + static_cast<long>(killed));
-                current = kNone;
-                if (killed < rr)
-                    --rr;
-                if (rr >= inflight.size())
-                    rr = 0;
-                continue;
+            const bool mounted = current != kNone;
+            for (size_t i = inflight.size(); i > 0; --i) {
+                const Flight &flight = inflight[i - 1];
+                if (flight.benched || (mounted && i - 1 != current))
+                    continue;
+                const bool fault = injector->shouldFault(
+                    FaultSite::kWaveStep,
+                    static_cast<long>(flight.ticket.meta.id));
+                if (degrade_enabled)
+                    degrade.record(fault);
+                if (!fault)
+                    continue;
+                // Re-queue the attempt after a capped exponential
+                // backoff, or fail the request for good once its
+                // retry budget is spent.
+                if (flight.ticket.attempts >= online_.retryMax) {
+                    ++failed;
+                    if (std::isfinite(flight.ticket.meta.deadline))
+                        ++failed_with_deadline;
+                } else {
+                    RetryEntry entry;
+                    entry.ticket = flight.ticket;
+                    ++entry.ticket.attempts;
+                    const int shift = std::min(entry.ticket.attempts - 1, 3);
+                    entry.eligibleAt = now
+                        + online_.retryBackoff
+                            * static_cast<double>(1 << shift);
+                    retry_queue.push_back(std::move(entry));
+                    ++retries;
+                }
+                killFlight(i - 1,
+                           Status::unavailable(
+                               "injected transient device error"));
             }
+            // Flip the engine's degraded mode on a window-state change.
+            if (degrade_enabled) {
+                const bool was = degrade.degraded();
+                if (degrade.update() != was) {
+                    system_.engine().setDegraded(!was);
+                    if (!was)
+                        ++degraded_episodes;
+                }
+            }
+            if (inflight.empty() || (mounted && current == kNone))
+                continue; // Loop top re-admits, re-mounts or idles.
         }
 
-        system_.step();
-
-        // The request's wall clock is its engine clock offset by every
-        // slice the device spent elsewhere; computed this way (rather
-        // than by accumulating deltas) the fifo/maxInflight=1 path
-        // reproduces the legacy run-to-completion times bit-for-bit.
-        const double slice_end = flight.wallBase
-            + (box.finished ? box.result.completionTime : box.clock);
-        for (InFlight &other : inflight) {
-            if (&other != &flight)
-                other.wallBase += slice_end - now;
+        // --- Run the wave. ---
+        const double wave_start = now;
+        double wave_time = 0;
+        if (continuous) {
+            // Every unbenched member is a candidate for one fused
+            // engine wave (sched/batch_scheduler.h).
+            std::vector<RequestId> ids;
+            ids.reserve(inflight.size());
+            std::vector<BatchCandidate> candidates;
+            candidates.reserve(inflight.size());
+            for (size_t i = 0; i < inflight.size(); ++i) {
+                Flight &flight = inflight[i];
+                ids.push_back(flight.sysId);
+                if (flight.benched)
+                    continue;
+                const auto info = system_.suspendedInfo(flight.sysId);
+                if (calibrate_kv)
+                    flight.peakKvBytes = std::max(flight.peakKvBytes,
+                                                  info->residentKvBytes);
+                BatchCandidate candidate;
+                candidate.member = i;
+                candidate.promptRemaining = info->promptTokensPending;
+                candidate.prefixKey = info->prefixKey;
+                candidate.decodeTokens = std::max(
+                    1, static_cast<int>(std::max(1, info->activeBeams)
+                                        * step_tokens));
+                candidates.push_back(candidate);
+            }
+            const BatchPlan plan = scheduler.plan(candidates);
+            auto outcome = system_.stepBatch(ids, plan);
+            if (!outcome.ok())
+                return outcome.status(); // Unreachable: all suspended.
+            ++fused_waves;
+            fused_members += plan.decodeMembers();
+            wave_time = outcome->schedule.waveTime;
+            now += wave_time;
+            busy += wave_time;
+            members = std::move(outcome->members);
+        } else {
+            // Exactly one request decodes per time slice.
+            Flight &flight = inflight[current];
+            const ScheduleOutcome step = system_.step();
+            const bool finished =
+                system_.requestState(flight.sysId).value()
+                == RequestState::Completed;
+            // The request's wall clock is its engine clock offset by
+            // every slice the device spent elsewhere; computed this
+            // way (rather than by accumulating deltas) the
+            // fifo/maxInflight=1 path reproduces the legacy
+            // run-to-completion times bit-for-bit.
+            flight.clock = system_.engine().clock().now();
+            const double slice_end = flight.wallBase + flight.clock;
+            wave_time = slice_end - now;
+            for (Flight &other : inflight) {
+                if (&other != &flight)
+                    other.wallBase += wave_time;
+            }
+            now = slice_end;
+            members.assign(inflight.size(), BatchMemberOutcome());
+            BatchMemberOutcome &member = members[current];
+            member.participated = true;
+            member.moreWork = !finished;
+            member.decodedTokens = step.tokensDecoded;
+            if (finished) {
+                // The engine clock is cumulative device time for this
+                // request (it survives suspend/resume and includes
+                // any post-eviction recompute), so its final value IS
+                // the active time, credited whole on the last slice.
+                member.activeDelta = flight.clock;
+                busy += flight.clock;
+            }
         }
         if (degrade_enabled && degrade.degraded()) {
             ++degraded_waves;
-            degraded_time += slice_end - now;
+            degraded_time += wave_time;
         }
-        now = slice_end;
-        flight.lastRunAt = now;
 
-        if (box.finished) {
+        // --- Completion accounting for every request that ran. ---
+        for (size_t i = inflight.size(); i > 0; --i) {
+            const BatchMemberOutcome &member = members[i - 1];
+            if (!member.participated)
+                continue;
+            Flight &flight = inflight[i - 1];
+            if (!flight.started) {
+                flight.rec.start = wave_start;
+                flight.started = true;
+            }
+            flight.rec.activeTime += member.activeDelta;
+            flight.decoded += member.decodedTokens;
+            flight.lastRunAt = now;
+            if (member.moreWork)
+                continue;
             flight.rec.finish = now;
-            // The engine clock is cumulative device time for this
-            // request (it survives suspend/resume and includes any
-            // post-eviction recompute), so it IS the active time.
-            flight.rec.activeTime = box.result.completionTime;
-            busy += box.result.completionTime;
-            recomputed_tokens += static_cast<long>(
-                box.result.kvStats.recomputedTokens);
-            reprefilled_tokens += static_cast<long>(
-                box.result.kvStats.reprefilledTokens);
-            prefix_hit_tokens += static_cast<long>(
-                box.result.kvStats.prefixHitTokens);
-            swapped_out_tokens += static_cast<long>(
-                box.result.kvStats.swappedOutTokens);
-            swapped_in_tokens += static_cast<long>(
-                box.result.kvStats.swappedInTokens);
-            swap_transfer_time += box.result.kvStats.swapTransferTime;
-            calibrateKv(flight.ticket.kvBytes, flight.peakKvBytes);
-            verified_tokens += box.result.verifiedTokens;
-            if (results_sink)
-                results_sink->push_back(box.result);
+            auto result = system_.result(flight.sysId);
+            if (result.ok()) {
+                verified_tokens += result->verifiedTokens;
+                recomputed_tokens += static_cast<long>(
+                    result->kvStats.recomputedTokens);
+                reprefilled_tokens += static_cast<long>(
+                    result->kvStats.reprefilledTokens);
+                prefix_hit_tokens += static_cast<long>(
+                    result->kvStats.prefixHitTokens);
+                swapped_out_tokens += static_cast<long>(
+                    result->kvStats.swappedOutTokens);
+                swapped_in_tokens += static_cast<long>(
+                    result->kvStats.swappedInTokens);
+                swap_transfer_time += result->kvStats.swapTransferTime;
+                // EWMA of observed over predicted residency.
+                if (calibrate_kv && flight.ticket.kvBytes > 0
+                    && flight.peakKvBytes > 0)
+                    kv_scale = 0.8 * kv_scale
+                        + 0.2 * (flight.peakKvBytes / flight.ticket.kvBytes);
+                if (results_sink)
+                    results_sink->push_back(*std::move(result));
+            }
             records.push_back(flight.rec);
             checkOk(system_.release(flight.sysId));
-            const size_t finished = current;
-            inflight.erase(inflight.begin()
-                           + static_cast<long>(finished));
-            current = kNone;
-            if (finished < rr)
-                --rr;
-            if (rr >= inflight.size())
-                rr = 0;
-        } else if (mode == PreemptMode::Slice) {
-            rr = (rr + 1) % inflight.size();
+            eraseFlight(i - 1);
         }
+        // Slice mode rotates past a request that ran and did not
+        // finish.
+        if (mode == PreemptMode::Slice && current != kNone)
+            rr = (rr + 1) % inflight.size();
     }
 
     // Trace drained: drop the engine's idle context so the last
@@ -1451,9 +1113,41 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     out.swappedOutTokens = swapped_out_tokens;
     out.swappedInTokens = swapped_in_tokens;
     out.swapTransferTime = swap_transfer_time;
-    // Time-slicing decodes exactly one request per engine wave.
-    out.batchOccupancy = out.records.empty() ? 0.0 : 1.0;
-    stampFaultStats(out);
+    // Time slicing runs no fused waves: each of its slices decodes
+    // exactly one request.
+    out.batchOccupancy = fused_waves > 0
+        ? static_cast<double>(fused_members)
+            / static_cast<double>(fused_waves)
+        : (out.records.empty() ? 0.0 : 1.0);
+
+    // Fault accounting. Completed-only population stands for latency
+    // statistics, but SLO attainment must charge deadline-bearing
+    // requests that never completed as misses — a fault that
+    // silently removed its victim from the denominator would
+    // otherwise IMPROVE attainment.
+    if (injector != nullptr)
+        out.injectedFaults = injector->injectedCount() - faults_before;
+    out.retries = retries;
+    out.timeouts = timeouts;
+    out.failedRequests = failed;
+    out.faultWastedTokens = fault_wasted;
+    out.degradedWaves = degraded_waves;
+    out.degradedTime = degraded_time;
+    out.degradedEpisodes = degraded_episodes;
+    if (failed_with_deadline > 0) {
+        int completed_with_deadline = 0;
+        for (const OnlineRequestRecord &rec : out.records)
+            if (rec.hasDeadline())
+                ++completed_with_deadline;
+        const int met = completed_with_deadline - out.deadlineMisses;
+        out.deadlineMisses += failed_with_deadline;
+        out.sloAttainment = static_cast<double>(met)
+            / (completed_with_deadline + failed_with_deadline);
+    }
+    // The degraded engine mode must not leak into the next trace
+    // served by this server.
+    if (degrade_enabled)
+        system_.engine().setDegraded(false);
     return out;
 }
 

@@ -13,56 +13,59 @@
  *
  * The server owns exactly ONE ServingSystem — one engine, one device,
  * one shared KV budget — no matter how many requests are in flight.
- * In-flight requests time-share the engine through the async facade's
- * suspend()/resume(): switching requests parks the victim's entire
- * engine state (beams, clocks, KV trees) in a SuspendedEngineRequest
- * and mounts the next one. All resident KV is charged to one shared
- * KvBudgetLedger, so concurrent requests genuinely contend for device
- * memory; under pressure a suspended request's KV is force-evicted
- * back to the pool and re-prefilled (counted as recompute) when it
- * next runs.
+ * In-flight requests share the engine through the async facade's
+ * suspend()/resume(): a parked request keeps its entire engine state
+ * (beams, clocks, KV trees) in a SuspendedEngineRequest. All resident
+ * KV is charged to one shared KvBudgetLedger, so concurrent requests
+ * genuinely contend for device memory; under pressure a suspended
+ * request's KV is force-evicted back to the pool and re-prefilled
+ * (counted as recompute) — or, with a host tier, swapped back — when
+ * it next runs.
  *
- * Four axes are pluggable without touching the engine:
+ * One serve loop drives every configuration. Each turn it:
  *
- *  - Admission order: a registry-backed QueuePolicy
- *    (sched/queue_policy.h) decides which queued request takes the
- *    next free in-flight slot — "fifo", "priority" (with aging),
- *    "sjf" (roofline-predicted cost) and "edf" (SLO deadlines) ship
- *    built-in. With shedDoomed, a request whose predicted finish
- *    already exceeds its deadline is shed at admission instead of
- *    served doomed.
- *  - Preemption mode (OnlineServerOptions::preempt): "off" runs each
- *    admitted request to completion; "slice" round-robins in-flight
- *    requests one engine iteration at a time (continuous batching at
- *    the request level); "policy" lets the QueuePolicy preempt the
- *    running victim whenever a higher-urgency request is in flight
- *    (QueuePolicy::shouldPreempt — preemptive EDF/SJF/priority).
- *  - Memory budget (OnlineServerOptions::kvBudgetGiB): the shared KV
- *    budget all in-flight requests contend for; also enables
- *    memory-aware admission (a request is not admitted while the
- *    in-flight working sets already fill the budget). 0 keeps the
- *    legacy PR3 accounting (every in-flight slot enjoys a full
- *    engine budget) so existing traces replay bit-for-bit.
- *  - KV tiering (OnlineServerOptions::kvTier): "off" keeps the
- *    device-only evict-and-recompute hierarchy; "host" attaches a
- *    budgeted host-side tier (kv/kv_tier.h) behind a finite-bandwidth
- *    link, and every preemption eviction makes the roofline
- *    swap-vs-recompute call per victim. victimSelect switches the
- *    memory-pressure sweep from admission order to cost-aware
- *    ranking (cheapest-to-restore first; rankEvictionVictims()).
- *  - Batching (OnlineServerOptions::batching): "off" time-slices —
- *    exactly one request decodes per engine wave, rotated by the
- *    preempt mode above; "continuous" co-schedules decode across ALL
- *    in-flight requests in fused engine waves under a
- *    maxBatchedTokens budget (sched/batch_scheduler.h), with long
- *    prompts fed in prefillChunk-token slices so they never stall
- *    resident decoders. Admission policy, doomed-request shedding and
- *    the shared KV budget compose unchanged; under memory pressure a
- *    batch member's KV is force-evicted, it sits out the wave, and it
- *    re-enters via lazy restore (recompute on next touch).
+ *  1. takes in arrivals and backed-off retries whose timer expired;
+ *  2. drops queued requests their clients cancelled, and aborts every
+ *     request older than the watchdog's requestTimeout (queued,
+ *     backing off or in flight);
+ *  3. admits queued requests into up to maxInflight slots: the
+ *     registry-backed QueuePolicy (sched/queue_policy.h; "fifo",
+ *     "priority", "sjf", "edf") picks, shedDoomed sheds requests whose
+ *     predicted finish already exceeds their deadline, and under a
+ *     kvBudgetGiB the memory gate holds back requests the budget
+ *     cannot fit beside the in-flight working sets;
+ *  4. idles to the next arrival or retry when nothing is in flight;
+ *  5. prepares the wave; under a kvBudgetGiB it force-evicts suspended
+ *     KV while the ledger is short of headroom — in the batching
+ *     mode's own order, or cheapest-to-restore first under
+ *     victimSelect "cost" (rankEvictionVictims());
+ *  6. probes the fault injector for every request about to decode,
+ *     killing faulted attempts (retried after backoff or failed);
+ *  7. runs one engine wave and accounts every request it completed.
  *
- * With the defaults ("fifo", maxInflight 1, batching "off") the
- * server is exactly the legacy run-to-completion FIFO queue.
+ * OnlineServerOptions::batching changes exactly three of those steps:
+ *
+ *  - Admission: "continuous" submits a new flight at once and parks it
+ *    with its prompt deferred; "off" (time slicing) leaves it
+ *    unsubmitted until its first mount.
+ *  - Wave preparation: "continuous" evicts and benches the youngest
+ *    members first, the oldest always runs, and pickBenchReturn()
+ *    returns at most one benched member per wave; "off" mounts the
+ *    one request the preempt mode picks — "off" runs to completion,
+ *    "slice" round-robins one engine iteration at a time, "policy"
+ *    lets QueuePolicy::shouldPreempt take the engine for a more
+ *    urgent request — and evicts the others oldest first.
+ *  - The wave: "continuous" fuses decode across every unbenched member
+ *    under a maxBatchedTokens budget (sched/batch_scheduler.h), long
+ *    prompts fed in prefillChunk-token slices; "off" advances the
+ *    mounted request one engine iteration, its wall clock being its
+ *    engine clock offset by the slices the device spent elsewhere.
+ *
+ * kvTier "host" attaches a budgeted host-side tier (kv/kv_tier.h)
+ * behind a finite-bandwidth link, so every preemption eviction makes
+ * the roofline swap-vs-recompute call per victim. With the defaults
+ * ("fifo", maxInflight 1, batching "off") the server is exactly the
+ * legacy run-to-completion FIFO queue.
  */
 
 #ifndef FASTTTS_CORE_ONLINE_SERVER_H
@@ -146,7 +149,7 @@ struct OnlineTraceResult
     /**
      * Fraction of deadline-bearing requests that finished within
      * their SLO; 1 when no request carried a deadline (vacuous).
-     * Under fault injection the serve loops fold deadline-bearing
+     * Under fault injection the serve loop folds deadline-bearing
      * requests that never completed (fault-failed or timed out) into
      * the denominator as misses, so a fault cannot improve attainment
      * by removing its victim from the population.
@@ -201,7 +204,11 @@ struct OnlineTraceResult
     int failedRequests = 0;  //!< Requests terminally failed by faults
                              //!< after exhausting their retry budget.
     long faultWastedTokens = 0; //!< Decode tokens of killed attempts —
-                                //!< the trace's wasted recompute.
+                                //!< the trace's wasted recompute. Each
+                                //!< fault- or watchdog-killed attempt
+                                //!< counts only the tokens it decoded
+                                //!< itself, mounted or suspended, in
+                                //!< both batching modes.
     long degradedWaves = 0;  //!< Engine waves run in degraded mode
                              //!< (speculation disabled, admission
                              //!< halved).
@@ -219,18 +226,18 @@ struct OnlineTraceResult
  *
  * Population contract: latency statistics (mean, p50/p95/p99, queue
  * delay, SLO attainment) are computed over COMPLETED requests only —
- * `records` must contain one entry per completion, and neither serve
- * loop ever creates a record for a shed or cancelled request, in
- * either batching mode. Shed/cancelled volumes are reported solely
- * through the shedRequests/cancelled counters, so a trace that sheds
- * cannot skew its percentiles.
+ * `records` must contain one entry per completion, and the serve loop
+ * never creates a record for a shed or cancelled request, in either
+ * batching mode. Shed/cancelled volumes are reported solely through
+ * the shedRequests/cancelled counters, so a trace that sheds cannot
+ * skew its percentiles.
  */
 [[nodiscard]] OnlineTraceResult
 aggregateTrace(std::vector<OnlineRequestRecord> records, double busy_time);
 
 /**
- * Benching hysteresis rule of the continuous-batching loop, exposed
- * as a pure function so the "at most one return per wave" contract is
+ * Benching hysteresis rule of continuous batching, exposed as a pure
+ * function so the "at most one return per wave" contract is
  * unit-testable. `members` is the oldest-first in-flight wave as
  * (benched, required KV bytes) pairs. The front member always runs:
  * when `front_returned` is true (the front entered the wave benched —

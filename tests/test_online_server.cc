@@ -1459,6 +1459,194 @@ TEST(OnlineServer, CancelStormDrainsPrefixPinsAndLedger)
                      index->residentBytes());
 }
 
+TEST(OnlineServer, FaultBeforeFirstWaveWastesNoDecode)
+{
+    // A rate-1.0 rule pinned to request 2 with no retry budget kills
+    // it at its first wave-step probe, before it decoded anything.
+    // In both batching modes the wasted volume is that attempt's own
+    // decode — zero — never the tokens of whichever request the
+    // engine held last.
+    const ServingOptions opts = smallOptions(true);
+    for (const std::string batching : {"off", "continuous"}) {
+        OnlineServerOptions online;
+        online.maxInflight = 1;
+        online.batching = batching;
+        online.faults = "plan";
+        online.faultPlan = "{\"rules\": [{\"site\": \"wave_step\", "
+                           "\"rate\": 1.0, \"request\": 2}]}";
+        OnlineServer server = OnlineServer::create(opts, online).value();
+        const auto out = server.serveRequests(faultTrace(4)).value();
+        EXPECT_EQ(out.records.size(), 3u) << batching;
+        EXPECT_EQ(out.failedRequests, 1) << batching;
+        EXPECT_EQ(out.faultWastedTokens, 0l) << batching;
+    }
+}
+
+TEST(OnlineServer, WatchdogChargesSuspendedVictimsTheirDecode)
+{
+    // Two requests arrive together and both outlive the watchdog.
+    // Time slicing spends the timeout alternating between them, so
+    // together they decode about what one request decodes alone in
+    // the same device time; the waste must count both attempts, not
+    // only the one mounted when the watchdog fired (about half).
+    const ServingOptions opts = smallOptions(true);
+    const auto wasted = [&opts](int max_inflight) {
+        OnlineServerOptions online;
+        online.maxInflight = max_inflight;
+        online.requestTimeout = 6.0;
+        OnlineServer server = OnlineServer::create(opts, online).value();
+        const auto out =
+            server.serveRequests(std::vector<OnlineRequest>(2)).value();
+        EXPECT_TRUE(out.records.empty());
+        EXPECT_EQ(out.timeouts, 2);
+        return out.faultWastedTokens;
+    };
+    const long solo = wasted(1); // Request 1 never leaves the queue.
+    const long sliced = wasted(2);
+    EXPECT_GT(solo, 0l);
+    EXPECT_GT(static_cast<double>(sliced), 0.9 * static_cast<double>(solo));
+}
+
+// --- Invariants across the serving-flag lattice ---
+
+/** Every field of two traces, compared exactly (no epsilon). */
+void
+expectSameTrace(const OnlineTraceResult &a, const OnlineTraceResult &b,
+                const std::string &where)
+{
+    ASSERT_EQ(a.records.size(), b.records.size()) << where;
+    for (size_t i = 0; i < a.records.size(); ++i) {
+        const OnlineRequestRecord &x = a.records[i];
+        const OnlineRequestRecord &y = b.records[i];
+        EXPECT_EQ(x.problemId, y.problemId) << where;
+        EXPECT_EQ(x.arrival, y.arrival) << where;
+        EXPECT_EQ(x.start, y.start) << where;
+        EXPECT_EQ(x.finish, y.finish) << where;
+        EXPECT_EQ(x.priority, y.priority) << where;
+        EXPECT_EQ(x.deadline, y.deadline) << where;
+        EXPECT_EQ(x.activeTime, y.activeTime) << where;
+        EXPECT_EQ(x.preemptions, y.preemptions) << where;
+    }
+    EXPECT_EQ(a.meanLatency, b.meanLatency) << where;
+    EXPECT_EQ(a.p50Latency, b.p50Latency) << where;
+    EXPECT_EQ(a.p95Latency, b.p95Latency) << where;
+    EXPECT_EQ(a.p99Latency, b.p99Latency) << where;
+    EXPECT_EQ(a.meanQueueDelay, b.meanQueueDelay) << where;
+    EXPECT_EQ(a.makespan, b.makespan) << where;
+    EXPECT_EQ(a.utilization, b.utilization) << where;
+    EXPECT_EQ(a.sloAttainment, b.sloAttainment) << where;
+    EXPECT_EQ(a.deadlineMisses, b.deadlineMisses) << where;
+    EXPECT_EQ(a.cancelled, b.cancelled) << where;
+    EXPECT_EQ(a.shedRequests, b.shedRequests) << where;
+    EXPECT_EQ(a.contextSwitches, b.contextSwitches) << where;
+    EXPECT_EQ(a.preemptions, b.preemptions) << where;
+    EXPECT_EQ(a.recomputedTokens, b.recomputedTokens) << where;
+    EXPECT_EQ(a.preemptEvictedTokens, b.preemptEvictedTokens) << where;
+    EXPECT_EQ(a.verifiedTokens, b.verifiedTokens) << where;
+    EXPECT_EQ(a.prefixHitTokens, b.prefixHitTokens) << where;
+    EXPECT_EQ(a.batchOccupancy, b.batchOccupancy) << where;
+    EXPECT_EQ(a.reprefilledTokens, b.reprefilledTokens) << where;
+    EXPECT_EQ(a.swappedOutTokens, b.swappedOutTokens) << where;
+    EXPECT_EQ(a.swappedInTokens, b.swappedInTokens) << where;
+    EXPECT_EQ(a.swapTransferTime, b.swapTransferTime) << where;
+    EXPECT_EQ(a.injectedFaults, b.injectedFaults) << where;
+    EXPECT_EQ(a.retries, b.retries) << where;
+    EXPECT_EQ(a.timeouts, b.timeouts) << where;
+    EXPECT_EQ(a.failedRequests, b.failedRequests) << where;
+    EXPECT_EQ(a.faultWastedTokens, b.faultWastedTokens) << where;
+    EXPECT_EQ(a.degradedWaves, b.degradedWaves) << where;
+    EXPECT_EQ(a.degradedTime, b.degradedTime) << where;
+    EXPECT_EQ(a.degradedEpisodes, b.degradedEpisodes) << where;
+}
+
+TEST(OnlineServer, FlagLatticeHoldsInvariants)
+{
+    // One bursty trace — mixed priorities, SLO tiers and client
+    // cancellations — served on every point of the serving-flag
+    // lattice: batching x preempt x {fifo, edf + shedding} x KV
+    // budget x {no tier, host tier + cost victims} x prefix cache x
+    // {no faults, 10% wave-step faults with retries} x watchdog, 384
+    // points in all.
+    ServingOptions opts = smallOptions(true);
+    opts.numBeams = 4;
+    const auto arrivals = burstyArrivalTrace(14, 0.1, 11);
+    std::vector<OnlineRequest> trace;
+    for (size_t i = 0; i < arrivals.size(); ++i) {
+        OnlineRequest r;
+        r.arrival = arrivals[i];
+        r.priority = static_cast<int>(i % 3) - 1;
+        const double tiers[] = {20.0, 60.0, 240.0, 0.0};
+        r.slo = tiers[i % 4];
+        if (i % 5 == 4)
+            r.cancelAt = arrivals[i] + 1.0;
+        trace.push_back(r);
+    }
+
+    for (const std::string batching : {"off", "continuous"}) {
+        int evicting_points = 0;
+        for (int axes = 0; axes < 64; ++axes) {
+            OnlineServerOptions online;
+            online.maxInflight = 3;
+            online.batching = batching;
+            if (axes & 1) {
+                online.policy = "edf";
+                online.shedDoomed = true;
+            }
+            if (axes & 2)
+                online.kvBudgetGiB = 0.5;
+            if (axes & 4) {
+                online.kvTier = "host";
+                online.victimSelect = "cost";
+            }
+            if (axes & 8)
+                online.prefixCache = "on";
+            if (axes & 16) {
+                online.faults = "plan";
+                online.faultPlan = "{\"rules\": [{\"site\": "
+                                   "\"wave_step\", \"rate\": 0.1}]}";
+                online.retryMax = 2;
+            }
+            if (axes & 32)
+                online.requestTimeout = 15.0;
+
+            std::vector<OnlineTraceResult> by_preempt;
+            for (const std::string preempt : {"off", "slice", "policy"}) {
+                online.preempt = preempt;
+                const std::string where = batching + "/" + preempt
+                    + "/axes=" + std::to_string(axes);
+                OnlineServer server =
+                    OnlineServer::create(opts, online).value();
+                auto out = server.serveRequests(trace).value();
+                // Every submitted request ends in exactly one
+                // terminal state.
+                EXPECT_EQ(static_cast<int>(out.records.size())
+                              + out.shedRequests + out.cancelled
+                              + out.timeouts + out.failedRequests,
+                          static_cast<int>(trace.size()))
+                    << where;
+                // Only the prefix cache's own residency outlives the
+                // trace on the shared ledger.
+                const PrefixIndex *index = server.system().prefixIndex();
+                EXPECT_EQ(server.kvLedger().usedBytes(),
+                          index != nullptr ? index->residentBytes() : 0.0)
+                    << where;
+                if (out.preemptEvictedTokens > 0)
+                    ++evicting_points;
+                by_preempt.push_back(std::move(out));
+            }
+            // Continuous batching has no victim to rotate or preempt,
+            // so the preempt mode must be fully inert.
+            if (batching == "continuous") {
+                const std::string where = "axes=" + std::to_string(axes);
+                expectSameTrace(by_preempt[0], by_preempt[1], where);
+                expectSameTrace(by_preempt[0], by_preempt[2], where);
+            }
+        }
+        // The lattice must actually reach the memory-pressure sweep.
+        EXPECT_GT(evicting_points, 0) << batching;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Cost-aware victim ranking (--victim-select cost)
 // ---------------------------------------------------------------------
