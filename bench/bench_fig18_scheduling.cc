@@ -42,7 +42,7 @@ main(int argc, char **argv)
 {
     EngineArgs defaults;
     defaults.numProblems = 4;
-    defaults.maxInflight = 4;
+    defaults.online.maxInflight = 4;
     defaults.arrivals = "bursty";
     const EngineArgs args = EngineArgs::parseOrExit(
         argc, argv, defaults,
@@ -178,13 +178,13 @@ main(int argc, char **argv)
     const int num_requests = std::max(16, 6 * problems);
     const CalibratedOnlineTrace calibrated =
         calibrateOnlineTrace(online_opts, args.arrivals, num_requests,
-                             args.seed, slo_set ? args.slo : -1.0)
+                             args.seed, slo_set ? args.online.slo : -1.0)
             .value();
     const double slo = calibrated.slo;
 
     Table sched("Fig.18 (bottom) admission policies on one identical "
                 + args.arrivals + " trace - AIME, n=32, K="
-                + std::to_string(args.maxInflight) + ", SLO="
+                + std::to_string(args.online.maxInflight) + ", SLO="
                 + (slo > 0 ? formatDouble(slo, 0) + "s"
                            : std::string("off")));
     sched.setHeader({"policy", "mean lat s", "p50 s", "p95 s", "p99 s",
@@ -193,7 +193,7 @@ main(int argc, char **argv)
          {"fifo", "priority", "sjf", "edf"}) {
         OnlineServerOptions online;
         online.policy = policy_name;
-        online.maxInflight = args.maxInflight;
+        online.maxInflight = args.online.maxInflight;
         online.slo = slo;
         OnlineServer server =
             OnlineServer::create(online_opts, online).value();

@@ -47,7 +47,7 @@ main(int argc, char **argv)
          "--kv-tier", "--host-kv-budget", "--host-bandwidth",
          "--victim-select"});
     const int requests = args.numProblems;
-    const OnlineServerOptions online = args.toOnlineOptions();
+    const OnlineServerOptions &online = args.online;
 
     Table table("Online serving under " + args.arrivals + " load - "
                 + args.dataset + " 1.5B+1.5B n="

@@ -256,7 +256,8 @@ runBenchmark(const BenchSpec &spec, bool quick, uint64_t seed)
 constexpr const char *kOnlineSchedulingName = "online_scheduling";
 
 Json
-runOnlineSchedulingBenchmark(bool quick, uint64_t seed)
+runOnlineSchedulingBenchmark(bool quick, uint64_t seed,
+                             long *generated_tokens)
 {
     EngineArgs args;
     args.dataset = "AMC";
@@ -305,6 +306,7 @@ runOnlineSchedulingBenchmark(bool quick, uint64_t seed)
             OnlineServer::create(opts, online).value();
         const OnlineTraceResult out =
             server.serveRequests(calibrated.requests).value();
+        *generated_tokens += out.generatedTokens;
 
         Json latency = Json::object();
         latency.set("mean", out.meanLatency);
@@ -341,7 +343,7 @@ Json
 measurePreemptionRun(const ServingOptions &opts,
                      const CalibratedOnlineTrace &calibrated,
                      const std::string &preempt, double kv_budget_gib,
-                     int max_inflight)
+                     int max_inflight, long *generated_tokens)
 {
     OnlineServerOptions online;
     online.policy = "edf";
@@ -353,6 +355,7 @@ measurePreemptionRun(const ServingOptions &opts,
     OnlineServer server = OnlineServer::create(opts, online).value();
     const OnlineTraceResult out =
         server.serveRequests(calibrated.requests).value();
+    *generated_tokens += out.generatedTokens;
 
     Json latency = Json::object();
     latency.set("mean", out.meanLatency);
@@ -381,7 +384,8 @@ measurePreemptionRun(const ServingOptions &opts,
 }
 
 Json
-runOnlinePreemptionBenchmark(bool quick, uint64_t seed)
+runOnlinePreemptionBenchmark(bool quick, uint64_t seed,
+                             long *generated_tokens)
 {
     EngineArgs args;
     args.dataset = "AMC";
@@ -443,7 +447,8 @@ runOnlinePreemptionBenchmark(bool quick, uint64_t seed)
         for (const char *preempt : {"slice", "policy"}) {
             cell.set(preempt,
                      measurePreemptionRun(opts, calibrated, preempt,
-                                          budget_gib, maxInflight));
+                                          budget_gib, maxInflight,
+                                          generated_tokens));
         }
         budgets.set(tier.label, std::move(cell));
     }
@@ -465,7 +470,8 @@ Json
 measureBatchingRun(const ServingOptions &opts,
                    const CalibratedOnlineTrace &calibrated,
                    const std::string &batching, double kv_budget_gib,
-                   int max_inflight, int max_batched_tokens)
+                   int max_inflight, int max_batched_tokens,
+                   long *generated_tokens)
 {
     OnlineServerOptions online;
     online.policy = "edf";
@@ -479,6 +485,7 @@ measureBatchingRun(const ServingOptions &opts,
     OnlineServer server = OnlineServer::create(opts, online).value();
     const OnlineTraceResult out =
         server.serveRequests(calibrated.requests).value();
+    *generated_tokens += out.generatedTokens;
 
     Json latency = Json::object();
     latency.set("mean", out.meanLatency);
@@ -507,7 +514,8 @@ measureBatchingRun(const ServingOptions &opts,
 }
 
 Json
-runOnlineBatchingBenchmark(bool quick, uint64_t seed)
+runOnlineBatchingBenchmark(bool quick, uint64_t seed,
+                           long *generated_tokens)
 {
     EngineArgs args;
     args.dataset = "AMC";
@@ -576,11 +584,12 @@ runOnlineBatchingBenchmark(bool quick, uint64_t seed)
         cell.set("kv_budget_gib", budget_gib);
         cell.set("sliced",
                  measureBatchingRun(opts, calibrated, "off", budget_gib,
-                                    maxInflight, maxBatchedTokens));
+                                    maxInflight, maxBatchedTokens,
+                                    generated_tokens));
         cell.set("continuous",
                  measureBatchingRun(opts, calibrated, "continuous",
                                     budget_gib, maxInflight,
-                                    maxBatchedTokens));
+                                    maxBatchedTokens, generated_tokens));
         budgets.set(tier.label, std::move(cell));
     }
     doc.set("budgets", std::move(budgets));
@@ -602,7 +611,8 @@ measurePrefixReuseRun(const ServingOptions &opts,
                       const std::vector<OnlineRequest> &requests,
                       long total_prompt_tokens,
                       const std::string &prefix_cache,
-                      double kv_budget_gib, int max_inflight)
+                      double kv_budget_gib, int max_inflight,
+                      long *generated_tokens)
 {
     OnlineServerOptions online;
     online.policy = "fifo";
@@ -613,6 +623,7 @@ measurePrefixReuseRun(const ServingOptions &opts,
     OnlineServer server = OnlineServer::create(opts, online).value();
     const OnlineTraceResult out =
         server.serveRequests(requests).value();
+    *generated_tokens += out.generatedTokens;
 
     Json latency = Json::object();
     latency.set("mean", out.meanLatency);
@@ -644,7 +655,8 @@ measurePrefixReuseRun(const ServingOptions &opts,
 }
 
 Json
-runOnlinePrefixReuseBenchmark(bool quick, uint64_t seed)
+runOnlinePrefixReuseBenchmark(bool quick, uint64_t seed,
+                              long *generated_tokens)
 {
     EngineArgs args;
     args.dataset = "AMC";
@@ -728,8 +740,8 @@ runOnlinePrefixReuseBenchmark(bool quick, uint64_t seed)
         modes.set(mode,
                   measurePrefixReuseRun(opts, requests,
                                         totalPromptTokens, mode,
-                                        engine_budget_gib,
-                                        maxInflight));
+                                        engine_budget_gib, maxInflight,
+                                        generated_tokens));
     }
     const double off_goodput =
         modes["off"]["goodput_tokens_per_s"].asNumber();
@@ -761,7 +773,8 @@ Json
 measureFaultToleranceRun(const ServingOptions &opts,
                          const CalibratedOnlineTrace &calibrated,
                          double fault_rate, int retry_max,
-                         double retry_backoff, int max_inflight)
+                         double retry_backoff, int max_inflight,
+                         long *generated_tokens)
 {
     OnlineServerOptions online;
     online.policy = "edf";
@@ -779,6 +792,7 @@ measureFaultToleranceRun(const ServingOptions &opts,
     OnlineServer server = OnlineServer::create(opts, online).value();
     const OnlineTraceResult out =
         server.serveRequests(calibrated.requests).value();
+    *generated_tokens += out.generatedTokens;
 
     Json latency = Json::object();
     latency.set("mean", out.meanLatency);
@@ -815,7 +829,8 @@ measureFaultToleranceRun(const ServingOptions &opts,
 }
 
 Json
-runOnlineFaultToleranceBenchmark(bool quick, uint64_t seed)
+runOnlineFaultToleranceBenchmark(bool quick, uint64_t seed,
+                                 long *generated_tokens)
 {
     EngineArgs args;
     args.dataset = "AMC";
@@ -894,11 +909,11 @@ runOnlineFaultToleranceBenchmark(bool quick, uint64_t seed)
         cell.set("no_retry",
                  measureFaultToleranceRun(opts, calibrated, tier.rate,
                                           /*retry_max=*/0, retryBackoff,
-                                          maxInflight));
+                                          maxInflight, generated_tokens));
         cell.set("retry_degrade",
                  measureFaultToleranceRun(opts, calibrated, tier.rate,
                                           retryMax, retryBackoff,
-                                          maxInflight));
+                                          maxInflight, generated_tokens));
         rates.set(tier.label, std::move(cell));
     }
 
@@ -932,7 +947,8 @@ measureKvTieringRun(const ServingOptions &opts,
                     const CalibratedOnlineTrace &calibrated,
                     const std::string &kv_tier, double bandwidth_gbs,
                     const std::string &victim_select,
-                    double kv_budget_gib, int max_inflight)
+                    double kv_budget_gib, int max_inflight,
+                    long *generated_tokens)
 {
     OnlineServerOptions online;
     online.policy = "edf";
@@ -947,6 +963,7 @@ measureKvTieringRun(const ServingOptions &opts,
     OnlineServer server = OnlineServer::create(opts, online).value();
     const OnlineTraceResult out =
         server.serveRequests(calibrated.requests).value();
+    *generated_tokens += out.generatedTokens;
 
     Json latency = Json::object();
     latency.set("mean", out.meanLatency);
@@ -989,7 +1006,8 @@ measureKvTieringRun(const ServingOptions &opts,
 }
 
 Json
-runOnlineKvTieringBenchmark(bool quick, uint64_t seed)
+runOnlineKvTieringBenchmark(bool quick, uint64_t seed,
+                            long *generated_tokens)
 {
     EngineArgs args;
     args.dataset = "AMC";
@@ -1064,7 +1082,8 @@ runOnlineKvTieringBenchmark(bool quick, uint64_t seed)
             cell.set(victims,
                      measureKvTieringRun(opts, calibrated, arm.kvTier,
                                          arm.bandwidthGBs, victims,
-                                         budget_gib, maxInflight));
+                                         budget_gib, maxInflight,
+                                         generated_tokens));
         }
         tiers.set(arm.label, std::move(cell));
     }
@@ -1109,8 +1128,9 @@ struct HarnessSample
     long simulatedTokens = 0;
 };
 
-/** Simulated tokens generated by one benchmark, read back from its
- *  emitted document (0 for documents without token counts). */
+/** Simulated tokens generated by one figure benchmark, read back from
+ *  its emitted document. Online benchmarks write no such total; they
+ *  report the sum of their arms' generated tokens directly. */
 long
 simulatedTokensOf(const Json &doc)
 {
@@ -1231,7 +1251,7 @@ runnerMain(int argc, char **argv)
     struct OnlineBench
     {
         const char *name;
-        Json (*run)(bool quick, uint64_t seed);
+        Json (*run)(bool quick, uint64_t seed, long *generated_tokens);
     };
     static constexpr OnlineBench kOnlineBenchmarks[] = {
         {kOnlineSchedulingName, runOnlineSchedulingBenchmark},
@@ -1254,7 +1274,7 @@ runnerMain(int argc, char **argv)
     struct RunEntry
     {
         const BenchSpec *spec;
-        Json (*run)(bool quick, uint64_t seed);
+        Json (*run)(bool quick, uint64_t seed, long *generated_tokens);
         const char *name;
     };
     std::vector<RunEntry> toRun;
@@ -1313,14 +1333,17 @@ runnerMain(int argc, char **argv)
                  i = nextTask.fetch_add(1)) {
                 const RunEntry &entry = toRun[i];
                 const auto start = Clock::now();
+                long generated = 0;
                 docs[i] = entry.spec != nullptr
                     ? runBenchmark(*entry.spec, quick, seed)
-                    : entry.run(quick, seed);
+                    : entry.run(quick, seed, &generated);
                 samples[i].wallMs =
                     std::chrono::duration<double, std::milli>(
                         Clock::now() - start)
                         .count();
-                samples[i].simulatedTokens = simulatedTokensOf(docs[i]);
+                samples[i].simulatedTokens = entry.spec != nullptr
+                    ? simulatedTokensOf(docs[i])
+                    : generated;
             }
         };
         const int poolSize = std::min<int>(

@@ -64,7 +64,7 @@ main(int argc, char **argv)
     defaults.numProblems = 16;
     defaults.dataset = "AMC";
     defaults.numBeams = 8;
-    defaults.maxInflight = 2;
+    defaults.online.maxInflight = 2;
     defaults.arrivals = "bursty";
     const EngineArgs args = EngineArgs::parseOrExit(
         argc, argv, defaults,
@@ -99,7 +99,7 @@ main(int argc, char **argv)
     // --slo keeps its documented semantics: unset derives a budget,
     // an explicit 0 disables deadlines, > 0 overrides.
     const double slo =
-        args.wasSet("--slo") ? args.slo : 3.0 * service;
+        args.wasSet("--slo") ? args.online.slo : 3.0 * service;
     const std::vector<double> trace =
         makeArrivalTrace(args.arrivals, args.numProblems, rate,
                          args.seed)
@@ -118,7 +118,7 @@ main(int argc, char **argv)
     Table table("Admission policies on one " + args.arrivals
                 + " trace - " + args.dataset + " n="
                 + std::to_string(args.numBeams) + ", K="
-                + std::to_string(args.maxInflight) + ", SLO="
+                + std::to_string(args.online.maxInflight) + ", SLO="
                 + (slo > 0 ? formatDouble(slo, 0) + "s"
                            : std::string("off")));
     table.setHeader({"policy", "mean latency s", "p50 s", "p99 s",
@@ -127,7 +127,7 @@ main(int argc, char **argv)
                                    "slowdown"}) {
         OnlineServerOptions online;
         online.policy = name;
-        online.maxInflight = args.maxInflight;
+        online.maxInflight = args.online.maxInflight;
         online.slo = slo;
         OnlineServer server = OnlineServer::create(opts, online).value();
         const OnlineTraceResult out =

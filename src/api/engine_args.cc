@@ -5,9 +5,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
-#include "util/fault_injector.h"
 #include "util/json.h"
 #include "util/units.h"
 
@@ -17,88 +19,288 @@ namespace fasttts
 namespace
 {
 
-/** Strict decimal integer in [min, max]; rejects trailing junk. */
-StatusOr<long long>
-parseInt(const std::string &flag, const std::string &token,
-         long long min, long long max)
+/** Where a flag's value lives: a member of EngineArgs itself or of
+ *  its embedded OnlineServerOptions (exactly one pointer is set). */
+template <typename T>
+struct Field
 {
-    if (token.empty())
-        return Status::invalidArgument(flag + " expects an integer");
-    errno = 0;
-    char *end = nullptr;
-    const long long value = std::strtoll(token.c_str(), &end, 10);
-    if (errno == ERANGE || end != token.c_str() + token.size()
-        || end == token.c_str())
-        return Status::invalidArgument(flag + " expects an integer, got '"
-                                       + token + "'");
-    if (value < min || value > max)
-        return Status::invalidArgument(
-            flag + " must be in [" + std::to_string(min) + ", "
-            + std::to_string(max) + "], got " + token);
-    return value;
+    T EngineArgs::*top;
+    T OnlineServerOptions::*online;
+
+    T &of(EngineArgs &args) const
+    {
+        return top != nullptr ? args.*top : args.online.*online;
+    }
+};
+
+template <typename T>
+constexpr Field<T>
+field(T EngineArgs::*member)
+{
+    return {member, nullptr};
 }
 
-/** Strict unsigned decimal integer; rejects sign and trailing junk. */
-StatusOr<uint64_t>
-parseUnsigned(const std::string &flag, const std::string &token)
+template <typename T>
+constexpr Field<T>
+field(T OnlineServerOptions::*member)
 {
-    if (token.empty() || token[0] == '-' || token[0] == '+')
-        return Status::invalidArgument(
-            flag + " expects an unsigned integer, got '" + token + "'");
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value =
-        std::strtoull(token.c_str(), &end, 10);
-    if (errno == ERANGE || end != token.c_str() + token.size()
-        || end == token.c_str())
-        return Status::invalidArgument(
-            flag + " expects an unsigned integer, got '" + token + "'");
-    return static_cast<uint64_t>(value);
+    return {nullptr, member};
 }
 
-/** Strict finite double; rejects trailing junk. */
-StatusOr<double>
-parseDouble(const std::string &flag, const std::string &token)
+/**
+ * One flag, declared once: fromArgv(), fromJson(), help() and
+ * parseOrExit()'s every-flag list all read this row. A bool field is a
+ * switch: --NAME sets it, --no-NAME clears it, JSON takes true/false.
+ */
+struct Flag
 {
-    if (token.empty())
-        return Status::invalidArgument(flag + " expects a number");
-    errno = 0;
-    char *end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (errno == ERANGE || end != token.c_str() + token.size()
-        || end == token.c_str())
-        return Status::invalidArgument(flag + " expects a number, got '"
-                                       + token + "'");
-    return value;
+    const char *name; //!< "--beams".
+    const char *key;  //!< JSON key, "num_beams".
+    std::variant<Field<std::string>, Field<int>, Field<uint64_t>,
+                 Field<double>, Field<bool>>
+        field;
+    const char *metavar; //!< help() value placeholder; "" for switches.
+    const char *help;    //!< help() text; '\n' starts a wrapped line.
+    long long min = 0;   //!< Integer range. A seed takes any uint64 on
+    long long max = 0;   //!< argv; its JSON number must fit a double.
+    const char *noHelp = nullptr; //!< help() text of --no-NAME.
+};
+
+/** Upper bound of the count flags: beams, problems, token budgets. */
+constexpr long long kMaxCount = 1 << 20;
+
+const Flag kFlags[] = {
+    {"--device", "device", field(&EngineArgs::device), "NAME",
+     "accelerator to serve on"},
+    {"--dataset", "dataset", field(&EngineArgs::dataset), "NAME",
+     "workload profile"},
+    {"--algorithm", "algorithm", field(&EngineArgs::algorithm), "NAME",
+     "TTS search method"},
+    {"--models", "models", field(&EngineArgs::models), "LABEL",
+     "generator+verifier configuration"},
+    {"--mode", "mode", field(&EngineArgs::mode), "MODE",
+     "'fasttts' (optimised) or 'baseline'"},
+    {"--beams", "num_beams", field(&EngineArgs::numBeams), "N",
+     "search width n (>= 1)", 1, kMaxCount},
+    {"--branch-factor", "branch_factor", field(&EngineArgs::branchFactor),
+     "N", "branch factor B (>= 1)", 1, kMaxCount},
+    {"--problems", "num_problems", field(&EngineArgs::numProblems), "N",
+     "problems to serve (>= 0)", 0, kMaxCount},
+    {"--seed", "seed", field(&EngineArgs::seed), "N",
+     "master problem-set seed", 0, 1LL << 53},
+    {"--offload", "offload", field(&EngineArgs::offload), "",
+     "enable KV offloading (Sec. 4.3.2)", 0, 0, "disable KV offloading"},
+    {"--memory-fraction", "memory_fraction",
+     field(&EngineArgs::memoryFraction), "F",
+     "GPU memory fraction in (0, 1]"},
+    {"--reserved-gib", "reserved_gib", field(&EngineArgs::reservedGiB), "F",
+     "reserved VRAM (GiB) outside serving"},
+    {"--policy", "policy", field(&OnlineServerOptions::policy), "NAME",
+     "online admission policy"},
+    {"--max-inflight", "max_inflight",
+     field(&OnlineServerOptions::maxInflight), "N",
+     "interleaved online requests (1-64)", 1, 64},
+    {"--slo", "slo", field(&OnlineServerOptions::slo), "SECONDS",
+     "per-request latency SLO (0 disables)"},
+    {"--arrivals", "arrivals", field(&EngineArgs::arrivals), "MODE",
+     "arrival process: 'poisson' or 'bursty'"},
+    {"--preempt", "preempt", field(&OnlineServerOptions::preempt), "MODE",
+     "online preemption: 'off' (run to\n"
+     "completion), 'slice' (round-robin time\n"
+     "slices) or 'policy' (the queue policy\n"
+     "preempts the running victim)"},
+    {"--kv-budget", "kv_budget_gib",
+     field(&OnlineServerOptions::kvBudgetGiB), "GIB",
+     "shared KV budget all in-flight online\n"
+     "requests contend for (0 = legacy\n"
+     "per-slot accounting)"},
+    {"--shed-doomed", "shed_doomed",
+     field(&OnlineServerOptions::shedDoomed), "",
+     "shed queued requests whose predicted\n"
+     "finish already misses their deadline",
+     0, 0, "serve doomed requests anyway (default)"},
+    {"--batching", "batching", field(&OnlineServerOptions::batching),
+     "MODE",
+     "online wave scheduling: 'off' (time-\n"
+     "sliced; default) or 'continuous' (co-\n"
+     "scheduled decode across requests)"},
+    {"--max-batched-tokens", "max_batched_tokens",
+     field(&OnlineServerOptions::maxBatchedTokens), "N",
+     "per-wave token budget for continuous\n"
+     "batching (default 2048)",
+     1, kMaxCount},
+    {"--prefill-chunk", "prefill_chunk",
+     field(&OnlineServerOptions::prefillChunk), "N",
+     "largest prompt slice per request per\n"
+     "wave under continuous batching\n"
+     "(default 512)",
+     1, kMaxCount},
+    {"--prefix-cache", "prefix_cache",
+     field(&OnlineServerOptions::prefixCache), "MODE",
+     "cross-request prefix KV reuse: 'off'\n"
+     "(default; bit-identical to legacy\n"
+     "serving) or 'on' (mount cached prompt\n"
+     "prefixes instead of re-prefilling)"},
+    {"--prefix-cache-budget", "prefix_cache_budget_gib",
+     field(&OnlineServerOptions::prefixCacheBudgetGiB), "GIB",
+     "prefix-cache byte budget (0 = 1/8 of\n"
+     "the shared KV budget); cached bytes\n"
+     "are charged to the --kv-budget ledger"},
+    {"--faults", "faults", field(&OnlineServerOptions::faults), "MODE",
+     "deterministic fault injection: 'off'\n"
+     "(default; bit-identical fault-free\n"
+     "serving) or 'plan' (inject per the\n"
+     "--fault-plan schedule)"},
+    {"--fault-plan", "fault_plan", field(&OnlineServerOptions::faultPlan),
+     "JSON",
+     "fault schedule (required with\n"
+     "--faults plan); schema in\n"
+     "util/fault_injector.h"},
+    {"--retry-max", "retry_max", field(&OnlineServerOptions::retryMax), "N",
+     "retries per fault-killed request\n"
+     "(0-16; default 0 = fail on first\n"
+     "fault)",
+     0, 16},
+    {"--retry-backoff", "retry_backoff",
+     field(&OnlineServerOptions::retryBackoff), "S",
+     "base retry backoff in sim seconds\n"
+     "(capped exponential per attempt)"},
+    {"--request-timeout", "request_timeout",
+     field(&OnlineServerOptions::requestTimeout), "S",
+     "watchdog: abort requests older than\n"
+     "S sim seconds (0 disables)"},
+    {"--kv-tier", "kv_tier", field(&OnlineServerOptions::kvTier), "MODE",
+     "host KV offload: 'off' (default;\n"
+     "bit-identical device-only serving) or\n"
+     "'host' (preemption swaps KV to a\n"
+     "budgeted host tier when the copy beats\n"
+     "the recompute)"},
+    {"--host-kv-budget", "host_kv_budget_gib",
+     field(&OnlineServerOptions::hostKvBudgetGiB), "GIB",
+     "host tier byte budget (0 = twice the\n"
+     "device KV budget)"},
+    {"--host-bandwidth", "host_bandwidth_gbs",
+     field(&OnlineServerOptions::hostBandwidthGBs), "GBS",
+     "host link bandwidth in GB/s\n"
+     "(default 16)"},
+    {"--victim-select", "victim_select",
+     field(&OnlineServerOptions::victimSelect), "MODE",
+     "memory-pressure eviction order:\n"
+     "'admission' (default) or 'cost'\n"
+     "(cheapest-to-restore first)"},
+};
+
+/** "--no-NAME", a switch's clearing form. */
+std::string
+negated(const Flag &flag)
+{
+    return "--no-" + std::string(flag.name + 2);
 }
 
-/** JSON number that must be an integer in [min, max]. */
-StatusOr<long long>
-jsonInt(const std::string &key, const Json &value, long long min,
-        long long max)
+/** The row `flag` names on the command line, or nullptr. */
+const Flag *
+findFlag(const std::string &flag)
 {
-    if (!value.isNumber())
-        return Status::invalidArgument("\"" + key
-                                       + "\" must be a number");
-    const double number = value.asNumber();
-    const long long integral = static_cast<long long>(number);
-    if (static_cast<double>(integral) != number)
-        return Status::invalidArgument("\"" + key
-                                       + "\" must be an integer");
-    if (integral < min || integral > max)
-        return Status::invalidArgument(
-            "\"" + key + "\" must be in [" + std::to_string(min) + ", "
-            + std::to_string(max) + "]");
-    return integral;
+    for (const Flag &row : kFlags) {
+        if (flag == row.name
+            || (std::holds_alternative<Field<bool>>(row.field)
+                && flag == negated(row)))
+            return &row;
+    }
+    return nullptr;
 }
 
-StatusOr<std::string>
-jsonString(const std::string &key, const Json &value)
+/** An argv value: numbers must parse whole, without overflow, an int
+ *  within [flag.min, flag.max], an unsigned without a sign. */
+template <typename T>
+Status
+parseArg(const Flag &flag, const std::string &token, T *out)
 {
-    if (!value.isString())
-        return Status::invalidArgument("\"" + key
-                                       + "\" must be a string");
-    return value.asString();
+    if constexpr (std::is_same_v<T, std::string>) {
+        *out = token;
+        return okStatus();
+    } else {
+        constexpr bool is_int = std::is_same_v<T, int>;
+        constexpr bool is_unsigned = std::is_same_v<T, uint64_t>;
+        const std::string name = flag.name;
+        const std::string expects = name + " expects "
+            + (is_int            ? "an integer"
+                   : is_unsigned ? "an unsigned integer"
+                                 : "a number");
+        Status junk =
+            Status::invalidArgument(expects + ", got '" + token + "'");
+        if (token.empty())
+            return is_unsigned ? junk : Status::invalidArgument(expects);
+        if (is_unsigned && (token[0] == '-' || token[0] == '+'))
+            return junk;
+        errno = 0;
+        char *end = nullptr;
+        const auto value = [&] {
+            if constexpr (is_int)
+                return std::strtoll(token.c_str(), &end, 10);
+            else if constexpr (is_unsigned)
+                return std::strtoull(token.c_str(), &end, 10);
+            else
+                return std::strtod(token.c_str(), &end);
+        }();
+        if (errno == ERANGE || end != token.c_str() + token.size())
+            return junk;
+        if constexpr (is_int) {
+            if (value < flag.min || value > flag.max)
+                return Status::invalidArgument(
+                    name + " must be in [" + std::to_string(flag.min)
+                    + ", " + std::to_string(flag.max) + "], got " + token);
+        }
+        *out = static_cast<T>(value);
+        return okStatus();
+    }
+}
+
+/** A JSON value of the field's type; an integer must be a whole
+ *  number within [flag.min, flag.max]. */
+template <typename T>
+Status
+readJson(const Flag &flag, const Json &value, T *out)
+{
+    const std::string key = "\"" + std::string(flag.key) + "\"";
+    if constexpr (std::is_same_v<T, std::string>) {
+        if (!value.isString())
+            return Status::invalidArgument(key + " must be a string");
+        *out = value.asString();
+    } else if constexpr (std::is_same_v<T, bool>) {
+        if (!value.isBool())
+            return Status::invalidArgument(key + " must be a boolean");
+        *out = value.asBool();
+    } else {
+        if (!value.isNumber())
+            return Status::invalidArgument(key + " must be a number");
+        const double number = value.asNumber();
+        if constexpr (std::is_integral_v<T>) {
+            const long long integral = static_cast<long long>(number);
+            if (static_cast<double>(integral) != number)
+                return Status::invalidArgument(key + " must be an integer");
+            if (integral < flag.min || integral > flag.max)
+                return Status::invalidArgument(
+                    key + " must be in [" + std::to_string(flag.min) + ", "
+                    + std::to_string(flag.max) + "]");
+        }
+        *out = static_cast<T>(number);
+    }
+    return okStatus();
+}
+
+/** One help() entry: the usage padded to the text column (or alone on
+ *  its line when too wide), then the text, wrapped lines indented. */
+std::string
+helpEntry(const std::string &usage, const char *text)
+{
+    const std::string column(23, ' ');
+    std::string entry = "  " + usage
+        + (usage.size() <= 20 ? std::string(21 - usage.size(), ' ')
+                              : "\n" + column);
+    for (const char *c = text; *c != '\0'; ++c)
+        entry += *c == '\n' ? "\n" + column : std::string(1, *c);
+    return entry + "\n";
 }
 
 std::string
@@ -134,169 +336,45 @@ EngineArgs::fromArgv(int argc, const char *const *argv,
             has_value = true;
         }
 
-        auto take_value = [&]() -> Status {
-            if (has_value)
-                return okStatus();
-            if (i + 1 >= argc)
-                return Status::invalidArgument(flag
-                                               + " expects a value");
-            value = argv[++i];
-            has_value = true;
-            return okStatus();
-        };
-
         if (flag == "--help" || flag == "-h") {
             args.helpRequested = true;
             return args;
         }
-        if (flag == "--offload" || flag == "--no-offload") {
-            if (has_value)
-                return Status::invalidArgument(
-                    flag + " does not take a value (use --offload or "
-                           "--no-offload)");
-            args.offload = flag == "--offload";
-            args.parsedFlags.push_back("--offload");
-            continue;
-        }
-        if (flag == "--shed-doomed" || flag == "--no-shed-doomed") {
-            if (has_value)
-                return Status::invalidArgument(
-                    flag + " does not take a value (use --shed-doomed "
-                           "or --no-shed-doomed)");
-            args.shedDoomed = flag == "--shed-doomed";
-            args.parsedFlags.push_back("--shed-doomed");
-            continue;
-        }
-
-        if (flag == "--device" || flag == "--dataset"
-            || flag == "--algorithm" || flag == "--models"
-            || flag == "--mode" || flag == "--policy"
-            || flag == "--arrivals" || flag == "--preempt"
-            || flag == "--batching" || flag == "--prefix-cache"
-            || flag == "--faults" || flag == "--fault-plan"
-            || flag == "--kv-tier" || flag == "--victim-select") {
-            if (Status s = take_value(); !s.ok())
-                return s;
-            if (flag == "--device")
-                args.device = value;
-            else if (flag == "--dataset")
-                args.dataset = value;
-            else if (flag == "--algorithm")
-                args.algorithm = value;
-            else if (flag == "--models")
-                args.models = value;
-            else if (flag == "--policy")
-                args.policy = value;
-            else if (flag == "--arrivals")
-                args.arrivals = value;
-            else if (flag == "--preempt")
-                args.preempt = value;
-            else if (flag == "--batching")
-                args.batching = value;
-            else if (flag == "--prefix-cache")
-                args.prefixCache = value;
-            else if (flag == "--faults")
-                args.faults = value;
-            else if (flag == "--fault-plan")
-                args.faultPlan = value;
-            else if (flag == "--kv-tier")
-                args.kvTier = value;
-            else if (flag == "--victim-select")
-                args.victimSelect = value;
-            else
-                args.mode = value;
-            args.parsedFlags.push_back(flag);
-            continue;
-        }
-
-        if (flag == "--beams" || flag == "--branch-factor"
-            || flag == "--problems" || flag == "--max-inflight"
-            || flag == "--max-batched-tokens"
-            || flag == "--prefill-chunk" || flag == "--retry-max") {
-            if (Status s = take_value(); !s.ok())
-                return s;
-            const long long min =
-                flag == "--problems" || flag == "--retry-max" ? 0 : 1;
-            const long long max = flag == "--max-inflight" ? 64
-                : flag == "--retry-max"                    ? 16
-                                                           : 1 << 20;
-            auto parsed = parseInt(flag, value, min, max);
-            if (!parsed.ok())
-                return parsed.status();
-            if (flag == "--beams")
-                args.numBeams = static_cast<int>(*parsed);
-            else if (flag == "--branch-factor")
-                args.branchFactor = static_cast<int>(*parsed);
-            else if (flag == "--max-inflight")
-                args.maxInflight = static_cast<int>(*parsed);
-            else if (flag == "--max-batched-tokens")
-                args.maxBatchedTokens = static_cast<int>(*parsed);
-            else if (flag == "--prefill-chunk")
-                args.prefillChunk = static_cast<int>(*parsed);
-            else if (flag == "--retry-max")
-                args.retryMax = static_cast<int>(*parsed);
-            else
-                args.numProblems = static_cast<int>(*parsed);
-            args.parsedFlags.push_back(flag);
-            continue;
-        }
-
-        if (flag == "--seed") {
-            if (Status s = take_value(); !s.ok())
-                return s;
-            auto parsed = parseUnsigned(flag, value);
-            if (!parsed.ok())
-                return parsed.status();
-            args.seed = *parsed;
-            args.parsedFlags.push_back(flag);
-            continue;
-        }
-
-        if (flag == "--memory-fraction" || flag == "--reserved-gib"
-            || flag == "--slo" || flag == "--kv-budget"
-            || flag == "--prefix-cache-budget"
-            || flag == "--retry-backoff"
-            || flag == "--request-timeout"
-            || flag == "--host-kv-budget"
-            || flag == "--host-bandwidth") {
-            if (Status s = take_value(); !s.ok())
-                return s;
-            auto parsed = parseDouble(flag, value);
-            if (!parsed.ok())
-                return parsed.status();
-            if (flag == "--memory-fraction")
-                args.memoryFraction = *parsed;
-            else if (flag == "--slo")
-                args.slo = *parsed;
-            else if (flag == "--kv-budget")
-                args.kvBudgetGiB = *parsed;
-            else if (flag == "--prefix-cache-budget")
-                args.prefixCacheBudgetGiB = *parsed;
-            else if (flag == "--retry-backoff")
-                args.retryBackoff = *parsed;
-            else if (flag == "--request-timeout")
-                args.requestTimeout = *parsed;
-            else if (flag == "--host-kv-budget")
-                args.hostKvBudgetGiB = *parsed;
-            else if (flag == "--host-bandwidth")
-                args.hostBandwidthGBs = *parsed;
-            else
-                args.reservedGiB = *parsed;
-            args.parsedFlags.push_back(flag);
-            continue;
-        }
-
-        if (!flag.empty() && flag[0] == '-')
+        const Flag *row = findFlag(flag);
+        if (row == nullptr && !flag.empty() && flag[0] == '-')
             return Status::invalidArgument("unknown flag '" + flag
                                            + "' (see --help)");
-
         // Bare positionals ([num_problems] [dataset]) were deprecated
         // in favour of --problems/--dataset and removed after their
         // one-release grace period.
-        return Status::invalidArgument(
-            "unexpected positional argument '" + flag
-            + "' (bare positionals were removed; use "
-              "--problems/--dataset)");
+        if (row == nullptr)
+            return Status::invalidArgument(
+                "unexpected positional argument '" + flag
+                + "' (bare positionals were removed; use "
+                  "--problems/--dataset)");
+
+        const Status status = std::visit(
+            [&](const auto &field) -> Status {
+                auto *target = &field.of(args);
+                if constexpr (std::is_same_v<decltype(target), bool *>) {
+                    if (has_value)
+                        return Status::invalidArgument(
+                            flag + " does not take a value (use "
+                            + row->name + " or " + negated(*row) + ")");
+                    *target = flag == row->name;
+                    return okStatus();
+                } else {
+                    if (!has_value && i + 1 >= argc)
+                        return Status::invalidArgument(
+                            flag + " expects a value");
+                    return parseArg(*row, has_value ? value : argv[++i],
+                                    target);
+                }
+            },
+            row->field);
+        if (!status.ok())
+            return status;
+        args.parsedFlags.emplace_back(row->name);
     }
     return args;
 }
@@ -316,134 +394,19 @@ EngineArgs::fromJson(const Json &doc, const EngineArgs &defaults)
 
     EngineArgs args = defaults;
     for (const auto &[key, value] : doc.members()) {
-        if (key == "device" || key == "dataset" || key == "algorithm"
-            || key == "models" || key == "mode" || key == "policy"
-            || key == "arrivals" || key == "preempt"
-            || key == "batching" || key == "prefix_cache"
-            || key == "faults" || key == "fault_plan"
-            || key == "kv_tier" || key == "victim_select") {
-            auto parsed = jsonString(key, value);
-            if (!parsed.ok())
-                return parsed.status();
-            if (key == "device")
-                args.device = *parsed;
-            else if (key == "dataset")
-                args.dataset = *parsed;
-            else if (key == "algorithm")
-                args.algorithm = *parsed;
-            else if (key == "models")
-                args.models = *parsed;
-            else if (key == "policy")
-                args.policy = *parsed;
-            else if (key == "arrivals")
-                args.arrivals = *parsed;
-            else if (key == "preempt")
-                args.preempt = *parsed;
-            else if (key == "batching")
-                args.batching = *parsed;
-            else if (key == "prefix_cache")
-                args.prefixCache = *parsed;
-            else if (key == "faults")
-                args.faults = *parsed;
-            else if (key == "fault_plan")
-                args.faultPlan = *parsed;
-            else if (key == "kv_tier")
-                args.kvTier = *parsed;
-            else if (key == "victim_select")
-                args.victimSelect = *parsed;
-            else
-                args.mode = *parsed;
-        } else if (key == "num_beams" || key == "branch_factor"
-                   || key == "num_problems" || key == "max_inflight"
-                   || key == "max_batched_tokens"
-                   || key == "prefill_chunk" || key == "retry_max") {
-            const long long min =
-                key == "num_problems" || key == "retry_max" ? 0 : 1;
-            const long long max = key == "max_inflight" ? 64
-                : key == "retry_max"                    ? 16
-                                                        : 1 << 20;
-            auto parsed = jsonInt(key, value, min, max);
-            if (!parsed.ok())
-                return parsed.status();
-            if (key == "num_beams")
-                args.numBeams = static_cast<int>(*parsed);
-            else if (key == "branch_factor")
-                args.branchFactor = static_cast<int>(*parsed);
-            else if (key == "max_inflight")
-                args.maxInflight = static_cast<int>(*parsed);
-            else if (key == "max_batched_tokens")
-                args.maxBatchedTokens = static_cast<int>(*parsed);
-            else if (key == "prefill_chunk")
-                args.prefillChunk = static_cast<int>(*parsed);
-            else if (key == "retry_max")
-                args.retryMax = static_cast<int>(*parsed);
-            else
-                args.numProblems = static_cast<int>(*parsed);
-        } else if (key == "retry_backoff") {
-            if (!value.isNumber())
-                return Status::invalidArgument(
-                    "\"retry_backoff\" must be a number");
-            args.retryBackoff = value.asNumber();
-        } else if (key == "request_timeout") {
-            if (!value.isNumber())
-                return Status::invalidArgument(
-                    "\"request_timeout\" must be a number");
-            args.requestTimeout = value.asNumber();
-        } else if (key == "slo") {
-            if (!value.isNumber())
-                return Status::invalidArgument(
-                    "\"slo\" must be a number");
-            args.slo = value.asNumber();
-        } else if (key == "kv_budget_gib") {
-            if (!value.isNumber())
-                return Status::invalidArgument(
-                    "\"kv_budget_gib\" must be a number");
-            args.kvBudgetGiB = value.asNumber();
-        } else if (key == "prefix_cache_budget_gib") {
-            if (!value.isNumber())
-                return Status::invalidArgument(
-                    "\"prefix_cache_budget_gib\" must be a number");
-            args.prefixCacheBudgetGiB = value.asNumber();
-        } else if (key == "host_kv_budget_gib") {
-            if (!value.isNumber())
-                return Status::invalidArgument(
-                    "\"host_kv_budget_gib\" must be a number");
-            args.hostKvBudgetGiB = value.asNumber();
-        } else if (key == "host_bandwidth_gbs") {
-            if (!value.isNumber())
-                return Status::invalidArgument(
-                    "\"host_bandwidth_gbs\" must be a number");
-            args.hostBandwidthGBs = value.asNumber();
-        } else if (key == "shed_doomed") {
-            if (!value.isBool())
-                return Status::invalidArgument(
-                    "\"shed_doomed\" must be a boolean");
-            args.shedDoomed = value.asBool();
-        } else if (key == "seed") {
-            auto parsed = jsonInt(key, value, 0,
-                                  (1LL << 53)); // Doubles round-trip 2^53.
-            if (!parsed.ok())
-                return parsed.status();
-            args.seed = static_cast<uint64_t>(*parsed);
-        } else if (key == "offload") {
-            if (!value.isBool())
-                return Status::invalidArgument(
-                    "\"offload\" must be a boolean");
-            args.offload = value.asBool();
-        } else if (key == "memory_fraction") {
-            if (!value.isNumber())
-                return Status::invalidArgument(
-                    "\"memory_fraction\" must be a number");
-            args.memoryFraction = value.asNumber();
-        } else if (key == "reserved_gib") {
-            if (!value.isNumber())
-                return Status::invalidArgument(
-                    "\"reserved_gib\" must be a number");
-            args.reservedGiB = value.asNumber();
-        } else {
+        const Flag *row =
+            std::find_if(std::begin(kFlags), std::end(kFlags),
+                         [&](const Flag &flag) { return key == flag.key; });
+        if (row == std::end(kFlags))
             return Status::invalidArgument("unknown EngineArgs key \""
                                            + key + "\"");
-        }
+        const Status status = std::visit(
+            [&](const auto &field) {
+                return readJson(*row, value, &field.of(args));
+            },
+            row->field);
+        if (!status.ok())
+            return status;
     }
     return args;
 }
@@ -500,84 +463,13 @@ EngineArgs::validate() const
         return Status::invalidArgument(
             "reserved_gib must be finite (negative keeps the engine "
             "default)");
-    if (!queuePolicyRegistry().contains(policy))
-        return makeQueuePolicy(policy).status();
-    if (maxInflight < 1 || maxInflight > 64)
-        return Status::invalidArgument(
-            "max_inflight must be in [1, 64], got "
-            + std::to_string(maxInflight));
-    if (!(slo >= 0) || !std::isfinite(slo))
-        return Status::invalidArgument(
-            "slo must be >= 0 seconds (0 disables SLO tracking)");
+    if (!queuePolicyRegistry().contains(online.policy))
+        return makeQueuePolicy(online.policy).status();
     if (arrivals != "poisson" && arrivals != "bursty")
         return Status::invalidArgument(
             "arrivals must be 'poisson' or 'bursty', got '" + arrivals
             + "'");
-    if (preempt != "off" && preempt != "slice" && preempt != "policy")
-        return Status::invalidArgument(
-            "preempt must be 'off', 'slice' or 'policy', got '"
-            + preempt + "'");
-    if (!(kvBudgetGiB >= 0) || !std::isfinite(kvBudgetGiB))
-        return Status::invalidArgument(
-            "kv_budget must be >= 0 GiB (0 keeps the legacy per-slot "
-            "accounting)");
-    if (batching != "off" && batching != "continuous")
-        return Status::invalidArgument(
-            "batching must be 'off' or 'continuous', got '" + batching
-            + "'");
-    if (maxBatchedTokens < 1)
-        return Status::invalidArgument(
-            "max_batched_tokens must be >= 1, got "
-            + std::to_string(maxBatchedTokens));
-    if (prefillChunk < 1)
-        return Status::invalidArgument(
-            "prefill_chunk must be >= 1, got "
-            + std::to_string(prefillChunk));
-    if (prefixCache != "off" && prefixCache != "on")
-        return Status::invalidArgument(
-            "prefix_cache must be 'off' or 'on', got '" + prefixCache
-            + "'");
-    if (!(prefixCacheBudgetGiB >= 0)
-        || !std::isfinite(prefixCacheBudgetGiB))
-        return Status::invalidArgument(
-            "prefix_cache_budget must be >= 0 GiB (0 defaults to 1/8 "
-            "of the shared KV budget)");
-    if (faults != "off" && faults != "plan")
-        return Status::invalidArgument(
-            "faults must be 'off' or 'plan', got '" + faults + "'");
-    if (faults == "plan") {
-        if (faultPlan.empty())
-            return Status::invalidArgument(
-                "--faults plan requires a --fault-plan JSON schedule");
-        if (auto plan = FaultPlan::fromJsonText(faultPlan); !plan.ok())
-            return plan.status();
-    }
-    if (retryMax < 0 || retryMax > 16)
-        return Status::invalidArgument(
-            "retry_max must be in [0, 16], got "
-            + std::to_string(retryMax));
-    if (!(retryBackoff >= 0) || !std::isfinite(retryBackoff))
-        return Status::invalidArgument(
-            "retry_backoff must be >= 0 seconds");
-    if (!(requestTimeout >= 0) || !std::isfinite(requestTimeout))
-        return Status::invalidArgument(
-            "request_timeout must be >= 0 seconds (0 disables the "
-            "watchdog)");
-    if (kvTier != "off" && kvTier != "host")
-        return Status::invalidArgument(
-            "kv_tier must be 'off' or 'host', got '" + kvTier + "'");
-    if (!(hostKvBudgetGiB >= 0) || !std::isfinite(hostKvBudgetGiB))
-        return Status::invalidArgument(
-            "host_kv_budget must be >= 0 GiB (0 defaults to twice "
-            "the device KV budget)");
-    if (!(hostBandwidthGBs > 0) || !std::isfinite(hostBandwidthGBs))
-        return Status::invalidArgument(
-            "host_bandwidth must be a positive, finite GB/s figure");
-    if (victimSelect != "admission" && victimSelect != "cost")
-        return Status::invalidArgument(
-            "victim_select must be 'admission' or 'cost', got '"
-            + victimSelect + "'");
-    return okStatus();
+    return online.validate();
 }
 
 Status
@@ -639,115 +531,22 @@ EngineArgs::toServingOptions() const
     return opts;
 }
 
-OnlineServerOptions
-EngineArgs::toOnlineOptions() const
-{
-    OnlineServerOptions online;
-    online.policy = policy;
-    online.maxInflight = maxInflight;
-    online.slo = slo;
-    online.preempt = preempt;
-    online.kvBudgetGiB = kvBudgetGiB;
-    online.shedDoomed = shedDoomed;
-    online.batching = batching;
-    online.maxBatchedTokens = maxBatchedTokens;
-    online.prefillChunk = prefillChunk;
-    online.prefixCache = prefixCache;
-    online.prefixCacheBudgetGiB = prefixCacheBudgetGiB;
-    online.faults = faults;
-    online.faultPlan = faultPlan;
-    online.retryMax = retryMax;
-    online.retryBackoff = retryBackoff;
-    online.requestTimeout = requestTimeout;
-    online.kvTier = kvTier;
-    online.hostKvBudgetGiB = hostKvBudgetGiB;
-    online.hostBandwidthGBs = hostBandwidthGBs;
-    online.victimSelect = victimSelect;
-    return online;
-}
-
 std::string
 EngineArgs::help(const std::string &program)
 {
-    std::string text =
-        "usage: " + program + " [flags]\n"
-        "\n"
-        "  --device NAME        accelerator to serve on\n"
-        "  --dataset NAME       workload profile\n"
-        "  --algorithm NAME     TTS search method\n"
-        "  --models LABEL       generator+verifier configuration\n"
-        "  --mode MODE          'fasttts' (optimised) or 'baseline'\n"
-        "  --beams N            search width n (>= 1)\n"
-        "  --branch-factor N    branch factor B (>= 1)\n"
-        "  --problems N         problems to serve (>= 0)\n"
-        "  --seed N             master problem-set seed\n"
-        "  --offload            enable KV offloading (Sec. 4.3.2)\n"
-        "  --no-offload         disable KV offloading\n"
-        "  --memory-fraction F  GPU memory fraction in (0, 1]\n"
-        "  --reserved-gib F     reserved VRAM (GiB) outside serving\n"
-        "  --policy NAME        online admission policy\n"
-        "  --max-inflight N     interleaved online requests (1-64)\n"
-        "  --slo SECONDS        per-request latency SLO (0 disables)\n"
-        "  --arrivals MODE      arrival process: 'poisson' or 'bursty'\n"
-        "  --preempt MODE       online preemption: 'off' (run to\n"
-        "                       completion), 'slice' (round-robin time\n"
-        "                       slices) or 'policy' (the queue policy\n"
-        "                       preempts the running victim)\n"
-        "  --kv-budget GIB      shared KV budget all in-flight online\n"
-        "                       requests contend for (0 = legacy\n"
-        "                       per-slot accounting)\n"
-        "  --shed-doomed        shed queued requests whose predicted\n"
-        "                       finish already misses their deadline\n"
-        "  --no-shed-doomed     serve doomed requests anyway (default)\n"
-        "  --batching MODE      online wave scheduling: 'off' (time-\n"
-        "                       sliced; default) or 'continuous' (co-\n"
-        "                       scheduled decode across requests)\n"
-        "  --max-batched-tokens N\n"
-        "                       per-wave token budget for continuous\n"
-        "                       batching (default 2048)\n"
-        "  --prefill-chunk N    largest prompt slice per request per\n"
-        "                       wave under continuous batching\n"
-        "                       (default 512)\n"
-        "  --prefix-cache MODE  cross-request prefix KV reuse: 'off'\n"
-        "                       (default; bit-identical to legacy\n"
-        "                       serving) or 'on' (mount cached prompt\n"
-        "                       prefixes instead of re-prefilling)\n"
-        "  --prefix-cache-budget GIB\n"
-        "                       prefix-cache byte budget (0 = 1/8 of\n"
-        "                       the shared KV budget); cached bytes\n"
-        "                       are charged to the --kv-budget ledger\n"
-        "  --faults MODE        deterministic fault injection: 'off'\n"
-        "                       (default; bit-identical fault-free\n"
-        "                       serving) or 'plan' (inject per the\n"
-        "                       --fault-plan schedule)\n"
-        "  --fault-plan JSON    fault schedule (required with\n"
-        "                       --faults plan); schema in\n"
-        "                       util/fault_injector.h\n"
-        "  --retry-max N        retries per fault-killed request\n"
-        "                       (0-16; default 0 = fail on first\n"
-        "                       fault)\n"
-        "  --retry-backoff S    base retry backoff in sim seconds\n"
-        "                       (capped exponential per attempt)\n"
-        "  --request-timeout S  watchdog: abort requests older than\n"
-        "                       S sim seconds (0 disables)\n"
-        "  --kv-tier MODE       host KV offload: 'off' (default;\n"
-        "                       bit-identical device-only serving) or\n"
-        "                       'host' (preemption swaps KV to a\n"
-        "                       budgeted host tier when the copy beats\n"
-        "                       the recompute)\n"
-        "  --host-kv-budget GIB host tier byte budget (0 = twice the\n"
-        "                       device KV budget)\n"
-        "  --host-bandwidth GBS host link bandwidth in GB/s\n"
-        "                       (default 16)\n"
-        "  --victim-select MODE memory-pressure eviction order:\n"
-        "                       'admission' (default) or 'cost'\n"
-        "                       (cheapest-to-restore first)\n"
-        "  --help               print this text and exit\n"
-        "\n"
-        "Registered names (extensible; see the README's Extending "
-        "FastTTS):\n";
-    text += registryListing();
-    return text;
+    std::string text = "usage: " + program + " [flags]\n\n";
+    for (const Flag &flag : kFlags) {
+        text += helpEntry(*flag.metavar != '\0'
+                              ? std::string(flag.name) + " " + flag.metavar
+                              : flag.name,
+                          flag.help);
+        if (flag.noHelp != nullptr)
+            text += helpEntry(negated(flag), flag.noHelp);
+    }
+    text += helpEntry("--help", "print this text and exit");
+    text += "\nRegistered names (extensible; see the README's Extending "
+            "FastTTS):\n";
+    return text + registryListing();
 }
 
 std::string
@@ -766,36 +565,15 @@ EngineArgs::registryListing()
     return text;
 }
 
-namespace
-{
-
-/** All flags fromArgv can record; "every flag supported". */
-const std::vector<std::string> &
-allFlags()
-{
-    static const std::vector<std::string> flags = {
-        "--device",        "--dataset",      "--algorithm",
-        "--models",        "--mode",         "--beams",
-        "--branch-factor", "--problems",     "--seed",
-        "--offload",       "--memory-fraction", "--reserved-gib",
-        "--policy",        "--max-inflight", "--slo",
-        "--arrivals",      "--preempt",      "--kv-budget",
-        "--shed-doomed",   "--batching",     "--max-batched-tokens",
-        "--prefill-chunk", "--prefix-cache", "--prefix-cache-budget",
-        "--faults",        "--fault-plan",   "--retry-max",
-        "--retry-backoff", "--request-timeout", "--kv-tier",
-        "--host-kv-budget", "--host-bandwidth", "--victim-select"};
-    return flags;
-}
-
-} // namespace
-
 EngineArgs
 EngineArgs::parseOrExit(int argc, const char *const *argv,
                         const EngineArgs &defaults,
                         const std::string &description)
 {
-    return parseOrExit(argc, argv, defaults, description, allFlags());
+    std::vector<std::string> every_flag;
+    for (const Flag &flag : kFlags)
+        every_flag.emplace_back(flag.name);
+    return parseOrExit(argc, argv, defaults, description, every_flag);
 }
 
 EngineArgs

@@ -10,11 +10,24 @@
  * contents), and services embedding the library can load the same
  * configuration from a JSON document via fromJson().
  *
+ * Each flag is declared once, as one row of the flag table in
+ * engine_args.cc: its --name, JSON key, field, integer range and help
+ * lines. fromArgv(), fromJson(), help() and parseOrExit()'s
+ * every-flag list all iterate that table. The online-serving knobs
+ * are not re-declared here: they live in the embedded
+ * OnlineServerOptions `online` (defaults, meaning and checks in
+ * core/online_server.h), which validate() checks through
+ * OnlineServerOptions::validate() and OnlineServer::create() takes
+ * as-is. Their flags and JSON keys stay flat (--policy,
+ * "max_inflight", ...).
+ *
  *   EngineArgs defaults;
  *   defaults.dataset = "AMC";
+ *   defaults.online.maxInflight = 4;
  *   const EngineArgs args =
  *       EngineArgs::parseOrExit(argc, argv, defaults, "my tool");
- *   auto system = ServingSystem::create(args.toServingOptions().value());
+ *   auto server = OnlineServer::create(
+ *       args.toServingOptions().value(), args.online);
  */
 
 #ifndef FASTTTS_API_ENGINE_ARGS_H
@@ -34,7 +47,7 @@ namespace fasttts
 class Json;
 
 /**
- * One serving configuration in string-friendly form. Every field maps
+ * One serving configuration in string-friendly form. Every knob maps
  * 1:1 to a CLI flag and a JSON key; names are resolved through the
  * registries only at validate()/toServingOptions() time, so custom
  * registrations made before parsing are honoured.
@@ -56,86 +69,13 @@ struct EngineArgs
     double reservedGiB = -1;    //!< --reserved-gib; negative keeps the
                                 //!< engine default.
 
-    // --- Online serving (OnlineServer) ---
-    std::string policy = "fifo";   //!< --policy / "policy": admission
-                                   //!< order (queuePolicyRegistry()).
-    int maxInflight = 1;  //!< --max-inflight / "max_inflight" (1-64).
-    double slo = 0;       //!< --slo / "slo": per-request latency
-                          //!< budget in seconds; 0 disables.
     std::string arrivals = "poisson"; //!< --arrivals / "arrivals":
+                                      //!< the tools' arrival process,
                                       //!< 'poisson' or 'bursty'.
-    std::string preempt = "slice"; //!< --preempt / "preempt": 'off'
-                                   //!< (run-to-completion), 'slice'
-                                   //!< (round-robin time slices) or
-                                   //!< 'policy' (QueuePolicy-driven
-                                   //!< preemption of the victim).
-    double kvBudgetGiB = 0; //!< --kv-budget / "kv_budget_gib": shared
-                            //!< KV budget (GiB) all in-flight requests
-                            //!< contend for; 0 = legacy per-slot
-                            //!< accounting.
-    bool shedDoomed = false; //!< --shed-doomed / "shed_doomed": shed
-                             //!< queued requests whose predicted
-                             //!< finish already misses their deadline.
-    std::string batching = "off"; //!< --batching / "batching": 'off'
-                                  //!< (time-sliced waves) or
-                                  //!< 'continuous' (co-scheduled
-                                  //!< decode across requests).
-    int maxBatchedTokens = 2048; //!< --max-batched-tokens /
-                                 //!< "max_batched_tokens": per-wave
-                                 //!< token budget under continuous
-                                 //!< batching (>= 1).
-    int prefillChunk = 512; //!< --prefill-chunk / "prefill_chunk":
-                            //!< largest prompt slice per request per
-                            //!< wave under continuous batching (>= 1).
-    std::string prefixCache = "off"; //!< --prefix-cache /
-                                     //!< "prefix_cache": 'off'
-                                     //!< (bit-identical legacy
-                                     //!< serving) or 'on' (global
-                                     //!< cross-request prefix KV
-                                     //!< reuse, kv/prefix_index.h).
-    double prefixCacheBudgetGiB = 0; //!< --prefix-cache-budget /
-                                     //!< "prefix_cache_budget_gib":
-                                     //!< cache byte budget (GiB);
-                                     //!< 0 = 1/8 of the shared KV
-                                     //!< budget.
-    std::string faults = "off"; //!< --faults / "faults": 'off'
-                                //!< (bit-identical fault-free
-                                //!< serving) or 'plan'
-                                //!< (deterministic schedule-driven
-                                //!< injection per --fault-plan).
-    std::string faultPlan;  //!< --fault-plan / "fault_plan": fault
-                            //!< schedule JSON (schema in
-                            //!< util/fault_injector.h); required
-                            //!< when faults == 'plan'.
-    int retryMax = 0;       //!< --retry-max / "retry_max": retries
-                            //!< per fault-killed request, [0, 16].
-    double retryBackoff = 0.05; //!< --retry-backoff /
-                                //!< "retry_backoff": base retry
-                                //!< backoff in sim seconds (capped
-                                //!< exponential growth per attempt).
-    double requestTimeout = 0; //!< --request-timeout /
-                               //!< "request_timeout": watchdog abort
-                               //!< deadline in sim seconds; 0
-                               //!< disables.
-    std::string kvTier = "off"; //!< --kv-tier / "kv_tier": 'off'
-                                //!< (device-only KV, bit-identical
-                                //!< legacy serving) or 'host'
-                                //!< (budgeted host tier behind a
-                                //!< finite-bandwidth link;
-                                //!< kv/kv_tier.h).
-    double hostKvBudgetGiB = 0; //!< --host-kv-budget /
-                                //!< "host_kv_budget_gib": host tier
-                                //!< byte budget (GiB); 0 = twice the
-                                //!< device KV budget.
-    double hostBandwidthGBs = 16; //!< --host-bandwidth /
-                                  //!< "host_bandwidth_gbs": host link
-                                  //!< bandwidth in GB/s (> 0).
-    std::string victimSelect = "admission"; //!< --victim-select /
-                                            //!< "victim_select":
-                                            //!< 'admission' (legacy
-                                            //!< sweep order) or 'cost'
-                                            //!< (cheapest-to-restore
-                                            //!< first).
+
+    /** The OnlineServer knobs: every flag from --policy to
+     *  --victim-select except --arrivals. */
+    OnlineServerOptions online;
 
     bool helpRequested = false; //!< --help seen; see parseOrExit().
 
@@ -164,8 +104,10 @@ struct EngineArgs
 
     /**
      * Load from a JSON object on top of the given defaults. Keys are
-     * the doc-comment names above ("device", ..., "reserved_gib");
-     * unknown keys and type mismatches are kInvalidArgument.
+     * the flag names in snake_case, with a num_ prefix or a unit
+     * suffix where the flag has none ("num_beams", "kv_budget_gib",
+     * "host_bandwidth_gbs"); unknown keys and type mismatches are
+     * kInvalidArgument.
      */
     static StatusOr<EngineArgs> fromJson(const Json &doc,
                                          const EngineArgs &defaults);
@@ -178,17 +120,14 @@ struct EngineArgs
 
     /**
      * Full validation: every name must exist in its registry, numeric
-     * fields must be in range, mode must be "fasttts" or "baseline".
+     * fields must be in range, mode must be "fasttts" or "baseline",
+     * and `online` must pass OnlineServerOptions::validate().
      */
     Status validate() const;
 
-    /** Validate, then build the equivalent ServingOptions. */
+    /** Validate, then build the equivalent ServingOptions; pair with
+     *  `online` for OnlineServer::create(). */
     StatusOr<ServingOptions> toServingOptions() const;
-
-    /** The OnlineServer queueing configuration (policy, max-inflight,
-     *  SLO) these arguments describe; pair with toServingOptions()
-     *  for OnlineServer::create(). */
-    [[nodiscard]] OnlineServerOptions toOnlineOptions() const;
 
     /**
      * kInvalidArgument when the command line explicitly set a flag

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <memory>
 #include <utility>
 
@@ -106,91 +107,98 @@ OnlineServer::create(const ServingOptions &options)
     return create(options, OnlineServerOptions());
 }
 
+Status
+OnlineServerOptions::validate() const
+{
+    // "unknown <what> mode '<value>'; valid modes: a, b" unless the
+    // value is one of `modes`.
+    const auto check_mode =
+        [](const char *what, const std::string &value,
+           std::initializer_list<const char *> modes) -> Status {
+        std::string valid;
+        for (const char *mode : modes) {
+            if (value == mode)
+                return okStatus();
+            valid += (valid.empty() ? "" : ", ") + std::string(mode);
+        }
+        return Status::invalidArgument("unknown " + std::string(what)
+                                       + " mode '" + value
+                                       + "'; valid modes: " + valid);
+    };
+    const auto non_negative = [](double value) {
+        return value >= 0 && std::isfinite(value);
+    };
+
+    if (maxInflight < 1 || maxInflight > 64)
+        return Status::invalidArgument(
+            "max_inflight must be in [1, 64], got "
+            + std::to_string(maxInflight));
+    if (!non_negative(slo))
+        return Status::invalidArgument("slo must be >= 0 seconds");
+    if (Status s = check_mode("preempt", preempt, {"off", "slice", "policy"});
+        !s.ok())
+        return s;
+    if (!non_negative(kvBudgetGiB))
+        return Status::invalidArgument(
+            "kv_budget must be >= 0 GiB (0 keeps the legacy "
+            "per-slot accounting)");
+    if (Status s = check_mode("batching", batching, {"off", "continuous"});
+        !s.ok())
+        return s;
+    if (maxBatchedTokens < 1)
+        return Status::invalidArgument(
+            "max_batched_tokens must be >= 1, got "
+            + std::to_string(maxBatchedTokens));
+    if (prefillChunk < 1)
+        return Status::invalidArgument(
+            "prefill_chunk must be >= 1, got "
+            + std::to_string(prefillChunk));
+    if (Status s = check_mode("prefix-cache", prefixCache, {"off", "on"});
+        !s.ok())
+        return s;
+    if (!non_negative(prefixCacheBudgetGiB))
+        return Status::invalidArgument(
+            "prefix_cache_budget must be >= 0 GiB (0 defaults to "
+            "1/8 of the shared KV budget)");
+    if (Status s = check_mode("faults", faults, {"off", "plan"}); !s.ok())
+        return s;
+    if (faults == "plan") {
+        if (faultPlan.empty())
+            return Status::invalidArgument(
+                "faults=plan requires a fault-plan JSON schedule "
+                "(--fault-plan)");
+        if (auto plan = FaultPlan::fromJsonText(faultPlan); !plan.ok())
+            return plan.status();
+    }
+    if (retryMax < 0 || retryMax > 16)
+        return Status::invalidArgument(
+            "retry_max must be in [0, 16], got "
+            + std::to_string(retryMax));
+    if (!non_negative(retryBackoff))
+        return Status::invalidArgument(
+            "retry_backoff must be >= 0 seconds");
+    if (!non_negative(requestTimeout))
+        return Status::invalidArgument(
+            "request_timeout must be >= 0 seconds (0 disables the "
+            "watchdog)");
+    if (Status s = check_mode("kv-tier", kvTier, {"off", "host"}); !s.ok())
+        return s;
+    if (!non_negative(hostKvBudgetGiB))
+        return Status::invalidArgument(
+            "host_kv_budget must be >= 0 GiB (0 defaults to twice "
+            "the device KV budget)");
+    if (!(hostBandwidthGBs > 0) || !std::isfinite(hostBandwidthGBs))
+        return Status::invalidArgument(
+            "host_bandwidth must be a positive, finite GB/s figure");
+    return check_mode("victim-select", victimSelect, {"admission", "cost"});
+}
+
 StatusOr<OnlineServer>
 OnlineServer::create(const ServingOptions &options,
                      const OnlineServerOptions &online)
 {
-    if (online.maxInflight < 1 || online.maxInflight > 64)
-        return Status::invalidArgument(
-            "max_inflight must be in [1, 64], got "
-            + std::to_string(online.maxInflight));
-    if (!(online.slo >= 0) || !std::isfinite(online.slo))
-        return Status::invalidArgument("slo must be >= 0 seconds");
-    PreemptMode mode;
-    if (!parsePreemptMode(online.preempt, &mode))
-        return Status::invalidArgument(
-            "unknown preempt mode '" + online.preempt
-            + "'; valid modes: off, slice, policy");
-    if (!(online.kvBudgetGiB >= 0) || !std::isfinite(online.kvBudgetGiB))
-        return Status::invalidArgument(
-            "kv_budget must be >= 0 GiB (0 keeps the legacy "
-            "per-slot accounting)");
-    if (online.kvTier != "off" && online.kvTier != "host")
-        return Status::invalidArgument(
-            "unknown kv-tier mode '" + online.kvTier
-            + "'; valid modes: off, host");
-    if (!(online.hostKvBudgetGiB >= 0)
-        || !std::isfinite(online.hostKvBudgetGiB))
-        return Status::invalidArgument(
-            "host_kv_budget must be >= 0 GiB (0 defaults to twice "
-            "the device KV budget)");
-    if (!(online.hostBandwidthGBs > 0)
-        || !std::isfinite(online.hostBandwidthGBs))
-        return Status::invalidArgument(
-            "host_bandwidth must be a positive, finite GB/s figure");
-    if (online.victimSelect != "admission"
-        && online.victimSelect != "cost")
-        return Status::invalidArgument(
-            "unknown victim-select mode '" + online.victimSelect
-            + "'; valid modes: admission, cost");
-    if (online.batching != "off" && online.batching != "continuous")
-        return Status::invalidArgument(
-            "unknown batching mode '" + online.batching
-            + "'; valid modes: off, continuous");
-    if (online.maxBatchedTokens < 1)
-        return Status::invalidArgument(
-            "max_batched_tokens must be >= 1, got "
-            + std::to_string(online.maxBatchedTokens));
-    if (online.prefillChunk < 1)
-        return Status::invalidArgument(
-            "prefill_chunk must be >= 1, got "
-            + std::to_string(online.prefillChunk));
-    if (online.prefixCache != "off" && online.prefixCache != "on")
-        return Status::invalidArgument(
-            "unknown prefix-cache mode '" + online.prefixCache
-            + "'; valid modes: off, on");
-    if (!(online.prefixCacheBudgetGiB >= 0)
-        || !std::isfinite(online.prefixCacheBudgetGiB))
-        return Status::invalidArgument(
-            "prefix_cache_budget must be >= 0 GiB (0 defaults to "
-            "1/8 of the shared KV budget)");
-    if (online.faults != "off" && online.faults != "plan")
-        return Status::invalidArgument(
-            "unknown faults mode '" + online.faults
-            + "'; valid modes: off, plan");
-    if (online.retryMax < 0 || online.retryMax > 16)
-        return Status::invalidArgument(
-            "retry_max must be in [0, 16], got "
-            + std::to_string(online.retryMax));
-    if (!(online.retryBackoff >= 0) || !std::isfinite(online.retryBackoff))
-        return Status::invalidArgument(
-            "retry_backoff must be >= 0 seconds");
-    if (!(online.requestTimeout >= 0)
-        || !std::isfinite(online.requestTimeout))
-        return Status::invalidArgument(
-            "request_timeout must be >= 0 seconds (0 disables the "
-            "watchdog)");
-    FaultPlan fault_plan;
-    if (online.faults == "plan") {
-        if (online.faultPlan.empty())
-            return Status::invalidArgument(
-                "faults=plan requires a fault-plan JSON schedule "
-                "(--fault-plan)");
-        auto parsed = FaultPlan::fromJsonText(online.faultPlan);
-        if (!parsed.ok())
-            return parsed.status();
-        fault_plan = *std::move(parsed);
-    }
+    if (Status status = online.validate(); !status.ok())
+        return status;
 
     auto policy = makeQueuePolicy(online.policy);
     if (!policy.ok())
@@ -245,8 +253,10 @@ OnlineServer::create(const ServingOptions &options,
     // the same seed inject the same fault sequence.
     std::unique_ptr<FaultInjector> injector;
     if (online.faults == "plan") {
+        // validate() parsed this plan already; value() cannot fail.
         injector = std::make_unique<FaultInjector>(
-            std::move(fault_plan), options.seed);
+            FaultPlan::fromJsonText(online.faultPlan).value(),
+            options.seed);
         ledger->attachFaultInjector(injector.get());
         system->attachFaultInjector(injector.get());
     }
@@ -541,12 +551,14 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     int shed = 0;
     int context_switches = 0;
     int preemptions = 0;
-    long fused_waves = 0;   //!< Continuous-batching waves...
-    long fused_members = 0; //!< ...and their decode members.
+    long waves = 0;         //!< Engine waves (a time slice is a
+                            //!< one-member wave)...
+    long wave_members = 0;  //!< ...and their decode members.
     long recomputed_tokens = 0;
     long reprefilled_tokens = 0;
     long preempt_evicted = 0;
     long verified_tokens = 0;
+    long generated_tokens = 0;
     long prefix_hit_tokens = 0;
     long swapped_out_tokens = 0;
     long swapped_in_tokens = 0;
@@ -1002,8 +1014,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             auto outcome = system_.stepBatch(ids, plan);
             if (!outcome.ok())
                 return outcome.status(); // Unreachable: all suspended.
-            ++fused_waves;
-            fused_members += plan.decodeMembers();
+            wave_members += plan.decodeMembers();
             wave_time = outcome->schedule.waveTime;
             now += wave_time;
             busy += wave_time;
@@ -1033,6 +1044,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             member.participated = true;
             member.moreWork = !finished;
             member.decodedTokens = step.tokensDecoded;
+            ++wave_members;
             if (finished) {
                 // The engine clock is cumulative device time for this
                 // request (it survives suspend/resume and includes
@@ -1042,6 +1054,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
                 busy += flight.clock;
             }
         }
+        ++waves;
         if (degrade_enabled && degrade.degraded()) {
             ++degraded_waves;
             degraded_time += wave_time;
@@ -1066,6 +1079,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             auto result = system_.result(flight.sysId);
             if (result.ok()) {
                 verified_tokens += result->verifiedTokens;
+                generated_tokens += result->generatedTokens;
                 recomputed_tokens += static_cast<long>(
                     result->kvStats.recomputedTokens);
                 reprefilled_tokens += static_cast<long>(
@@ -1109,16 +1123,14 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     out.reprefilledTokens = reprefilled_tokens;
     out.preemptEvictedTokens = preempt_evicted;
     out.verifiedTokens = verified_tokens;
+    out.generatedTokens = generated_tokens;
     out.prefixHitTokens = prefix_hit_tokens;
     out.swappedOutTokens = swapped_out_tokens;
     out.swappedInTokens = swapped_in_tokens;
     out.swapTransferTime = swap_transfer_time;
-    // Time slicing runs no fused waves: each of its slices decodes
-    // exactly one request.
-    out.batchOccupancy = fused_waves > 0
-        ? static_cast<double>(fused_members)
-            / static_cast<double>(fused_waves)
-        : (out.records.empty() ? 0.0 : 1.0);
+    out.batchOccupancy = waves > 0
+        ? static_cast<double>(wave_members) / static_cast<double>(waves)
+        : 0.0;
 
     // Fault accounting. Completed-only population stands for latency
     // statistics, but SLO attainment must charge deadline-bearing

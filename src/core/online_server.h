@@ -171,14 +171,19 @@ struct OnlineTraceResult
     long verifiedTokens = 0; //!< Tokens surviving in verified paths
                              //!< across completed requests; divided by
                              //!< the makespan this is trace goodput.
+    long generatedTokens = 0; //!< Tokens completed requests decoded,
+                              //!< speculation included; summed like
+                              //!< verifiedTokens.
     long prefixHitTokens = 0; //!< Prompt tokens served from the
                               //!< cross-request prefix cache instead
                               //!< of being prefilled (0 with
                               //!< --prefix-cache off): the trace's
                               //!< saved recompute volume.
     double batchOccupancy = 0; //!< Mean decode members per engine wave
-                               //!< (1 under time-slicing, > 1 when
-                               //!< continuous batching fuses requests).
+                               //!< (1 under time-slicing, where each
+                               //!< slice is a one-member wave; > 1 when
+                               //!< continuous batching fuses requests;
+                               //!< 0 when no wave ran).
 
     long reprefilledTokens = 0; //!< Subset of recomputedTokens that is
                                 //!< genuine re-prefill after an
@@ -391,6 +396,13 @@ struct OnlineServerOptions
      *  retryable (the request already burned its time budget).
      *  0 disables the watchdog. */
     double requestTimeout = 0;
+
+    /**
+     * kInvalidArgument on a knob out of range or an unknown mode name;
+     * a faultPlan that does not parse returns its parse status. The
+     * policy name is resolved by OnlineServer::create() (kNotFound).
+     */
+    [[nodiscard]] Status validate() const;
 };
 
 /** One request of an explicit online trace (serveRequests()). */
@@ -428,9 +440,9 @@ class OnlineServer
 
     /**
      * Build the shared serving system and resolve the queue policy;
-     * fails on invalid options, unknown policy/preempt names
-     * (kNotFound, listing the registered names) and maxInflight
-     * outside [1, 64].
+     * fails on invalid options (OnlineServerOptions::validate()) and
+     * on an unknown policy name (kNotFound, listing the registered
+     * names).
      */
     static StatusOr<OnlineServer> create(const ServingOptions &options,
                                          const OnlineServerOptions &online);

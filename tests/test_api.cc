@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
+#include <tuple>
+#include <utility>
+
 #include "api/engine_args.h"
 #include "api/registry.h"
 #include "api/status.h"
@@ -496,14 +501,14 @@ TEST(EngineArgsJson, ErrorPaths)
 TEST(EngineArgsOnline, DefaultsMatchLegacyServer)
 {
     const EngineArgs args;
-    EXPECT_EQ(args.policy, "fifo");
-    EXPECT_EQ(args.maxInflight, 1);
-    EXPECT_DOUBLE_EQ(args.slo, 0);
+    EXPECT_EQ(args.online.policy, "fifo");
+    EXPECT_EQ(args.online.maxInflight, 1);
+    EXPECT_DOUBLE_EQ(args.online.slo, 0);
     EXPECT_EQ(args.arrivals, "poisson");
-    EXPECT_EQ(args.preempt, "slice");
-    EXPECT_DOUBLE_EQ(args.kvBudgetGiB, 0);
-    EXPECT_FALSE(args.shedDoomed);
-    const OnlineServerOptions online = args.toOnlineOptions();
+    EXPECT_EQ(args.online.preempt, "slice");
+    EXPECT_DOUBLE_EQ(args.online.kvBudgetGiB, 0);
+    EXPECT_FALSE(args.online.shedDoomed);
+    const OnlineServerOptions online = args.online;
     EXPECT_EQ(online.policy, "fifo");
     EXPECT_EQ(online.maxInflight, 1);
     EXPECT_DOUBLE_EQ(online.slo, 0);
@@ -525,11 +530,11 @@ TEST(EngineArgsOnline, PreemptionFlagsArgvAndJsonAgree)
     })");
     ASSERT_TRUE(via_json.ok());
     for (const EngineArgs *args : {&*via_argv, &*via_json}) {
-        EXPECT_EQ(args->preempt, "policy");
-        EXPECT_DOUBLE_EQ(args->kvBudgetGiB, 1.5);
-        EXPECT_TRUE(args->shedDoomed);
+        EXPECT_EQ(args->online.preempt, "policy");
+        EXPECT_DOUBLE_EQ(args->online.kvBudgetGiB, 1.5);
+        EXPECT_TRUE(args->online.shedDoomed);
         EXPECT_TRUE(args->validate().ok());
-        const OnlineServerOptions online = args->toOnlineOptions();
+        const OnlineServerOptions online = args->online;
         EXPECT_EQ(online.preempt, "policy");
         EXPECT_DOUBLE_EQ(online.kvBudgetGiB, 1.5);
         EXPECT_TRUE(online.shedDoomed);
@@ -538,8 +543,8 @@ TEST(EngineArgsOnline, PreemptionFlagsArgvAndJsonAgree)
     const auto negated =
         parse({"--preempt=off", "--kv-budget=0", "--no-shed-doomed"});
     ASSERT_TRUE(negated.ok());
-    EXPECT_EQ(negated->preempt, "off");
-    EXPECT_FALSE(negated->shedDoomed);
+    EXPECT_EQ(negated->online.preempt, "off");
+    EXPECT_FALSE(negated->online.shedDoomed);
     EXPECT_TRUE(negated->wasSet("--shed-doomed"));
     EXPECT_TRUE(negated->wasSet("--preempt"));
 }
@@ -547,11 +552,11 @@ TEST(EngineArgsOnline, PreemptionFlagsArgvAndJsonAgree)
 TEST(EngineArgsOnline, PreemptionFlagValidation)
 {
     EngineArgs args;
-    args.preempt = "sometimes";
+    args.online.preempt = "sometimes";
     EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
 
     args = EngineArgs();
-    args.kvBudgetGiB = -2;
+    args.online.kvBudgetGiB = -2;
     EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
 
     EXPECT_EQ(parse({"--shed-doomed=yes"}).status().code(),
@@ -584,12 +589,12 @@ TEST(EngineArgsOnline, ArgvAndJsonAgree)
     })");
     ASSERT_TRUE(via_json.ok());
     for (const EngineArgs *args : {&*via_argv, &*via_json}) {
-        EXPECT_EQ(args->policy, "sjf");
-        EXPECT_EQ(args->maxInflight, 8);
-        EXPECT_DOUBLE_EQ(args->slo, 30.5);
+        EXPECT_EQ(args->online.policy, "sjf");
+        EXPECT_EQ(args->online.maxInflight, 8);
+        EXPECT_DOUBLE_EQ(args->online.slo, 30.5);
         EXPECT_EQ(args->arrivals, "bursty");
         EXPECT_TRUE(args->validate().ok());
-        const OnlineServerOptions online = args->toOnlineOptions();
+        const OnlineServerOptions online = args->online;
         EXPECT_EQ(online.policy, "sjf");
         EXPECT_EQ(online.maxInflight, 8);
         EXPECT_DOUBLE_EQ(online.slo, 30.5);
@@ -599,8 +604,8 @@ TEST(EngineArgsOnline, ArgvAndJsonAgree)
         parse({"--policy=edf", "--max-inflight=2", "--slo=1.5",
                "--arrivals=poisson"});
     ASSERT_TRUE(equals_form.ok());
-    EXPECT_EQ(equals_form->policy, "edf");
-    EXPECT_EQ(equals_form->maxInflight, 2);
+    EXPECT_EQ(equals_form->online.policy, "edf");
+    EXPECT_EQ(equals_form->online.maxInflight, 2);
 }
 
 TEST(EngineArgsOnline, UnknownPolicyListsRegisteredNames)
@@ -627,11 +632,11 @@ TEST(EngineArgsOnline, RangeAndModeValidation)
                   .code(),
               StatusCode::kInvalidArgument);
     EngineArgs args;
-    args.maxInflight = 100;
+    args.online.maxInflight = 100;
     EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
 
     args = EngineArgs();
-    args.slo = -1;
+    args.online.slo = -1;
     EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
 
     args = EngineArgs();
@@ -696,11 +701,11 @@ TEST(EngineArgsOnline, BatchingFlagsArgvAndJsonAgree)
     })");
     ASSERT_TRUE(via_json.ok());
     for (const EngineArgs *args : {&*via_argv, &*via_json}) {
-        EXPECT_EQ(args->batching, "continuous");
-        EXPECT_EQ(args->maxBatchedTokens, 4096);
-        EXPECT_EQ(args->prefillChunk, 256);
+        EXPECT_EQ(args->online.batching, "continuous");
+        EXPECT_EQ(args->online.maxBatchedTokens, 4096);
+        EXPECT_EQ(args->online.prefillChunk, 256);
         EXPECT_TRUE(args->validate().ok());
-        const OnlineServerOptions online = args->toOnlineOptions();
+        const OnlineServerOptions online = args->online;
         EXPECT_EQ(online.batching, "continuous");
         EXPECT_EQ(online.maxBatchedTokens, 4096);
         EXPECT_EQ(online.prefillChunk, 256);
@@ -712,22 +717,22 @@ TEST(EngineArgsOnline, BatchingFlagsArgvAndJsonAgree)
     // Defaults keep batching off.
     const auto defaults = parse({});
     ASSERT_TRUE(defaults.ok());
-    EXPECT_EQ(defaults->batching, "off");
-    EXPECT_EQ(defaults->toOnlineOptions().batching, "off");
+    EXPECT_EQ(defaults->online.batching, "off");
+    EXPECT_EQ(defaults->online.batching, "off");
 }
 
 TEST(EngineArgsOnline, BatchingFlagValidation)
 {
     EngineArgs args;
-    args.batching = "dynamic";
+    args.online.batching = "dynamic";
     EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
 
     args = EngineArgs();
-    args.maxBatchedTokens = 0;
+    args.online.maxBatchedTokens = 0;
     EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
 
     args = EngineArgs();
-    args.prefillChunk = -1;
+    args.online.prefillChunk = -1;
     EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
 
     // The parser rejects out-of-range values up front.
@@ -759,10 +764,10 @@ TEST(EngineArgsOnline, PrefixCacheFlagsArgvAndJsonAgree)
     })");
     ASSERT_TRUE(via_json.ok());
     for (const EngineArgs *args : {&*via_argv, &*via_json}) {
-        EXPECT_EQ(args->prefixCache, "on");
-        EXPECT_DOUBLE_EQ(args->prefixCacheBudgetGiB, 0.25);
+        EXPECT_EQ(args->online.prefixCache, "on");
+        EXPECT_DOUBLE_EQ(args->online.prefixCacheBudgetGiB, 0.25);
         EXPECT_TRUE(args->validate().ok());
-        const OnlineServerOptions online = args->toOnlineOptions();
+        const OnlineServerOptions online = args->online;
         EXPECT_EQ(online.prefixCache, "on");
         EXPECT_DOUBLE_EQ(online.prefixCacheBudgetGiB, 0.25);
     }
@@ -772,28 +777,28 @@ TEST(EngineArgsOnline, PrefixCacheFlagsArgvAndJsonAgree)
     // The equals form parses too.
     const auto equals = parse({"--prefix-cache=on"});
     ASSERT_TRUE(equals.ok());
-    EXPECT_EQ(equals->prefixCache, "on");
+    EXPECT_EQ(equals->online.prefixCache, "on");
 
     // Defaults keep the cache off with the derived (0) budget, so
     // legacy invocations stay bit-identical.
     const auto defaults = parse({});
     ASSERT_TRUE(defaults.ok());
-    EXPECT_EQ(defaults->prefixCache, "off");
-    EXPECT_DOUBLE_EQ(defaults->prefixCacheBudgetGiB, 0.0);
+    EXPECT_EQ(defaults->online.prefixCache, "off");
+    EXPECT_DOUBLE_EQ(defaults->online.prefixCacheBudgetGiB, 0.0);
     EXPECT_FALSE(defaults->wasSet("--prefix-cache"));
-    EXPECT_EQ(defaults->toOnlineOptions().prefixCache, "off");
+    EXPECT_EQ(defaults->online.prefixCache, "off");
 }
 
 TEST(EngineArgsOnline, PrefixCacheFlagValidation)
 {
     EngineArgs args;
-    args.prefixCache = "maybe";
+    args.online.prefixCache = "maybe";
     EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(args.validate().message().find("off"),
               std::string::npos);
 
     args = EngineArgs();
-    args.prefixCacheBudgetGiB = -0.5;
+    args.online.prefixCacheBudgetGiB = -0.5;
     EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
 
     // Wrong JSON types are rejected up front.
@@ -830,12 +835,12 @@ TEST(EngineArgsOnline, KvTierFlagsArgvAndJsonAgree)
     })");
     ASSERT_TRUE(via_json.ok());
     for (const EngineArgs *args : {&*via_argv, &*via_json}) {
-        EXPECT_EQ(args->kvTier, "host");
-        EXPECT_DOUBLE_EQ(args->hostKvBudgetGiB, 1.5);
-        EXPECT_DOUBLE_EQ(args->hostBandwidthGBs, 8);
-        EXPECT_EQ(args->victimSelect, "cost");
+        EXPECT_EQ(args->online.kvTier, "host");
+        EXPECT_DOUBLE_EQ(args->online.hostKvBudgetGiB, 1.5);
+        EXPECT_DOUBLE_EQ(args->online.hostBandwidthGBs, 8);
+        EXPECT_EQ(args->online.victimSelect, "cost");
         EXPECT_TRUE(args->validate().ok());
-        const OnlineServerOptions online = args->toOnlineOptions();
+        const OnlineServerOptions online = args->online;
         EXPECT_EQ(online.kvTier, "host");
         EXPECT_DOUBLE_EQ(online.hostKvBudgetGiB, 1.5);
         EXPECT_DOUBLE_EQ(online.hostBandwidthGBs, 8);
@@ -849,39 +854,39 @@ TEST(EngineArgsOnline, KvTierFlagsArgvAndJsonAgree)
     // The equals form parses too.
     const auto equals = parse({"--kv-tier=host"});
     ASSERT_TRUE(equals.ok());
-    EXPECT_EQ(equals->kvTier, "host");
+    EXPECT_EQ(equals->online.kvTier, "host");
 
     // Defaults keep the tier off with the legacy sweep order and the
     // derived (0 => 2x device) host budget, so existing invocations
     // stay bit-identical.
     const auto defaults = parse({});
     ASSERT_TRUE(defaults.ok());
-    EXPECT_EQ(defaults->kvTier, "off");
-    EXPECT_DOUBLE_EQ(defaults->hostKvBudgetGiB, 0.0);
-    EXPECT_DOUBLE_EQ(defaults->hostBandwidthGBs, 16.0);
-    EXPECT_EQ(defaults->victimSelect, "admission");
+    EXPECT_EQ(defaults->online.kvTier, "off");
+    EXPECT_DOUBLE_EQ(defaults->online.hostKvBudgetGiB, 0.0);
+    EXPECT_DOUBLE_EQ(defaults->online.hostBandwidthGBs, 16.0);
+    EXPECT_EQ(defaults->online.victimSelect, "admission");
     EXPECT_FALSE(defaults->wasSet("--kv-tier"));
-    EXPECT_EQ(defaults->toOnlineOptions().kvTier, "off");
+    EXPECT_EQ(defaults->online.kvTier, "off");
 }
 
 TEST(EngineArgsOnline, KvTierFlagValidation)
 {
     EngineArgs args;
-    args.kvTier = "nvme";
+    args.online.kvTier = "nvme";
     EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(args.validate().message().find("host"),
               std::string::npos);
 
     args = EngineArgs();
-    args.hostKvBudgetGiB = -1;
+    args.online.hostKvBudgetGiB = -1;
     EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
 
     args = EngineArgs();
-    args.hostBandwidthGBs = 0;
+    args.online.hostBandwidthGBs = 0;
     EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
 
     args = EngineArgs();
-    args.victimSelect = "random";
+    args.online.victimSelect = "random";
     EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
 
     // Wrong JSON types are rejected up front.
@@ -954,14 +959,14 @@ TEST(EngineArgsOnline, FaultFlagsArgvAndJsonAgree)
     })");
     ASSERT_TRUE(via_json.ok()) << via_json.status().toString();
     for (const EngineArgs *args : {&*via_argv, &*via_json}) {
-        EXPECT_EQ(args->faults, "plan");
-        EXPECT_EQ(args->faultPlan, kPlan);
-        EXPECT_EQ(args->retryMax, 3);
-        EXPECT_DOUBLE_EQ(args->retryBackoff, 0.125);
-        EXPECT_DOUBLE_EQ(args->requestTimeout, 90.0);
+        EXPECT_EQ(args->online.faults, "plan");
+        EXPECT_EQ(args->online.faultPlan, kPlan);
+        EXPECT_EQ(args->online.retryMax, 3);
+        EXPECT_DOUBLE_EQ(args->online.retryBackoff, 0.125);
+        EXPECT_DOUBLE_EQ(args->online.requestTimeout, 90.0);
         EXPECT_TRUE(args->validate().ok())
             << args->validate().toString();
-        const OnlineServerOptions online = args->toOnlineOptions();
+        const OnlineServerOptions online = args->online;
         EXPECT_EQ(online.faults, "plan");
         EXPECT_EQ(online.faultPlan, kPlan);
         EXPECT_EQ(online.retryMax, 3);
@@ -976,38 +981,38 @@ TEST(EngineArgsOnline, FaultFlagsArgvAndJsonAgree)
     // so legacy invocations stay bit-identical.
     const auto defaults = parse({});
     ASSERT_TRUE(defaults.ok());
-    EXPECT_EQ(defaults->faults, "off");
-    EXPECT_TRUE(defaults->faultPlan.empty());
-    EXPECT_EQ(defaults->retryMax, 0);
-    EXPECT_DOUBLE_EQ(defaults->requestTimeout, 0.0);
-    EXPECT_EQ(defaults->toOnlineOptions().faults, "off");
+    EXPECT_EQ(defaults->online.faults, "off");
+    EXPECT_TRUE(defaults->online.faultPlan.empty());
+    EXPECT_EQ(defaults->online.retryMax, 0);
+    EXPECT_DOUBLE_EQ(defaults->online.requestTimeout, 0.0);
+    EXPECT_EQ(defaults->online.faults, "off");
 }
 
 TEST(EngineArgsOnline, FaultFlagValidation)
 {
     EngineArgs args;
-    args.faults = "chaos";
+    args.online.faults = "chaos";
     EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(args.validate().message().find("off"),
               std::string::npos);
 
     // plan mode demands a parseable schedule.
     args = EngineArgs();
-    args.faults = "plan";
+    args.online.faults = "plan";
     EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
-    args.faultPlan = "{\"rules\": [{\"site\": \"wave_step\"}]}";
+    args.online.faultPlan = "{\"rules\": [{\"site\": \"wave_step\"}]}";
     EXPECT_FALSE(args.validate().ok());
 
     args = EngineArgs();
-    args.retryMax = 17;
+    args.online.retryMax = 17;
     EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
 
     args = EngineArgs();
-    args.retryBackoff = -1.0;
+    args.online.retryBackoff = -1.0;
     EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
 
     args = EngineArgs();
-    args.requestTimeout = -5.0;
+    args.online.requestTimeout = -5.0;
     EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
 
     // argv range enforcement and JSON type enforcement.
@@ -1048,6 +1053,136 @@ TEST(EngineArgsArgv, HelpNoLongerAdvertisesPositionals)
     const std::string help = EngineArgs::help("prog");
     EXPECT_EQ(help.find("DEPRECATED"), std::string::npos);
     EXPECT_EQ(help.find("positional"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// EngineArgs: every documented flag, in every spelling
+// ---------------------------------------------------------------------
+
+/** Every knob of an EngineArgs, comparable as one tuple. */
+auto
+knobs(const EngineArgs &a)
+{
+    const OnlineServerOptions &o = a.online;
+    return std::tie(a.device, a.dataset, a.algorithm, a.models, a.mode,
+                    a.numBeams, a.branchFactor, a.numProblems, a.seed,
+                    a.offload, a.memoryFraction, a.reservedGiB, a.arrivals,
+                    o.policy, o.maxInflight, o.slo, o.preempt,
+                    o.kvBudgetGiB, o.shedDoomed, o.batching,
+                    o.maxBatchedTokens, o.prefillChunk, o.prefixCache,
+                    o.prefixCacheBudgetGiB, o.faults, o.faultPlan,
+                    o.retryMax, o.retryBackoff, o.requestTimeout, o.kvTier,
+                    o.hostKvBudgetGiB, o.hostBandwidthGBs, o.victimSelect);
+}
+
+template <typename Tuple, size_t... I>
+int
+countDifferences(const Tuple &a, const Tuple &b, std::index_sequence<I...>)
+{
+    return ((std::get<I>(a) != std::get<I>(b) ? 1 : 0) + ...);
+}
+
+/** How many knobs differ between two configurations. */
+int
+changedKnobs(const EngineArgs &a, const EngineArgs &b)
+{
+    using Knobs = decltype(knobs(a));
+    return countDifferences(
+        knobs(a), knobs(b),
+        std::make_index_sequence<std::tuple_size_v<Knobs>>());
+}
+
+/** One non-default setting of a flag, as argv and as JSON. */
+struct FlagCase
+{
+    const char *flag;  //!< Canonical name.
+    const char *value; //!< argv value; nullptr for a switch.
+    const char *json;  //!< The same setting as a JSON member.
+};
+
+const FlagCase kFlagCases[] = {
+    {"--device", "RTX3070Ti", R"("device": "RTX3070Ti")"},
+    {"--dataset", "AMC", R"("dataset": "AMC")"},
+    {"--algorithm", "dvts", R"("algorithm": "dvts")"},
+    {"--models", "1.5B+7B", R"("models": "1.5B+7B")"},
+    {"--mode", "baseline", R"("mode": "baseline")"},
+    {"--beams", "64", R"("num_beams": 64)"},
+    {"--branch-factor", "8", R"("branch_factor": 8)"},
+    {"--problems", "3", R"("num_problems": 3)"},
+    {"--seed", "42", R"("seed": 42)"},
+    {"--offload", nullptr, R"("offload": true)"},
+    {"--memory-fraction", "0.5", R"("memory_fraction": 0.5)"},
+    {"--reserved-gib", "0.25", R"("reserved_gib": 0.25)"},
+    {"--policy", "sjf", R"("policy": "sjf")"},
+    {"--max-inflight", "8", R"("max_inflight": 8)"},
+    {"--slo", "30.5", R"("slo": 30.5)"},
+    {"--arrivals", "bursty", R"("arrivals": "bursty")"},
+    {"--preempt", "policy", R"("preempt": "policy")"},
+    {"--kv-budget", "1.5", R"("kv_budget_gib": 1.5)"},
+    {"--shed-doomed", nullptr, R"("shed_doomed": true)"},
+    {"--batching", "continuous", R"("batching": "continuous")"},
+    {"--max-batched-tokens", "4096", R"("max_batched_tokens": 4096)"},
+    {"--prefill-chunk", "256", R"("prefill_chunk": 256)"},
+    {"--prefix-cache", "on", R"("prefix_cache": "on")"},
+    {"--prefix-cache-budget", "0.25", R"("prefix_cache_budget_gib": 0.25)"},
+    {"--faults", "plan", R"("faults": "plan")"},
+    {"--fault-plan", "{}", R"("fault_plan": "{}")"},
+    {"--retry-max", "3", R"("retry_max": 3)"},
+    {"--retry-backoff", "0.125", R"("retry_backoff": 0.125)"},
+    {"--request-timeout", "90", R"("request_timeout": 90)"},
+    {"--kv-tier", "host", R"("kv_tier": "host")"},
+    {"--host-kv-budget", "1.5", R"("host_kv_budget_gib": 1.5)"},
+    {"--host-bandwidth", "8", R"("host_bandwidth_gbs": 8)"},
+    {"--victim-select", "cost", R"("victim_select": "cost")"},
+};
+
+TEST(EngineArgsFlags, EveryDocumentedFlagParsesInEverySpelling)
+{
+    // The cases must cover exactly the flags help() documents, so a
+    // flag added without a case here fails.
+    std::set<std::string> documented;
+    std::istringstream help(EngineArgs::help("prog"));
+    for (std::string line; std::getline(help, line);) {
+        if (line.rfind("  --", 0) == 0)
+            documented.insert(line.substr(2, line.find(' ', 2) - 2));
+    }
+    std::set<std::string> covered = {"--help"};
+
+    const EngineArgs defaults;
+    for (const FlagCase &c : kFlagCases) {
+        SCOPED_TRACE(c.flag);
+        covered.insert(c.flag);
+        const auto json =
+            EngineArgs::fromJsonText(std::string("{") + c.json + "}");
+        ASSERT_TRUE(json.ok()) << json.status().toString();
+        EXPECT_EQ(changedKnobs(*json, defaults), 1);
+
+        // "--flag value" and "--flag=value" (a switch has one form).
+        const std::string equals =
+            c.value != nullptr ? std::string(c.flag) + "=" + c.value : "";
+        std::vector<std::vector<const char *>> spellings = {{c.flag}};
+        if (c.value != nullptr)
+            spellings = {{c.flag, c.value}, {equals.c_str()}};
+        for (const auto &argv : spellings) {
+            const auto parsed = parse(argv);
+            ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
+            EXPECT_TRUE(knobs(*parsed) == knobs(*json));
+            EXPECT_EQ(parsed->parsedFlags,
+                      std::vector<std::string>{c.flag});
+        }
+
+        // A switch's --no- form clears it again.
+        if (c.value == nullptr) {
+            const std::string negated = "--no-" + std::string(c.flag + 2);
+            covered.insert(negated);
+            const auto cleared = parse({c.flag, negated.c_str()});
+            ASSERT_TRUE(cleared.ok()) << cleared.status().toString();
+            EXPECT_TRUE(knobs(*cleared) == knobs(defaults));
+            EXPECT_EQ(cleared->parsedFlags,
+                      (std::vector<std::string>{c.flag, c.flag}));
+        }
+    }
+    EXPECT_EQ(covered, documented);
 }
 
 } // namespace
