@@ -6,9 +6,15 @@
  * this runner executes the same serving configurations programmatically
  * and writes one BENCH_<name>.json per benchmark with the numbers every
  * optimisation PR is judged against: throughput (Precise Goodput and
- * wall-clock tokens/s), end-to-end latency percentiles, KV-cache
- * utilization, and accuracy — for the vLLM-style baseline and for
- * FastTTS, plus the derived speedups.
+ * wall_tok_s, the verified tokens divided by the sum of the requests'
+ * simulated completion times), end-to-end latency percentiles,
+ * KV-cache utilization, and accuracy — for the vLLM-style baseline and
+ * for FastTTS, plus the derived speedups.
+ *
+ * The online serving benchmarks are rows of one table-driven sweep:
+ * each row builds one trace with its base OnlineServerOptions, and
+ * every cell serves that trace under the base options edited by an
+ * outer and an optional inner arm, reporting the row's metric keys.
  *
  * Usage:
  *   bench_runner --list                 # enumerate benchmark names
@@ -35,9 +41,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iomanip>
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/engine_args.h"
@@ -107,10 +116,23 @@ const BenchSpec kBenchmarks[] = {
      "RTX4090", "beam_search", "1.5B+1.5B", 32, 6},
 };
 
-/** Metrics of one (benchmark, engine-variant) measurement. */
+/** The fields every BENCH_<name>.json document opens with. */
+Json
+openDoc(const char *name, const char *description, bool quick)
+{
+    Json doc = Json::object();
+    doc.set("schema", "fasttts-bench-v1");
+    doc.set("benchmark", name);
+    doc.set("description", description);
+    doc.set("quick", quick);
+    return doc;
+}
+
+/** Metrics of one (benchmark, engine-variant) measurement; adds the
+ *  variant's generated tokens to `simulated_tokens`. */
 Json
 measureVariant(const BenchSpec &spec, bool fast, int num_beams,
-               int num_problems, uint64_t seed)
+               int num_problems, uint64_t seed, long *simulated_tokens)
 {
     // The registered configuration goes through the string-friendly
     // EngineArgs front door, so every name is registry-validated.
@@ -154,6 +176,7 @@ measureVariant(const BenchSpec &spec, bool fast, int num_beams,
         kv.hitTokens += request.kvStats.hitTokens;
         kv.missTokens += request.kvStats.missTokens;
     }
+    *simulated_tokens += generatedTokens;
 
     Json throughput = Json::object();
     throughput.set("precise_goodput_tok_s", out.meanGoodput);
@@ -199,13 +222,10 @@ measureVariant(const BenchSpec &spec, bool fast, int num_beams,
 }
 
 Json
-runBenchmark(const BenchSpec &spec, bool quick, uint64_t seed)
+runBenchmark(const BenchSpec &spec, bool quick, uint64_t seed,
+             long *simulated_tokens)
 {
-    Json doc = Json::object();
-    doc.set("schema", "fasttts-bench-v1");
-    doc.set("benchmark", spec.name);
-    doc.set("description", spec.description);
-    doc.set("quick", quick);
+    Json doc = openDoc(spec.name, spec.description, quick);
 
     // Quick mode shrinks each run; computed once so the emitted config
     // always matches what was actually measured.
@@ -224,10 +244,12 @@ runBenchmark(const BenchSpec &spec, bool quick, uint64_t seed)
     doc.set("config", std::move(config));
 
     Json variants = Json::object();
-    variants.set("baseline",
-                 measureVariant(spec, false, numBeams, numProblems, seed));
-    variants.set("fasttts",
-                 measureVariant(spec, true, numBeams, numProblems, seed));
+    variants.set("baseline", measureVariant(spec, false, numBeams,
+                                            numProblems, seed,
+                                            simulated_tokens));
+    variants.set("fasttts", measureVariant(spec, true, numBeams,
+                                           numProblems, seed,
+                                           simulated_tokens));
 
     const double baseGoodput =
         variants["baseline"]["throughput"]["precise_goodput_tok_s"].asNumber();
@@ -247,433 +269,221 @@ runBenchmark(const BenchSpec &spec, bool quick, uint64_t seed)
     return doc;
 }
 
-/**
- * The admission-policy benchmark is not BenchSpec-shaped: it measures
- * the online queueing front-end (OnlineServer) across queue policies
- * on one identical heavy-tailed arrival trace, instead of batch
- * serving across engine variants.
- */
-constexpr const char *kOnlineSchedulingName = "online_scheduling";
-
-Json
-runOnlineSchedulingBenchmark(bool quick, uint64_t seed,
-                             long *generated_tokens)
+std::string
+figureHeadline(const Json &doc)
 {
-    EngineArgs args;
-    args.dataset = "AMC";
-    args.numBeams = quick ? 8 : 32;
-    args.seed = seed;
-    const int numRequests = quick ? 8 : 32;
-    const int maxInflight = 4;
-    const std::string arrivalMode = "bursty";
-    ServingOptions opts = args.toServingOptions().value();
+    return "goodput x" + formatDouble(doc["speedup"]["goodput"].asNumber(), 2)
+        + ", latency x"
+        + formatDouble(doc["speedup"]["latency"].asNumber(), 2);
+}
 
-    // Probe-calibrated overload trace with tiered priorities/SLOs —
-    // the same recipe as bench_fig18_scheduling's bottom table, so
-    // the JSON mirrors the figure (bench/online_calibration.h).
-    const CalibratedOnlineTrace calibrated =
-        calibrateOnlineTrace(opts, arrivalMode, numRequests, seed)
-            .value();
+// --- The online sweep ------------------------------------------------
 
-    Json doc = Json::object();
-    doc.set("schema", "fasttts-bench-v1");
-    doc.set("benchmark", kOnlineSchedulingName);
-    doc.set("description",
-            "Online admission-policy sweep (SLO attainment)");
-    doc.set("quick", quick);
+/** One arm of a sweep axis. */
+struct Arm
+{
+    std::string label;
+    Json opens = Json::object(); //!< Scalars the arm's cell opens with.
+    std::function<void(OnlineServerOptions &)> edit;
+};
 
+/** An arm that sets one string knob. */
+Arm
+knobArm(std::string label, std::string OnlineServerOptions::*knob,
+        std::string value)
+{
+    return {std::move(label), Json::object(),
+            [knob, value = std::move(value)](OnlineServerOptions &o) {
+                o.*knob = value;
+            }};
+}
+
+/** One arm per value of a string knob, labelled by the value. */
+std::vector<Arm>
+knobArms(std::string OnlineServerOptions::*knob,
+         const std::vector<std::string> &values)
+{
+    std::vector<Arm> arms;
+    arms.reserve(values.size());
+    for (const std::string &value : values)
+        arms.push_back(knobArm(value, knob, value));
+    return arms;
+}
+
+/** One arm per shared KV budget tier, a fraction of the engine's
+ *  device budget (0 is the legacy accounting: every in-flight slot a
+ *  full budget); each cell opens with its budget. */
+std::vector<Arm>
+budgetArms(double engine_budget_gib,
+           const std::vector<std::pair<const char *, double>> &tiers)
+{
+    std::vector<Arm> arms;
+    for (const auto &[label, fraction] : tiers) {
+        const double budget_gib = fraction * engine_budget_gib;
+        Arm arm{label, Json::object(), [budget_gib](OnlineServerOptions &o) {
+                    o.kvBudgetGiB = budget_gib;
+                }};
+        arm.opens.set("kv_budget_gib", budget_gib);
+        arms.push_back(std::move(arm));
+    }
+    return arms;
+}
+
+/**
+ * What every cell of one online benchmark shares: the serving
+ * configuration, the trace, the server options each cell starts from,
+ * the config keys the document reports, and the arms. A cell serves
+ * the trace under the base options edited by its outer arm, then by
+ * its inner arm.
+ */
+struct OnlineSweep
+{
+    ServingOptions serving;
+    std::vector<OnlineRequest> requests;
+    OnlineServerOptions base;
     Json config = Json::object();
-    config.set("dataset", args.dataset);
-    config.set("device", args.device);
-    config.set("models", args.models);
-    config.set("num_beams", args.numBeams);
-    config.set("requests", numRequests);
-    config.set("max_inflight", maxInflight);
-    config.set("arrivals", arrivalMode);
-    config.set("arrival_rate_per_s", calibrated.rate);
-    config.set("slo_s", calibrated.slo);
-    config.set("seed", seed);
-    doc.set("config", std::move(config));
+    std::vector<Arm> outer;
+    std::vector<Arm> inner; //!< Empty: each outer cell is one run.
+};
 
-    Json policies = Json::object();
-    for (const std::string &name :
-         queuePolicyRegistry().list()) {
-        OnlineServerOptions online;
-        online.policy = name;
-        online.maxInflight = maxInflight;
-        online.slo = calibrated.slo;
-        OnlineServer server =
-            OnlineServer::create(opts, online).value();
-        const OnlineTraceResult out =
-            server.serveRequests(calibrated.requests).value();
-        *generated_tokens += out.generatedTokens;
-
-        Json latency = Json::object();
-        latency.set("mean", out.meanLatency);
-        latency.set("p50", out.p50Latency);
-        latency.set("p95", out.p95Latency);
-        latency.set("p99", out.p99Latency);
-
-        Json policy = Json::object();
-        policy.set("latency_s", std::move(latency));
-        policy.set("mean_queue_delay_s", out.meanQueueDelay);
-        policy.set("slo_attainment", out.sloAttainment);
-        policy.set("deadline_misses", out.deadlineMisses);
-        policy.set("utilization", out.utilization);
-        policy.set("makespan_s", out.makespan);
-        policy.set("completed",
-                   static_cast<long>(out.records.size()));
-        policies.set(name, std::move(policy));
-    }
-    doc.set("policies", std::move(policies));
-    return doc;
-}
-
-/**
- * The preemption benchmark sweeps the shared KV budget and compares
- * non-preemptive time slicing against policy-driven preemption
- * (preemptive EDF with doomed-request shedding) on one identical
- * bursty overload trace: shed rate, recompute volume and SLO
- * attainment versus memory — the honest-cost serving study the
- * shared-engine refactor enables.
- */
-constexpr const char *kOnlinePreemptionName = "online_preemption";
-
-Json
-measurePreemptionRun(const ServingOptions &opts,
-                     const CalibratedOnlineTrace &calibrated,
-                     const std::string &preempt, double kv_budget_gib,
-                     int max_inflight, long *generated_tokens)
-{
-    OnlineServerOptions online;
-    online.policy = "edf";
-    online.maxInflight = max_inflight;
-    online.slo = calibrated.slo;
-    online.preempt = preempt;
-    online.kvBudgetGiB = kv_budget_gib;
-    online.shedDoomed = true;
-    OnlineServer server = OnlineServer::create(opts, online).value();
-    const OnlineTraceResult out =
-        server.serveRequests(calibrated.requests).value();
-    *generated_tokens += out.generatedTokens;
-
-    Json latency = Json::object();
-    latency.set("mean", out.meanLatency);
-    latency.set("p50", out.p50Latency);
-    latency.set("p95", out.p95Latency);
-    latency.set("p99", out.p99Latency);
-
-    const int total = static_cast<int>(out.records.size())
-        + out.shedRequests + out.cancelled;
-    Json run = Json::object();
-    run.set("latency_s", std::move(latency));
-    run.set("slo_attainment", out.sloAttainment);
-    run.set("deadline_misses", out.deadlineMisses);
-    run.set("completed", static_cast<long>(out.records.size()));
-    run.set("shed_requests", out.shedRequests);
-    run.set("shed_rate",
-            total > 0 ? static_cast<double>(out.shedRequests) / total
-                      : 0.0);
-    run.set("context_switches", out.contextSwitches);
-    run.set("preemptions", out.preemptions);
-    run.set("recomputed_tokens", out.recomputedTokens);
-    run.set("preempt_evicted_tokens", out.preemptEvictedTokens);
-    run.set("kv_peak_gib", toGiB(server.kvLedger().peakUsedBytes()));
-    run.set("utilization", out.utilization);
-    return run;
-}
-
-Json
-runOnlinePreemptionBenchmark(bool quick, uint64_t seed,
-                             long *generated_tokens)
+/** A sweep on AMC at the default device and models, four requests in
+ *  flight, its config opened with the keys every online row shares. */
+OnlineSweep
+newSweep(int num_beams, int num_requests, uint64_t seed)
 {
     EngineArgs args;
     args.dataset = "AMC";
-    args.numBeams = quick ? 8 : 16;
+    args.numBeams = num_beams;
     args.seed = seed;
-    const int numRequests = quick ? 10 : 24;
-    const int maxInflight = 4;
-    ServingOptions opts = args.toServingOptions().value();
+    OnlineSweep sweep;
+    sweep.serving = args.toServingOptions().value();
+    sweep.base.maxInflight = 4;
+    sweep.config.set("dataset", args.dataset);
+    sweep.config.set("device", args.device);
+    sweep.config.set("models", args.models);
+    sweep.config.set("num_beams", args.numBeams);
+    sweep.config.set("requests", num_requests);
+    return sweep;
+}
 
-    // One identical probe-calibrated bursty overload trace with
-    // tiered SLOs for every (budget, preemption-mode) cell.
-    const CalibratedOnlineTrace calibrated =
-        calibrateOnlineTrace(opts, "bursty", numRequests, seed)
+/** Serve the probe-calibrated bursty overload trace with tiered
+ *  priorities and SLOs (bench/online_calibration.h) — the recipe
+ *  bench_fig18_scheduling's bottom table also uses. */
+CalibratedOnlineTrace
+serveStorm(OnlineSweep &sweep, int num_requests, uint64_t seed)
+{
+    CalibratedOnlineTrace storm =
+        calibrateOnlineTrace(sweep.serving, "bursty", num_requests, seed)
             .value();
-
-    Json doc = Json::object();
-    doc.set("schema", "fasttts-bench-v1");
-    doc.set("benchmark", kOnlinePreemptionName);
-    doc.set("description",
-            "Preemptive vs sliced serving under a shared KV budget");
-    doc.set("quick", quick);
-
-    // Budget tiers relative to the engine's device budget; 0 is the
-    // legacy accounting (every in-flight slot a full budget).
-    const double engine_budget_gib = [&] {
-        ServingSystem probe = ServingSystem::create(opts).value();
-        return probe.engine().kvBudgetBytes() / GiB;
-    }();
-
-    Json config = Json::object();
-    config.set("dataset", args.dataset);
-    config.set("device", args.device);
-    config.set("models", args.models);
-    config.set("num_beams", args.numBeams);
-    config.set("requests", numRequests);
-    config.set("max_inflight", maxInflight);
-    config.set("policy", "edf");
-    config.set("arrivals", "bursty");
-    config.set("arrival_rate_per_s", calibrated.rate);
-    config.set("slo_s", calibrated.slo);
-    config.set("engine_kv_budget_gib", engine_budget_gib);
-    config.set("shed_doomed", true);
-    config.set("seed", seed);
-    doc.set("config", std::move(config));
-
-    struct Tier
-    {
-        const char *label;
-        double fraction; //!< Of the engine budget; 0 = legacy.
-    };
-    const Tier tiers[] = {
-        {"legacy", 0.0}, {"1.00x", 1.0}, {"0.50x", 0.5}, {"0.25x", 0.25}};
-
-    Json budgets = Json::object();
-    for (const Tier &tier : tiers) {
-        const double budget_gib = tier.fraction * engine_budget_gib;
-        Json cell = Json::object();
-        cell.set("kv_budget_gib", budget_gib);
-        for (const char *preempt : {"slice", "policy"}) {
-            cell.set(preempt,
-                     measurePreemptionRun(opts, calibrated, preempt,
-                                          budget_gib, maxInflight,
-                                          generated_tokens));
-        }
-        budgets.set(tier.label, std::move(cell));
-    }
-    doc.set("budgets", std::move(budgets));
-    return doc;
+    sweep.requests = storm.requests;
+    sweep.base.slo = storm.slo;
+    return storm;
 }
 
-/**
- * The continuous-batching benchmark pits co-scheduled decode
- * (--batching continuous) against round-robin time slicing
- * (--preempt slice) on one identical probe-calibrated bursty overload
- * trace at equal shared KV budgets: trace goodput, latency
- * percentiles, SLO attainment and batch occupancy — the serving study
- * behind the unified BatchPlan API.
- */
-constexpr const char *kOnlineBatchingName = "online_batching";
-
-Json
-measureBatchingRun(const ServingOptions &opts,
-                   const CalibratedOnlineTrace &calibrated,
-                   const std::string &batching, double kv_budget_gib,
-                   int max_inflight, int max_batched_tokens,
-                   long *generated_tokens)
+/** The engine's own device KV budget under the sweep's configuration. */
+double
+engineKvBudgetGiB(const OnlineSweep &sweep)
 {
-    OnlineServerOptions online;
-    online.policy = "edf";
-    online.maxInflight = max_inflight;
-    online.slo = calibrated.slo;
-    online.preempt = "slice"; // Ignored under continuous batching.
-    online.kvBudgetGiB = kv_budget_gib;
-    online.shedDoomed = true;
-    online.batching = batching;
-    online.maxBatchedTokens = max_batched_tokens;
-    OnlineServer server = OnlineServer::create(opts, online).value();
-    const OnlineTraceResult out =
-        server.serveRequests(calibrated.requests).value();
-    *generated_tokens += out.generatedTokens;
-
-    Json latency = Json::object();
-    latency.set("mean", out.meanLatency);
-    latency.set("p50", out.p50Latency);
-    latency.set("p95", out.p95Latency);
-    latency.set("p99", out.p99Latency);
-
-    Json run = Json::object();
-    run.set("latency_s", std::move(latency));
-    run.set("goodput_tokens_per_s",
-            out.makespan > 0
-                ? static_cast<double>(out.verifiedTokens) / out.makespan
-                : 0.0);
-    run.set("verified_tokens", out.verifiedTokens);
-    run.set("makespan_s", out.makespan);
-    run.set("slo_attainment", out.sloAttainment);
-    run.set("deadline_misses", out.deadlineMisses);
-    run.set("completed", static_cast<long>(out.records.size()));
-    run.set("shed_requests", out.shedRequests);
-    run.set("batch_occupancy", out.batchOccupancy);
-    run.set("context_switches", out.contextSwitches);
-    run.set("recomputed_tokens", out.recomputedTokens);
-    run.set("kv_peak_gib", toGiB(server.kvLedger().peakUsedBytes()));
-    run.set("utilization", out.utilization);
-    return run;
+    const ServingSystem probe = ServingSystem::create(sweep.serving).value();
+    return probe.engine().kvBudgetBytes() / GiB;
 }
 
-Json
-runOnlineBatchingBenchmark(bool quick, uint64_t seed,
-                           long *generated_tokens)
+/** Admission policies on one identical heavy-tailed arrival trace. */
+OnlineSweep
+schedulingSweep(bool quick, uint64_t seed)
 {
-    EngineArgs args;
-    args.dataset = "AMC";
-    args.numBeams = quick ? 8 : 16;
-    args.seed = seed;
+    const int requests = quick ? 8 : 32;
+    OnlineSweep sweep = newSweep(quick ? 8 : 32, requests, seed);
+    const CalibratedOnlineTrace storm = serveStorm(sweep, requests, seed);
+    sweep.config.set("max_inflight", sweep.base.maxInflight);
+    sweep.config.set("arrivals", "bursty");
+    sweep.config.set("arrival_rate_per_s", storm.rate);
+    sweep.config.set("slo_s", storm.slo);
+    sweep.outer = knobArms(&OnlineServerOptions::policy,
+                           queuePolicyRegistry().list());
+    return sweep;
+}
+
+/** Shared KV budget tiers crossed with non-preemptive time slicing vs
+ *  policy-driven preemption (preemptive EDF with doomed-request
+ *  shedding) on one bursty overload trace: shed rate, recompute
+ *  volume and SLO attainment versus memory. */
+OnlineSweep
+preemptionSweep(bool quick, uint64_t seed)
+{
+    const int requests = quick ? 10 : 24;
+    OnlineSweep sweep = newSweep(quick ? 8 : 16, requests, seed);
+    const CalibratedOnlineTrace storm = serveStorm(sweep, requests, seed);
+    const double engineGiB = engineKvBudgetGiB(sweep);
+    sweep.base.policy = "edf";
+    sweep.base.shedDoomed = true;
+    sweep.config.set("max_inflight", sweep.base.maxInflight);
+    sweep.config.set("policy", "edf");
+    sweep.config.set("arrivals", "bursty");
+    sweep.config.set("arrival_rate_per_s", storm.rate);
+    sweep.config.set("slo_s", storm.slo);
+    sweep.config.set("engine_kv_budget_gib", engineGiB);
+    sweep.config.set("shed_doomed", true);
+    sweep.outer = budgetArms(
+        engineGiB,
+        {{"legacy", 0.0}, {"1.00x", 1.0}, {"0.50x", 0.5}, {"0.25x", 0.25}});
+    sweep.inner = knobArms(&OnlineServerOptions::preempt, {"slice", "policy"});
+    return sweep;
+}
+
+/** Co-scheduled decode (--batching continuous) vs round-robin time
+ *  slicing on one bursty overload trace at equal shared KV budgets. */
+OnlineSweep
+batchingSweep(bool quick, uint64_t seed)
+{
+    const int requests = quick ? 10 : 24;
+    OnlineSweep sweep = newSweep(quick ? 8 : 16, requests, seed);
+    const CalibratedOnlineTrace storm = serveStorm(sweep, requests, seed);
+    const ServingSystem probe = ServingSystem::create(sweep.serving).value();
+    const double engineGiB = probe.engine().kvBudgetBytes() / GiB;
+    sweep.base.policy = "edf";
+    sweep.base.preempt = "slice"; // Ignored under continuous batching.
+    sweep.base.shedDoomed = true;
+    // Size the wave budget to fuse every in-flight request's decode
+    // work (README's sizing rule of thumb), so occupancy is limited by
+    // arrivals and memory, not the token knob.
+    sweep.base.maxBatchedTokens = sweep.base.maxInflight
+        * sweep.serving.numBeams
+        * std::max(1, static_cast<int>(
+                          probe.engine().expectedStepTokens() + 1));
+    sweep.config.set("max_inflight", sweep.base.maxInflight);
+    sweep.config.set("policy", "edf");
+    sweep.config.set("arrivals", "bursty");
+    sweep.config.set("arrival_rate_per_s", storm.rate);
+    sweep.config.set("slo_s", storm.slo);
+    sweep.config.set("engine_kv_budget_gib", engineGiB);
+    sweep.config.set("max_batched_tokens", sweep.base.maxBatchedTokens);
+    sweep.config.set("prefill_chunk", sweep.base.prefillChunk);
+    sweep.config.set("shed_doomed", true);
+    sweep.outer = budgetArms(engineGiB, {{"1.00x", 1.0}, {"0.50x", 0.5}});
+    sweep.inner = {
+        knobArm("sliced", &OnlineServerOptions::batching, "off"),
+        knobArm("continuous", &OnlineServerOptions::batching, "continuous")};
+    return sweep;
+}
+
+/** --prefix-cache off vs on over one multi-turn session trace with
+ *  zipfian session popularity. Turn k of a session prefix-extends turn
+ *  k-1's prompt (position-keyed token identities), the cross-request
+ *  sharing shape the global radix index (kv/prefix_index.h) exists
+ *  for. */
+OnlineSweep
+prefixReuseSweep(bool quick, uint64_t seed)
+{
     const int numRequests = quick ? 10 : 24;
-    const int maxInflight = 4;
-    ServingOptions opts = args.toServingOptions().value();
-
-    // One identical probe-calibrated bursty overload trace with
-    // tiered SLOs for every (budget, batching-mode) cell.
-    const CalibratedOnlineTrace calibrated =
-        calibrateOnlineTrace(opts, "bursty", numRequests, seed)
-            .value();
-
-    Json doc = Json::object();
-    doc.set("schema", "fasttts-bench-v1");
-    doc.set("benchmark", kOnlineBatchingName);
-    doc.set("description",
-            "Continuous batching vs time-sliced serving on one "
-            "bursty trace");
-    doc.set("quick", quick);
-
-    double engine_budget_gib = 0;
-    int maxBatchedTokens = 0;
-    {
-        ServingSystem probe = ServingSystem::create(opts).value();
-        engine_budget_gib = probe.engine().kvBudgetBytes() / GiB;
-        // Size the wave budget to fuse every in-flight request's
-        // decode work (README's sizing rule of thumb), so occupancy
-        // is limited by arrivals and memory, not the token knob.
-        maxBatchedTokens = maxInflight * args.numBeams
-            * std::max(1, static_cast<int>(
-                              probe.engine().expectedStepTokens() + 1));
-    }
-
-    Json config = Json::object();
-    config.set("dataset", args.dataset);
-    config.set("device", args.device);
-    config.set("models", args.models);
-    config.set("num_beams", args.numBeams);
-    config.set("requests", numRequests);
-    config.set("max_inflight", maxInflight);
-    config.set("policy", "edf");
-    config.set("arrivals", "bursty");
-    config.set("arrival_rate_per_s", calibrated.rate);
-    config.set("slo_s", calibrated.slo);
-    config.set("engine_kv_budget_gib", engine_budget_gib);
-    config.set("max_batched_tokens", maxBatchedTokens);
-    config.set("prefill_chunk", OnlineServerOptions().prefillChunk);
-    config.set("shed_doomed", true);
-    config.set("seed", seed);
-    doc.set("config", std::move(config));
-
-    struct Tier
-    {
-        const char *label;
-        double fraction; //!< Of the engine budget.
-    };
-    const Tier tiers[] = {{"1.00x", 1.0}, {"0.50x", 0.5}};
-
-    Json budgets = Json::object();
-    for (const Tier &tier : tiers) {
-        const double budget_gib = tier.fraction * engine_budget_gib;
-        Json cell = Json::object();
-        cell.set("kv_budget_gib", budget_gib);
-        cell.set("sliced",
-                 measureBatchingRun(opts, calibrated, "off", budget_gib,
-                                    maxInflight, maxBatchedTokens,
-                                    generated_tokens));
-        cell.set("continuous",
-                 measureBatchingRun(opts, calibrated, "continuous",
-                                    budget_gib, maxInflight,
-                                    maxBatchedTokens, generated_tokens));
-        budgets.set(tier.label, std::move(cell));
-    }
-    doc.set("budgets", std::move(budgets));
-    return doc;
-}
-
-/**
- * The prefix-reuse benchmark serves one multi-turn session trace with
- * zipfian session popularity twice — --prefix-cache off vs on — and
- * reports hit rate, saved recompute tokens and goodput. Turn k of a
- * session prefix-extends turn k-1's prompt (position-keyed token
- * identities), the cross-request sharing shape the global radix index
- * (kv/prefix_index.h) exists for.
- */
-constexpr const char *kOnlinePrefixReuseName = "online_prefix_reuse";
-
-Json
-measurePrefixReuseRun(const ServingOptions &opts,
-                      const std::vector<OnlineRequest> &requests,
-                      long total_prompt_tokens,
-                      const std::string &prefix_cache,
-                      double kv_budget_gib, int max_inflight,
-                      long *generated_tokens)
-{
-    OnlineServerOptions online;
-    online.policy = "fifo";
-    online.maxInflight = max_inflight;
-    online.kvBudgetGiB = kv_budget_gib;
-    online.batching = "continuous";
-    online.prefixCache = prefix_cache;
-    OnlineServer server = OnlineServer::create(opts, online).value();
-    const OnlineTraceResult out =
-        server.serveRequests(requests).value();
-    *generated_tokens += out.generatedTokens;
-
-    Json latency = Json::object();
-    latency.set("mean", out.meanLatency);
-    latency.set("p50", out.p50Latency);
-    latency.set("p95", out.p95Latency);
-    latency.set("p99", out.p99Latency);
-
-    Json run = Json::object();
-    run.set("latency_s", std::move(latency));
-    run.set("goodput_tokens_per_s",
-            out.makespan > 0
-                ? static_cast<double>(out.verifiedTokens) / out.makespan
-                : 0.0);
-    run.set("verified_tokens", out.verifiedTokens);
-    run.set("makespan_s", out.makespan);
-    run.set("completed", static_cast<long>(out.records.size()));
-    run.set("batch_occupancy", out.batchOccupancy);
-    run.set("recomputed_tokens", out.recomputedTokens);
-    run.set("prompt_tokens_total", total_prompt_tokens);
-    run.set("prefix_hit_tokens", out.prefixHitTokens);
-    run.set("saved_recompute_fraction",
-            total_prompt_tokens > 0
-                ? static_cast<double>(out.prefixHitTokens)
-                    / static_cast<double>(total_prompt_tokens)
-                : 0.0);
-    run.set("kv_peak_gib", toGiB(server.kvLedger().peakUsedBytes()));
-    run.set("utilization", out.utilization);
-    return run;
-}
-
-Json
-runOnlinePrefixReuseBenchmark(bool quick, uint64_t seed,
-                              long *generated_tokens)
-{
-    EngineArgs args;
-    args.dataset = "AMC";
-    args.numBeams = quick ? 8 : 16;
-    args.seed = seed;
-    const int numRequests = quick ? 10 : 24;
-    const int maxInflight = 4;
     const int numSessions = quick ? 3 : 6;
     const int basePromptTokens = 96;
     const int turnGrowthTokens = 48;
     const double arrivalRate = 0.08; // Mostly-serialised sessions.
-    ServingOptions opts = args.toServingOptions().value();
+    OnlineSweep sweep = newSweep(quick ? 8 : 16, numRequests, seed);
 
     // Zipfian session popularity: most requests are follow-up turns
-    // of a few hot sessions (the multi-turn chat shape). Turn k of
-    // session s carries position-keyed token identities, so its
-    // prompt exactly prefix-extends turn k-1's.
+    // of a few hot sessions (the multi-turn chat shape).
     std::vector<double> weights;
     weights.reserve(static_cast<size_t>(numSessions));
     for (int s = 0; s < numSessions; ++s)
@@ -682,9 +492,7 @@ runOnlinePrefixReuseBenchmark(bool quick, uint64_t seed,
     const std::vector<double> arrivals =
         poissonArrivalTrace(numRequests, arrivalRate, seed);
     std::vector<int> turnOf(static_cast<size_t>(numSessions), 0);
-    std::vector<OnlineRequest> requests;
-    requests.reserve(static_cast<size_t>(numRequests));
-    long totalPromptTokens = 0;
+    sweep.requests.reserve(static_cast<size_t>(numRequests));
     for (int i = 0; i < numRequests; ++i) {
         const int session = rng.categorical(weights);
         const int turn = ++turnOf[static_cast<size_t>(session)];
@@ -693,429 +501,488 @@ runOnlinePrefixReuseBenchmark(bool quick, uint64_t seed,
         OnlineRequest request;
         request.problemId = 0;
         request.arrival = arrivals[static_cast<size_t>(i)];
-        request.promptIds.reserve(
-            static_cast<size_t>(promptTokens));
+        request.promptIds.reserve(static_cast<size_t>(promptTokens));
         for (int j = 0; j < promptTokens; ++j)
             request.promptIds.push_back(static_cast<int32_t>(
-                ((static_cast<int64_t>(session) + 1) * 1000003
-                 + j)
+                ((static_cast<int64_t>(session) + 1) * 1000003 + j)
                 & 0x7FFFFFFF));
-        totalPromptTokens += promptTokens;
-        requests.push_back(std::move(request));
+        sweep.requests.push_back(std::move(request));
     }
 
-    const double engine_budget_gib = [&] {
-        ServingSystem probe = ServingSystem::create(opts).value();
-        return probe.engine().kvBudgetBytes() / GiB;
-    }();
-
-    Json doc = Json::object();
-    doc.set("schema", "fasttts-bench-v1");
-    doc.set("benchmark", kOnlinePrefixReuseName);
-    doc.set("description",
-            "Cross-request prefix caching on a multi-turn zipfian "
-            "session trace");
-    doc.set("quick", quick);
-
-    Json config = Json::object();
-    config.set("dataset", args.dataset);
-    config.set("device", args.device);
-    config.set("models", args.models);
-    config.set("num_beams", args.numBeams);
-    config.set("requests", numRequests);
-    config.set("sessions", numSessions);
-    config.set("base_prompt_tokens", basePromptTokens);
-    config.set("turn_growth_tokens", turnGrowthTokens);
-    config.set("max_inflight", maxInflight);
-    config.set("policy", "fifo");
-    config.set("batching", "continuous");
-    config.set("arrivals", "poisson");
-    config.set("arrival_rate_per_s", arrivalRate);
-    config.set("kv_budget_gib", engine_budget_gib);
-    config.set("seed", seed);
-    doc.set("config", std::move(config));
-
-    Json modes = Json::object();
-    for (const char *mode : {"off", "on"}) {
-        modes.set(mode,
-                  measurePrefixReuseRun(opts, requests,
-                                        totalPromptTokens, mode,
-                                        engine_budget_gib, maxInflight,
-                                        generated_tokens));
-    }
-    const double off_goodput =
-        modes["off"]["goodput_tokens_per_s"].asNumber();
-    const double on_goodput =
-        modes["on"]["goodput_tokens_per_s"].asNumber();
-    Json summary = Json::object();
-    summary.set("saved_recompute_fraction",
-                modes["on"]["saved_recompute_fraction"].asNumber());
-    summary.set("goodput_ratio",
-                off_goodput > 0 ? on_goodput / off_goodput : 0.0);
-    doc.set("modes", std::move(modes));
-    doc.set("summary", std::move(summary));
-    return doc;
+    const double engineGiB = engineKvBudgetGiB(sweep);
+    sweep.base.policy = "fifo";
+    sweep.base.kvBudgetGiB = engineGiB;
+    sweep.base.batching = "continuous";
+    sweep.config.set("sessions", numSessions);
+    sweep.config.set("base_prompt_tokens", basePromptTokens);
+    sweep.config.set("turn_growth_tokens", turnGrowthTokens);
+    sweep.config.set("max_inflight", sweep.base.maxInflight);
+    sweep.config.set("policy", "fifo");
+    sweep.config.set("batching", "continuous");
+    sweep.config.set("arrivals", "poisson");
+    sweep.config.set("arrival_rate_per_s", arrivalRate);
+    sweep.config.set("kv_budget_gib", engineGiB);
+    sweep.outer = knobArms(&OnlineServerOptions::prefixCache, {"off", "on"});
+    return sweep;
 }
 
-/**
- * The fault-tolerance benchmark serves ONE identical probe-calibrated
- * bursty trace under deterministic wave-step fault injection at
- * {0%, 1%, 5%} per-wave rates, twice per rate: no-retry (a fault
- * terminally fails its request) versus retry+degrade (capped
- * exponential backoff plus graceful degradation under sustained fault
- * pressure). Reported per cell: SLO attainment, goodput, wasted
- * recompute and time-to-recovery — the survival study behind the
- * retry/timeout/degradation machinery.
- */
-constexpr const char *kOnlineFaultToleranceName = "online_fault_tolerance";
-
-Json
-measureFaultToleranceRun(const ServingOptions &opts,
-                         const CalibratedOnlineTrace &calibrated,
-                         double fault_rate, int retry_max,
-                         double retry_backoff, int max_inflight,
-                         long *generated_tokens)
+/** One bursty trace under deterministic wave-step fault injection at
+ *  {0%, 1%, 5%} per-wave rates, fail-fast (a fault terminally fails its
+ *  request) vs retry+degrade (capped exponential backoff plus graceful
+ *  degradation under sustained fault pressure). */
+OnlineSweep
+faultToleranceSweep(bool quick, uint64_t seed)
 {
-    OnlineServerOptions online;
-    online.policy = "edf";
-    online.maxInflight = max_inflight;
-    online.slo = calibrated.slo;
-    online.batching = "continuous";
-    if (fault_rate > 0) {
-        online.faults = "plan";
-        online.faultPlan = "{\"rules\": [{\"site\": \"wave_step\", "
-                           "\"rate\": "
-            + std::to_string(fault_rate) + "}]}";
-        online.retryMax = retry_max;
-        online.retryBackoff = retry_backoff;
-    }
-    OnlineServer server = OnlineServer::create(opts, online).value();
-    const OnlineTraceResult out =
-        server.serveRequests(calibrated.requests).value();
-    *generated_tokens += out.generatedTokens;
-
-    Json latency = Json::object();
-    latency.set("mean", out.meanLatency);
-    latency.set("p50", out.p50Latency);
-    latency.set("p95", out.p95Latency);
-    latency.set("p99", out.p99Latency);
-
-    Json run = Json::object();
-    run.set("latency_s", std::move(latency));
-    run.set("slo_attainment", out.sloAttainment);
-    run.set("deadline_misses", out.deadlineMisses);
-    run.set("completed", static_cast<long>(out.records.size()));
-    run.set("goodput_tokens_per_s",
-            out.makespan > 0
-                ? static_cast<double>(out.verifiedTokens) / out.makespan
-                : 0.0);
-    run.set("verified_tokens", out.verifiedTokens);
-    run.set("makespan_s", out.makespan);
-    run.set("injected_faults", out.injectedFaults);
-    run.set("retries", out.retries);
-    run.set("failed_requests", out.failedRequests);
-    run.set("timeouts", out.timeouts);
-    run.set("wasted_recompute_tokens", out.faultWastedTokens);
-    run.set("degraded_waves", out.degradedWaves);
-    run.set("degraded_time_s", out.degradedTime);
-    // Mean sim-time from degradation entry until the fault window
-    // cleared (or the trace ended still degraded).
-    run.set("time_to_recovery_s",
-            out.degradedEpisodes > 0
-                ? out.degradedTime / out.degradedEpisodes
-                : 0.0);
-    run.set("utilization", out.utilization);
-    return run;
-}
-
-Json
-runOnlineFaultToleranceBenchmark(bool quick, uint64_t seed,
-                                 long *generated_tokens)
-{
-    EngineArgs args;
-    args.dataset = "AMC";
     // Quick keeps the full beam width: fault probes are per wave per
     // request, so narrowing the beams shrinks each request's fault
     // exposure and washes out the no-retry collapse the summary keys
     // on. Quick trims the request count instead.
-    args.numBeams = 16;
-    args.seed = seed;
-    const int numRequests = quick ? 10 : 24;
-    const int maxInflight = 4;
-    const int retryMax = 5;
-    ServingOptions opts = args.toServingOptions().value();
+    const int requests = quick ? 10 : 24;
+    constexpr int kRetryMax = 5;
+    OnlineSweep sweep = newSweep(16, requests, seed);
 
-    // One identical probe-calibrated bursty trace for every
-    // (fault-rate, survival-mode) cell; the fault plan is the ONLY
-    // thing that varies, so differences are attributable to it.
-    // Unlike the scheduling/preemption sweeps this is a SURVIVAL
-    // study, not an overload study: the trace must be feasible when
-    // clean (every deadline attainable, ~zero queueing), otherwise
-    // retried attempts fight the backlog and attainment measures
-    // queueing collapse instead of fault handling. Stretching the
-    // calibrated overload trace keeps its bursty shape while dropping
-    // the offered load well under capacity and making deadlines
-    // generous enough that a few re-serves still meet them.
-    CalibratedOnlineTrace calibrated =
-        calibrateOnlineTrace(opts, "bursty", numRequests, seed)
-            .value();
+    // One identical trace for every (fault-rate, survival-mode) cell;
+    // the fault plan is the ONLY thing that varies, so differences are
+    // attributable to it. Unlike the scheduling and preemption sweeps
+    // this is a SURVIVAL study, not an overload study: the trace must
+    // be feasible when clean (every deadline attainable, ~zero
+    // queueing), otherwise retried attempts fight the backlog and
+    // attainment measures queueing collapse instead of fault handling.
+    // Stretching the calibrated overload trace keeps its bursty shape
+    // while dropping the offered load well under capacity and making
+    // deadlines generous enough that a few re-serves still meet them.
+    CalibratedOnlineTrace storm = serveStorm(sweep, requests, seed);
     constexpr double kArrivalStretch = 4.0; // 3x capacity -> 0.75x.
     constexpr double kSloStretch = 4.0;     // Tiers 9x-72x the mean.
-    calibrated.rate /= kArrivalStretch;
-    calibrated.slo *= kSloStretch;
-    for (OnlineRequest &request : calibrated.requests) {
+    storm.rate /= kArrivalStretch;
+    storm.slo *= kSloStretch;
+    for (OnlineRequest &request : sweep.requests) {
         request.arrival *= kArrivalStretch;
         request.slo *= kSloStretch;
     }
-    const double retryBackoff = 0.25 * calibrated.measuredMean;
+    const double retryBackoff = 0.25 * storm.measuredMean;
+    sweep.base.policy = "edf";
+    sweep.base.slo = storm.slo;
+    sweep.base.batching = "continuous";
+    sweep.config.set("max_inflight", sweep.base.maxInflight);
+    sweep.config.set("policy", "edf");
+    sweep.config.set("batching", "continuous");
+    sweep.config.set("arrivals", "bursty");
+    sweep.config.set("arrival_rate_per_s", storm.rate);
+    sweep.config.set("slo_s", storm.slo);
+    sweep.config.set("retry_max", kRetryMax);
+    sweep.config.set("retry_backoff_s", retryBackoff);
+    sweep.config.set("fault_site", "wave_step");
 
-    Json doc = Json::object();
-    doc.set("schema", "fasttts-bench-v1");
-    doc.set("benchmark", kOnlineFaultToleranceName);
-    doc.set("description",
-            "Retry + degradation vs fail-fast under deterministic "
-            "fault injection");
-    doc.set("quick", quick);
-
-    Json config = Json::object();
-    config.set("dataset", args.dataset);
-    config.set("device", args.device);
-    config.set("models", args.models);
-    config.set("num_beams", args.numBeams);
-    config.set("requests", numRequests);
-    config.set("max_inflight", maxInflight);
-    config.set("policy", "edf");
-    config.set("batching", "continuous");
-    config.set("arrivals", "bursty");
-    config.set("arrival_rate_per_s", calibrated.rate);
-    config.set("slo_s", calibrated.slo);
-    config.set("retry_max", retryMax);
-    config.set("retry_backoff_s", retryBackoff);
-    config.set("fault_site", "wave_step");
-    config.set("seed", seed);
-    doc.set("config", std::move(config));
-
-    struct RateTier
-    {
-        const char *label;
-        double rate;
-    };
-    const RateTier tiers[] = {{"0%", 0.0}, {"1%", 0.01}, {"5%", 0.05}};
-
-    Json rates = Json::object();
-    for (const RateTier &tier : tiers) {
-        Json cell = Json::object();
-        cell.set("fault_rate", tier.rate);
-        cell.set("no_retry",
-                 measureFaultToleranceRun(opts, calibrated, tier.rate,
-                                          /*retry_max=*/0, retryBackoff,
-                                          maxInflight, generated_tokens));
-        cell.set("retry_degrade",
-                 measureFaultToleranceRun(opts, calibrated, tier.rate,
-                                          retryMax, retryBackoff,
-                                          maxInflight, generated_tokens));
-        rates.set(tier.label, std::move(cell));
+    for (const auto &[label, rate] :
+         {std::pair{"0%", 0.0}, {"1%", 0.01}, {"5%", 0.05}}) {
+        Arm arm{label, Json::object(), [rate = rate](OnlineServerOptions &o) {
+                    if (rate > 0) {
+                        o.faults = "plan";
+                        o.faultPlan = "{\"rules\": [{\"site\": "
+                                      "\"wave_step\", \"rate\": "
+                            + std::to_string(rate) + "}]}";
+                    }
+                }};
+        arm.opens.set("fault_rate", rate);
+        sweep.outer.push_back(std::move(arm));
     }
-
-    const double noRetryAt5 =
-        rates["5%"]["no_retry"]["slo_attainment"].asNumber();
-    const double retryAt5 =
-        rates["5%"]["retry_degrade"]["slo_attainment"].asNumber();
-    Json summary = Json::object();
-    summary.set("slo_attainment_no_retry_at_5pct", noRetryAt5);
-    summary.set("slo_attainment_retry_at_5pct", retryAt5);
-    summary.set("slo_recovery_points_at_5pct",
-                100.0 * (retryAt5 - noRetryAt5));
-    doc.set("rates", std::move(rates));
-    doc.set("summary", std::move(summary));
-    return doc;
+    // Retries happen only on injected faults, so the retry knobs are
+    // inert in the clean cells.
+    sweep.inner = {
+        {"no_retry", Json::object(),
+         [](OnlineServerOptions &o) { o.retryMax = 0; }},
+        {"retry_degrade", Json::object(),
+         [retryBackoff](OnlineServerOptions &o) {
+             o.retryMax = kRetryMax;
+             o.retryBackoff = retryBackoff;
+         }}};
+    return sweep;
 }
 
-/**
- * The KV-tiering benchmark reruns the preemption storm (EDF, policy
- * preemption, 0.25x device KV budget — the regime where suspended
- * requests are constantly force-evicted) with the host tier off, fast
- * and slow, crossed with admission-order vs cost-aware victim
- * selection: recomputed vs swapped token volume and SLO attainment on
- * one identical trace — the roofline swap-vs-recompute study behind
- * --kv-tier.
- */
-constexpr const char *kOnlineKvTieringName = "online_kv_tiering";
-
-Json
-measureKvTieringRun(const ServingOptions &opts,
-                    const CalibratedOnlineTrace &calibrated,
-                    const std::string &kv_tier, double bandwidth_gbs,
-                    const std::string &victim_select,
-                    double kv_budget_gib, int max_inflight,
-                    long *generated_tokens)
+/** The preemption storm (EDF, round-robin slicing, 0.3x device KV
+ *  budget — the regime where suspended requests are constantly
+ *  force-evicted) with the host tier off, fast and slow, crossed with
+ *  admission-order vs cost-aware victim selection: the roofline
+ *  swap-vs-recompute study behind --kv-tier. */
+OnlineSweep
+kvTieringSweep(bool quick, uint64_t seed)
 {
-    OnlineServerOptions online;
-    online.policy = "edf";
-    online.maxInflight = max_inflight;
-    online.slo = calibrated.slo;
-    online.preempt = "slice";
-    online.kvBudgetGiB = kv_budget_gib;
-    online.shedDoomed = true;
-    online.kvTier = kv_tier;
-    online.hostBandwidthGBs = bandwidth_gbs;
-    online.victimSelect = victim_select;
-    OnlineServer server = OnlineServer::create(opts, online).value();
-    const OnlineTraceResult out =
-        server.serveRequests(calibrated.requests).value();
-    *generated_tokens += out.generatedTokens;
-
-    Json latency = Json::object();
-    latency.set("mean", out.meanLatency);
-    latency.set("p50", out.p50Latency);
-    latency.set("p95", out.p95Latency);
-    latency.set("p99", out.p99Latency);
-
-    Json run = Json::object();
-    run.set("latency_s", std::move(latency));
-    run.set("slo_attainment", out.sloAttainment);
-    run.set("deadline_misses", out.deadlineMisses);
-    run.set("completed", static_cast<long>(out.records.size()));
-    run.set("shed_requests", out.shedRequests);
-    run.set("context_switches", out.contextSwitches);
-    run.set("preemptions", out.preemptions);
-    run.set("recomputed_tokens", out.recomputedTokens);
-    run.set("reprefilled_tokens", out.reprefilledTokens);
-    run.set("preempt_evicted_tokens", out.preemptEvictedTokens);
-    run.set("swapped_out_tokens", out.swappedOutTokens);
-    run.set("swapped_in_tokens", out.swappedInTokens);
-    run.set("swap_transfer_time_s", out.swapTransferTime);
-    run.set("kv_peak_gib", toGiB(server.kvLedger().peakUsedBytes()));
-    if (server.hostTier() != nullptr) {
-        const HostKvTierStats &tier = server.hostTier()->stats();
-        run.set("host_peak_gib", toGiB(server.hostTier()->peakBytes()));
-        run.set("host_swapped_out_nodes",
-                static_cast<double>(tier.swappedOutNodes));
-        run.set("host_swapped_in_nodes",
-                static_cast<double>(tier.swappedInNodes));
-        run.set("host_rejected_nodes",
-                static_cast<double>(tier.rejectedNodes));
-        run.set("host_evicted_nodes",
-                static_cast<double>(tier.evictedNodes));
-        run.set("host_stale_nodes",
-                static_cast<double>(tier.staleNodes));
-    }
-    run.set("utilization", out.utilization);
-    run.set("makespan_s", out.makespan);
-    return run;
-}
-
-Json
-runOnlineKvTieringBenchmark(bool quick, uint64_t seed,
-                            long *generated_tokens)
-{
-    EngineArgs args;
-    args.dataset = "AMC";
-    args.numBeams = quick ? 8 : 16;
-    args.seed = seed;
-    const int numRequests = quick ? 10 : 24;
-    const int maxInflight = 4;
-    ServingOptions opts = args.toServingOptions().value();
-
-    // The identical probe-calibrated bursty storm the preemption
-    // benchmark serves, under round-robin slicing with the device
-    // budget pinned between one request's working set and the sum of
-    // the in-flight sets: every rotation force-evicts suspended
+    const int requests = quick ? 10 : 24;
+    OnlineSweep sweep = newSweep(quick ? 8 : 16, requests, seed);
+    const CalibratedOnlineTrace storm = serveStorm(sweep, requests, seed);
+    const double engineGiB = engineKvBudgetGiB(sweep);
+    // The device budget sits between one request's working set and the
+    // sum of the in-flight sets: every rotation force-evicts suspended
     // victims (tier-eligible), while the mounted run itself never
     // self-reclaims — so preemption evictions dominate the recompute
     // bill and the tier can absorb them.
-    const CalibratedOnlineTrace calibrated =
-        calibrateOnlineTrace(opts, "bursty", numRequests, seed)
-            .value();
-    const double engine_budget_gib = [&] {
-        ServingSystem probe = ServingSystem::create(opts).value();
-        return probe.engine().kvBudgetBytes() / GiB;
-    }();
-    const double budget_gib = 0.3 * engine_budget_gib;
+    const double budgetGiB = 0.3 * engineGiB;
     constexpr double kFastGBs = 16.0; //!< PCIe-class host link.
     constexpr double kSlowGBs = 0.5;  //!< Link where recompute can win.
+    sweep.base.policy = "edf";
+    sweep.base.preempt = "slice";
+    sweep.base.kvBudgetGiB = budgetGiB;
+    sweep.base.shedDoomed = true;
+    sweep.config.set("max_inflight", sweep.base.maxInflight);
+    sweep.config.set("policy", "edf");
+    sweep.config.set("preempt", "slice");
+    sweep.config.set("arrivals", "bursty");
+    sweep.config.set("arrival_rate_per_s", storm.rate);
+    sweep.config.set("slo_s", storm.slo);
+    sweep.config.set("engine_kv_budget_gib", engineGiB);
+    sweep.config.set("kv_budget_gib", budgetGiB);
+    sweep.config.set("host_bandwidth_fast_gbs", kFastGBs);
+    sweep.config.set("host_bandwidth_slow_gbs", kSlowGBs);
+    sweep.config.set("shed_doomed", true);
 
-    Json doc = Json::object();
-    doc.set("schema", "fasttts-bench-v1");
-    doc.set("benchmark", kOnlineKvTieringName);
-    doc.set("description",
-            "Host KV tiering: swap-vs-recompute under a preemption "
-            "storm");
-    doc.set("quick", quick);
-
-    Json config = Json::object();
-    config.set("dataset", args.dataset);
-    config.set("device", args.device);
-    config.set("models", args.models);
-    config.set("num_beams", args.numBeams);
-    config.set("requests", numRequests);
-    config.set("max_inflight", maxInflight);
-    config.set("policy", "edf");
-    config.set("preempt", "slice");
-    config.set("arrivals", "bursty");
-    config.set("arrival_rate_per_s", calibrated.rate);
-    config.set("slo_s", calibrated.slo);
-    config.set("engine_kv_budget_gib", engine_budget_gib);
-    config.set("kv_budget_gib", budget_gib);
-    config.set("host_bandwidth_fast_gbs", kFastGBs);
-    config.set("host_bandwidth_slow_gbs", kSlowGBs);
-    config.set("shed_doomed", true);
-    config.set("seed", seed);
-    doc.set("config", std::move(config));
-
-    struct Arm
+    struct Tier
     {
         const char *label;
         const char *kvTier;
         double bandwidthGBs;
     };
-    const Arm arms[] = {{"off", "off", kFastGBs},
-                        {"host_fast", "host", kFastGBs},
-                        {"host_slow", "host", kSlowGBs}};
-
-    Json tiers = Json::object();
-    for (const Arm &arm : arms) {
-        Json cell = Json::object();
-        cell.set("kv_tier", arm.kvTier);
-        cell.set("host_bandwidth_gbs", arm.bandwidthGBs);
-        for (const char *victims : {"admission", "cost"}) {
-            cell.set(victims,
-                     measureKvTieringRun(opts, calibrated, arm.kvTier,
-                                         arm.bandwidthGBs, victims,
-                                         budget_gib, maxInflight,
-                                         generated_tokens));
-        }
-        tiers.set(arm.label, std::move(cell));
+    for (const Tier &tier : {Tier{"off", "off", kFastGBs},
+                             Tier{"host_fast", "host", kFastGBs},
+                             Tier{"host_slow", "host", kSlowGBs}}) {
+        Arm arm{tier.label, Json::object(), [tier](OnlineServerOptions &o) {
+                    o.kvTier = tier.kvTier;
+                    o.hostBandwidthGBs = tier.bandwidthGBs;
+                }};
+        arm.opens.set("kv_tier", tier.kvTier);
+        arm.opens.set("host_bandwidth_gbs", tier.bandwidthGBs);
+        sweep.outer.push_back(std::move(arm));
     }
+    sweep.inner = knobArms(&OnlineServerOptions::victimSelect,
+                           {"admission", "cost"});
+    return sweep;
+}
 
-    // Headline: cost-aware fast-link tiering vs the legacy
-    // force-evict-recompute server at the identical device budget.
-    // The reduction is over re-prefilled tokens — the post-eviction
-    // recompute tiering can absorb — not raw recomputed_tokens, which
-    // also counts every node's first prefill (KvStats doc).
-    const double recompute_base =
-        tiers["off"]["admission"]["reprefilled_tokens"].asNumber();
-    const double recompute_tiered =
-        tiers["host_fast"]["cost"]["reprefilled_tokens"].asNumber();
-    const double slo_base =
-        tiers["off"]["admission"]["slo_attainment"].asNumber();
-    const double slo_tiered =
-        tiers["host_fast"]["cost"]["slo_attainment"].asNumber();
-    Json summary = Json::object();
-    summary.set("reprefilled_tokens_baseline", recompute_base);
-    summary.set("reprefilled_tokens_tiered", recompute_tiered);
-    summary.set("recompute_reduction",
-                recompute_base > 0
-                    ? 1.0 - recompute_tiered / recompute_base
-                    : 0.0);
-    summary.set("slo_attainment_baseline", slo_base);
-    summary.set("slo_attainment_tiered", slo_tiered);
-    summary.set("swapped_in_tokens_tiered",
-                tiers["host_fast"]["cost"]["swapped_in_tokens"]
-                    .asNumber());
-    doc.set("tiers", std::move(tiers));
-    doc.set("summary", std::move(summary));
+/**
+ * Every metric an online cell can report, keyed by its JSON name; a
+ * row picks its keys from this. The host-tier keys are present only
+ * when the server has a tier attached.
+ */
+Json
+onlineMetrics(const OnlineServer &server, const OnlineTraceResult &out,
+              const std::vector<OnlineRequest> &trace)
+{
+    const auto ratio = [](double num, double den) {
+        return den > 0 ? num / den : 0.0;
+    };
+    long promptTokens = 0;
+    for (const OnlineRequest &request : trace)
+        promptTokens += static_cast<long>(request.promptIds.size());
+    const long completed = static_cast<long>(out.records.size());
+
+    Json latency = Json::object();
+    latency.set("mean", out.meanLatency);
+    latency.set("p50", out.p50Latency);
+    latency.set("p95", out.p95Latency);
+    latency.set("p99", out.p99Latency);
+
+    Json m = Json::object();
+    m.set("latency_s", std::move(latency));
+    m.set("mean_queue_delay_s", out.meanQueueDelay);
+    m.set("slo_attainment", out.sloAttainment);
+    m.set("deadline_misses", out.deadlineMisses);
+    m.set("completed", completed);
+    m.set("shed_requests", out.shedRequests);
+    m.set("shed_rate", ratio(out.shedRequests, completed + out.shedRequests
+                                                   + out.cancelled));
+    m.set("goodput_tokens_per_s", ratio(out.verifiedTokens, out.makespan));
+    m.set("verified_tokens", out.verifiedTokens);
+    m.set("makespan_s", out.makespan);
+    m.set("batch_occupancy", out.batchOccupancy);
+    m.set("context_switches", out.contextSwitches);
+    m.set("preemptions", out.preemptions);
+    m.set("recomputed_tokens", out.recomputedTokens);
+    m.set("reprefilled_tokens", out.reprefilledTokens);
+    m.set("preempt_evicted_tokens", out.preemptEvictedTokens);
+    m.set("prompt_tokens_total", promptTokens);
+    m.set("prefix_hit_tokens", out.prefixHitTokens);
+    m.set("saved_recompute_fraction",
+          ratio(out.prefixHitTokens, promptTokens));
+    m.set("injected_faults", out.injectedFaults);
+    m.set("retries", out.retries);
+    m.set("failed_requests", out.failedRequests);
+    m.set("timeouts", out.timeouts);
+    m.set("wasted_recompute_tokens", out.faultWastedTokens);
+    m.set("degraded_waves", out.degradedWaves);
+    m.set("degraded_time_s", out.degradedTime);
+    // Mean sim-time from degradation entry until the fault window
+    // cleared (or the trace ended still degraded).
+    m.set("time_to_recovery_s", ratio(out.degradedTime, out.degradedEpisodes));
+    m.set("swapped_out_tokens", out.swappedOutTokens);
+    m.set("swapped_in_tokens", out.swappedInTokens);
+    m.set("swap_transfer_time_s", out.swapTransferTime);
+    m.set("kv_peak_gib", toGiB(server.kvLedger().peakUsedBytes()));
+    if (const HostKvTier *tier = server.hostTier(); tier != nullptr) {
+        const HostKvTierStats &stats = tier->stats();
+        m.set("host_peak_gib", toGiB(tier->peakBytes()));
+        m.set("host_swapped_out_nodes",
+              static_cast<double>(stats.swappedOutNodes));
+        m.set("host_swapped_in_nodes",
+              static_cast<double>(stats.swappedInNodes));
+        m.set("host_rejected_nodes", static_cast<double>(stats.rejectedNodes));
+        m.set("host_evicted_nodes", static_cast<double>(stats.evictedNodes));
+        m.set("host_stale_nodes", static_cast<double>(stats.staleNodes));
+    }
+    m.set("utilization", out.utilization);
+    return m;
+}
+
+/** One online benchmark: a row of the online sweep table. */
+struct OnlineBench
+{
+    const char *name;
+    const char *description;
+    OnlineSweep (*setup)(bool quick, uint64_t seed);
+    const char *axis; //!< Document key holding the outer arms' cells.
+    std::vector<const char *> metrics; //!< Keys each run reports, in order.
+    Json (*summarize)(const Json &cells); //!< nullptr: no summary.
+    std::string (*headline)(const Json &doc);
+};
+
+/** Serve the sweep's trace once under `options`, add its generated
+ *  tokens to `simulated_tokens`, and write the row's metrics into
+ *  `cell`. */
+void
+serveCell(const OnlineBench &bench, const OnlineSweep &sweep,
+          const OnlineServerOptions &options, Json *cell,
+          long *simulated_tokens)
+{
+    OnlineServer server = OnlineServer::create(sweep.serving, options).value();
+    const OnlineTraceResult out = server.serveRequests(sweep.requests).value();
+    *simulated_tokens += out.generatedTokens;
+    const Json metrics = onlineMetrics(server, out, sweep.requests);
+    for (const char *key : bench.metrics)
+        if (metrics.has(key))
+            cell->set(key, metrics[key]);
+}
+
+Json
+runOnlineBenchmark(const OnlineBench &bench, bool quick, uint64_t seed,
+                   long *simulated_tokens)
+{
+    OnlineSweep sweep = bench.setup(quick, seed);
+    sweep.config.set("seed", seed);
+    Json doc = openDoc(bench.name, bench.description, quick);
+    doc.set("config", std::move(sweep.config));
+
+    Json cells = Json::object();
+    for (const Arm &outer : sweep.outer) {
+        OnlineServerOptions options = sweep.base;
+        outer.edit(options);
+        Json cell = outer.opens;
+        if (sweep.inner.empty())
+            serveCell(bench, sweep, options, &cell, simulated_tokens);
+        for (const Arm &inner : sweep.inner) {
+            OnlineServerOptions edited = options;
+            inner.edit(edited);
+            Json run = inner.opens;
+            serveCell(bench, sweep, edited, &run, simulated_tokens);
+            cell.set(inner.label, std::move(run));
+        }
+        cells.set(outer.label, std::move(cell));
+    }
+    doc.set(bench.axis, std::move(cells));
+    if (bench.summarize != nullptr)
+        doc.set("summary", bench.summarize(doc[bench.axis]));
     return doc;
+}
+
+/** A number rounded to a whole, and a fraction as a whole
+ *  percentage, for the stdout headlines. */
+std::string
+whole(const Json &value)
+{
+    return formatDouble(value.asNumber(), 0);
+}
+
+std::string
+percent(const Json &fraction)
+{
+    return formatDouble(100.0 * fraction.asNumber(), 0);
+}
+
+const OnlineBench kOnlineBenchmarks[] = {
+    {"online_scheduling", "Online admission-policy sweep (SLO attainment)",
+     schedulingSweep, "policies",
+     {"latency_s", "mean_queue_delay_s", "slo_attainment", "deadline_misses",
+      "utilization", "makespan_s", "completed"},
+     nullptr,
+     [](const Json &doc) {
+         return "slo attainment fifo "
+             + percent(doc["policies"]["fifo"]["slo_attainment"])
+             + "% vs edf "
+             + percent(doc["policies"]["edf"]["slo_attainment"]) + "%";
+     }},
+    {"online_preemption",
+     "Preemptive vs sliced serving under a shared KV budget",
+     preemptionSweep, "budgets",
+     {"latency_s", "slo_attainment", "deadline_misses", "completed",
+      "shed_requests", "shed_rate", "context_switches", "preemptions",
+      "recomputed_tokens", "preempt_evicted_tokens", "kv_peak_gib",
+      "utilization"},
+     nullptr,
+     [](const Json &doc) {
+         const Json &tight = doc["budgets"]["0.25x"];
+         return "slo (0.25x budget) slice "
+             + percent(tight["slice"]["slo_attainment"]) + "% vs policy "
+             + percent(tight["policy"]["slo_attainment"]) + "%, shed "
+             + percent(tight["policy"]["shed_rate"]) + "%";
+     }},
+    {"online_batching",
+     "Continuous batching vs time-sliced serving on one bursty trace",
+     batchingSweep, "budgets",
+     {"latency_s", "goodput_tokens_per_s", "verified_tokens", "makespan_s",
+      "slo_attainment", "deadline_misses", "completed", "shed_requests",
+      "batch_occupancy", "context_switches", "recomputed_tokens",
+      "kv_peak_gib", "utilization"},
+     nullptr,
+     [](const Json &doc) {
+         const Json &full = doc["budgets"]["1.00x"];
+         return "goodput sliced "
+             + whole(full["sliced"]["goodput_tokens_per_s"])
+             + " vs continuous "
+             + whole(full["continuous"]["goodput_tokens_per_s"])
+             + " tok/s, occupancy "
+             + formatDouble(full["continuous"]["batch_occupancy"].asNumber(),
+                            2);
+     }},
+    {"online_prefix_reuse",
+     "Cross-request prefix caching on a multi-turn zipfian session trace",
+     prefixReuseSweep, "modes",
+     {"latency_s", "goodput_tokens_per_s", "verified_tokens", "makespan_s",
+      "completed", "batch_occupancy", "recomputed_tokens",
+      "prompt_tokens_total", "prefix_hit_tokens", "saved_recompute_fraction",
+      "kv_peak_gib", "utilization"},
+     [](const Json &modes) {
+         const double off = modes["off"]["goodput_tokens_per_s"].asNumber();
+         const double on = modes["on"]["goodput_tokens_per_s"].asNumber();
+         Json summary = Json::object();
+         summary.set("saved_recompute_fraction",
+                     modes["on"]["saved_recompute_fraction"].asNumber());
+         summary.set("goodput_ratio", off > 0 ? on / off : 0.0);
+         return summary;
+     },
+     [](const Json &doc) {
+         return "saved recompute "
+             + percent(doc["summary"]["saved_recompute_fraction"])
+             + "% of prompt tokens, goodput off "
+             + whole(doc["modes"]["off"]["goodput_tokens_per_s"]) + " vs on "
+             + whole(doc["modes"]["on"]["goodput_tokens_per_s"]) + " tok/s";
+     }},
+    {"online_fault_tolerance",
+     "Retry + degradation vs fail-fast under deterministic fault injection",
+     faultToleranceSweep, "rates",
+     {"latency_s", "slo_attainment", "deadline_misses", "completed",
+      "goodput_tokens_per_s", "verified_tokens", "makespan_s",
+      "injected_faults", "retries", "failed_requests", "timeouts",
+      "wasted_recompute_tokens", "degraded_waves", "degraded_time_s",
+      "time_to_recovery_s", "utilization"},
+     [](const Json &rates) {
+         const double noRetry =
+             rates["5%"]["no_retry"]["slo_attainment"].asNumber();
+         const double retry =
+             rates["5%"]["retry_degrade"]["slo_attainment"].asNumber();
+         Json summary = Json::object();
+         summary.set("slo_attainment_no_retry_at_5pct", noRetry);
+         summary.set("slo_attainment_retry_at_5pct", retry);
+         summary.set("slo_recovery_points_at_5pct",
+                     100.0 * (retry - noRetry));
+         return summary;
+     },
+     [](const Json &doc) {
+         const Json &summary = doc["summary"];
+         return "slo at 5% faults no-retry "
+             + percent(summary["slo_attainment_no_retry_at_5pct"])
+             + "% vs retry+degrade "
+             + percent(summary["slo_attainment_retry_at_5pct"])
+             + "% (recovered "
+             + whole(summary["slo_recovery_points_at_5pct"]) + " pts)";
+     }},
+    {"online_kv_tiering",
+     "Host KV tiering: swap-vs-recompute under a preemption storm",
+     kvTieringSweep, "tiers",
+     {"latency_s", "slo_attainment", "deadline_misses", "completed",
+      "shed_requests", "context_switches", "preemptions",
+      "recomputed_tokens", "reprefilled_tokens", "preempt_evicted_tokens",
+      "swapped_out_tokens", "swapped_in_tokens", "swap_transfer_time_s",
+      "kv_peak_gib", "host_peak_gib", "host_swapped_out_nodes",
+      "host_swapped_in_nodes", "host_rejected_nodes", "host_evicted_nodes",
+      "host_stale_nodes", "utilization", "makespan_s"},
+     // Headline: cost-aware fast-link tiering vs the legacy
+     // force-evict-recompute server at the identical device budget.
+     // The reduction is over re-prefilled tokens — the post-eviction
+     // recompute tiering can absorb — not raw recomputed_tokens, which
+     // also counts every node's first prefill (KvStats doc).
+     [](const Json &tiers) {
+         const Json &base = tiers["off"]["admission"];
+         const Json &tiered = tiers["host_fast"]["cost"];
+         const double recomputeBase = base["reprefilled_tokens"].asNumber();
+         const double recomputeTiered =
+             tiered["reprefilled_tokens"].asNumber();
+         Json summary = Json::object();
+         summary.set("reprefilled_tokens_baseline", recomputeBase);
+         summary.set("reprefilled_tokens_tiered", recomputeTiered);
+         summary.set("recompute_reduction",
+                     recomputeBase > 0
+                         ? 1.0 - recomputeTiered / recomputeBase
+                         : 0.0);
+         summary.set("slo_attainment_baseline",
+                     base["slo_attainment"].asNumber());
+         summary.set("slo_attainment_tiered",
+                     tiered["slo_attainment"].asNumber());
+         summary.set("swapped_in_tokens_tiered",
+                     tiered["swapped_in_tokens"].asNumber());
+         return summary;
+     },
+     [](const Json &doc) {
+         const Json &summary = doc["summary"];
+         return "recompute -" + percent(summary["recompute_reduction"])
+             + "% (host_fast/cost), slo "
+             + percent(summary["slo_attainment_baseline"]) + "% -> "
+             + percent(summary["slo_attainment_tiered"]) + "%";
+     }},
+};
+
+// --- The registry and the harness -------------------------------------
+
+/** One registered benchmark: what --list, usage(), name selection,
+ *  the runner pool and the stdout lines iterate. */
+struct Benchmark
+{
+    const char *name;
+    const char *description;
+    std::function<Json(bool quick, uint64_t seed, long *simulated_tokens)>
+        run;
+    std::string (*headline)(const Json &doc);
+};
+
+const std::vector<Benchmark> &
+registry()
+{
+    static const std::vector<Benchmark> all = [] {
+        std::vector<Benchmark> benches;
+        for (const BenchSpec &spec : kBenchmarks)
+            benches.push_back(
+                {spec.name, spec.description,
+                 [&spec](bool quick, uint64_t seed, long *tokens) {
+                     return runBenchmark(spec, quick, seed, tokens);
+                 },
+                 figureHeadline});
+        for (const OnlineBench &bench : kOnlineBenchmarks)
+            benches.push_back(
+                {bench.name, bench.description,
+                 [&bench](bool quick, uint64_t seed, long *tokens) {
+                     return runOnlineBenchmark(bench, quick, seed, tokens);
+                 },
+                 bench.headline});
+        return benches;
+    }();
+    return all;
 }
 
 /**
@@ -1128,24 +995,8 @@ struct HarnessSample
     long simulatedTokens = 0;
 };
 
-/** Simulated tokens generated by one figure benchmark, read back from
- *  its emitted document. Online benchmarks write no such total; they
- *  report the sum of their arms' generated tokens directly. */
-long
-simulatedTokensOf(const Json &doc)
-{
-    long tokens = 0;
-    const Json &variants = doc["variants"];
-    for (const char *variant : {"baseline", "fasttts"}) {
-        tokens += static_cast<long>(
-            variants[variant]["throughput"]["generated_tokens"]
-                .asNumber());
-    }
-    return tokens;
-}
-
 Json
-buildHarnessDoc(const std::vector<std::string> &names,
+buildHarnessDoc(const std::vector<const Benchmark *> &benches,
                 const std::vector<HarnessSample> &samples, int jobs,
                 bool quick, uint64_t seed, double total_wall_ms)
 {
@@ -1156,9 +1007,9 @@ buildHarnessDoc(const std::vector<std::string> &names,
     doc.set("seed", seed);
     doc.set("total_wall_ms", total_wall_ms);
     Json list = Json::array();
-    for (size_t i = 0; i < names.size(); ++i) {
+    for (size_t i = 0; i < benches.size(); ++i) {
         Json entry = Json::object();
-        entry.set("name", names[i]);
+        entry.set("name", benches[i]->name);
         entry.set("wall_ms", samples[i].wallMs);
         entry.set("simulated_tokens", samples[i].simulatedTokens);
         entry.set("simulated_tokens_per_s",
@@ -1178,21 +1029,19 @@ usage(std::ostream &os, int exit_code)
     os << "usage: bench_runner [--list] [--quick] [--jobs N]\n"
           "                    [--out-dir DIR] [--seed N] [name...]\n"
           "\n"
-          "Runs the registered benchmarks (all by default, or the named\n"
-          "subset: the figure suite plus the online_scheduling policy\n"
-          "sweep, the online_preemption kv-budget sweep, the\n"
-          "online_batching continuous-vs-sliced study, the\n"
-          "online_prefix_reuse cross-request caching study, the\n"
-          "online_fault_tolerance retry/degradation study and the\n"
-          "online_kv_tiering swap-vs-recompute study) and writes\n"
-          "BENCH_<name>.json into --out-dir\n"
+          "Runs the registered benchmarks below (all by default, or the\n"
+          "named subset) and writes BENCH_<name>.json into --out-dir\n"
           "(default: current directory). --list prints the benchmark\n"
           "names, one per line, and exits. --jobs N runs benchmarks on\n"
           "N threads; output is bit-identical to --jobs 1. Every run\n"
           "also writes BENCH_harness.json (schema fasttts-harness-v1)\n"
           "with per-benchmark wall_ms and simulated tokens/s.\n"
           "\n"
-          "Registered serving names (see api/engine_args.h):\n";
+          "Benchmarks:\n";
+    for (const Benchmark &bench : registry())
+        os << "  " << std::left << std::setw(24) << bench.name
+           << bench.description << "\n";
+    os << "\nRegistered serving names (see api/engine_args.h):\n";
     os << EngineArgs::registryListing();
     return exit_code;
 }
@@ -1246,63 +1095,26 @@ runnerMain(int argc, char **argv)
         }
     }
 
-    // The online serving benchmarks are not BenchSpec-shaped; they
-    // register as (name, runner) pairs instead.
-    struct OnlineBench
-    {
-        const char *name;
-        Json (*run)(bool quick, uint64_t seed, long *generated_tokens);
-    };
-    static constexpr OnlineBench kOnlineBenchmarks[] = {
-        {kOnlineSchedulingName, runOnlineSchedulingBenchmark},
-        {kOnlinePreemptionName, runOnlinePreemptionBenchmark},
-        {kOnlineBatchingName, runOnlineBatchingBenchmark},
-        {kOnlinePrefixReuseName, runOnlinePrefixReuseBenchmark},
-        {kOnlineFaultToleranceName, runOnlineFaultToleranceBenchmark},
-        {kOnlineKvTieringName, runOnlineKvTieringBenchmark},
-    };
-
     if (list) {
-        for (const BenchSpec &spec : kBenchmarks)
-            std::cout << spec.name << "\n";
-        for (const OnlineBench &bench : kOnlineBenchmarks)
+        for (const Benchmark &bench : registry())
             std::cout << bench.name << "\n";
         return 0;
     }
 
-    // Exactly one of spec/run is set; `name` is always authoritative.
-    struct RunEntry
-    {
-        const BenchSpec *spec;
-        Json (*run)(bool quick, uint64_t seed, long *generated_tokens);
-        const char *name;
-    };
-    std::vector<RunEntry> toRun;
-    if (selected.empty()) {
-        for (const BenchSpec &spec : kBenchmarks)
-            toRun.push_back({&spec, nullptr, spec.name});
-        for (const OnlineBench &bench : kOnlineBenchmarks)
-            toRun.push_back({nullptr, bench.run, bench.name});
-    } else {
-        for (const std::string &name : selected) {
-            const BenchSpec *found = nullptr;
-            for (const BenchSpec &spec : kBenchmarks)
-                if (name == spec.name)
-                    found = &spec;
-            const OnlineBench *online = nullptr;
-            for (const OnlineBench &bench : kOnlineBenchmarks)
-                if (name == bench.name)
-                    online = &bench;
-            if (found == nullptr && online == nullptr) {
-                std::cerr << "bench_runner: unknown benchmark '" << name
-                          << "' (see --list)\n";
-                return 2;
-            }
-            toRun.push_back({found,
-                             online != nullptr ? online->run : nullptr,
-                             found != nullptr ? found->name
-                                              : online->name});
+    std::vector<const Benchmark *> toRun;
+    if (selected.empty())
+        for (const Benchmark &bench : registry())
+            toRun.push_back(&bench);
+    for (const std::string &name : selected) {
+        const auto found = std::find_if(
+            registry().begin(), registry().end(),
+            [&name](const Benchmark &bench) { return name == bench.name; });
+        if (found == registry().end()) {
+            std::cerr << "bench_runner: unknown benchmark '" << name
+                      << "' (see --list)\n";
+            return 2;
         }
+        toRun.push_back(&*found);
     }
 
     std::error_code ec;
@@ -1331,19 +1143,13 @@ runnerMain(int argc, char **argv)
         auto worker = [&]() {
             for (size_t i = nextTask.fetch_add(1); i < toRun.size();
                  i = nextTask.fetch_add(1)) {
-                const RunEntry &entry = toRun[i];
                 const auto start = Clock::now();
-                long generated = 0;
-                docs[i] = entry.spec != nullptr
-                    ? runBenchmark(*entry.spec, quick, seed)
-                    : entry.run(quick, seed, &generated);
+                docs[i] = toRun[i]->run(quick, seed,
+                                        &samples[i].simulatedTokens);
                 samples[i].wallMs =
                     std::chrono::duration<double, std::milli>(
                         Clock::now() - start)
                         .count();
-                samples[i].simulatedTokens = entry.spec != nullptr
-                    ? simulatedTokensOf(docs[i])
-                    : generated;
             }
         };
         const int poolSize = std::min<int>(
@@ -1366,12 +1172,8 @@ runnerMain(int argc, char **argv)
                                                   - suiteStart)
             .count();
 
-    std::vector<std::string> names;
-    names.reserve(toRun.size());
     for (size_t i = 0; i < toRun.size(); ++i) {
-        const std::string name = toRun[i].name;
-        names.push_back(name);
-        const Json &doc = docs[i];
+        const std::string name = toRun[i]->name;
         const std::filesystem::path path =
             std::filesystem::path(outDir) / ("BENCH_" + name + ".json");
         std::ofstream file(path);
@@ -1379,136 +1181,14 @@ runnerMain(int argc, char **argv)
             std::cerr << "bench_runner: cannot write " << path << "\n";
             return 1;
         }
-        file << doc.dump(2);
-        if (toRun[i].spec != nullptr) {
-            std::cout
-                << name << ": goodput x"
-                << formatDouble(doc["speedup"]["goodput"].asNumber(), 2)
-                << ", latency x"
-                << formatDouble(doc["speedup"]["latency"].asNumber(), 2)
-                << " -> " << path.string() << "\n";
-        } else if (name == kOnlineSchedulingName) {
-            std::cout << name << ": slo attainment fifo "
-                      << formatDouble(
-                             100.0
-                                 * doc["policies"]["fifo"]
-                                      ["slo_attainment"]
-                                          .asNumber(),
-                             0)
-                      << "% vs edf "
-                      << formatDouble(
-                             100.0
-                                 * doc["policies"]["edf"]
-                                      ["slo_attainment"]
-                                          .asNumber(),
-                             0)
-                      << "% -> " << path.string() << "\n";
-        } else if (name == kOnlineBatchingName) {
-            const Json &full = doc["budgets"]["1.00x"];
-            std::cout
-                << name << ": goodput sliced "
-                << formatDouble(full["sliced"]["goodput_tokens_per_s"]
-                                    .asNumber(),
-                                0)
-                << " vs continuous "
-                << formatDouble(
-                       full["continuous"]["goodput_tokens_per_s"]
-                           .asNumber(),
-                       0)
-                << " tok/s, occupancy "
-                << formatDouble(
-                       full["continuous"]["batch_occupancy"].asNumber(),
-                       2)
-                << " -> " << path.string() << "\n";
-        } else if (name == kOnlineFaultToleranceName) {
-            std::cout
-                << name << ": slo at 5% faults no-retry "
-                << formatDouble(
-                       100.0
-                           * doc["summary"]
-                                ["slo_attainment_no_retry_at_5pct"]
-                                    .asNumber(),
-                       0)
-                << "% vs retry+degrade "
-                << formatDouble(
-                       100.0
-                           * doc["summary"]
-                                ["slo_attainment_retry_at_5pct"]
-                                    .asNumber(),
-                       0)
-                << "% (recovered "
-                << formatDouble(
-                       doc["summary"]["slo_recovery_points_at_5pct"]
-                           .asNumber(),
-                       0)
-                << " pts) -> " << path.string() << "\n";
-        } else if (name == kOnlineKvTieringName) {
-            std::cout
-                << name << ": recompute -"
-                << formatDouble(
-                       100.0
-                           * doc["summary"]["recompute_reduction"]
-                                 .asNumber(),
-                       0)
-                << "% (host_fast/cost), slo "
-                << formatDouble(
-                       100.0
-                           * doc["summary"]["slo_attainment_baseline"]
-                                 .asNumber(),
-                       0)
-                << "% -> "
-                << formatDouble(
-                       100.0
-                           * doc["summary"]["slo_attainment_tiered"]
-                                 .asNumber(),
-                       0)
-                << "% -> " << path.string() << "\n";
-        } else if (name == kOnlinePrefixReuseName) {
-            std::cout
-                << name << ": saved recompute "
-                << formatDouble(
-                       100.0
-                           * doc["summary"]["saved_recompute_fraction"]
-                                 .asNumber(),
-                       0)
-                << "% of prompt tokens, goodput off "
-                << formatDouble(doc["modes"]["off"]
-                                   ["goodput_tokens_per_s"]
-                                       .asNumber(),
-                                0)
-                << " vs on "
-                << formatDouble(doc["modes"]["on"]
-                                   ["goodput_tokens_per_s"]
-                                       .asNumber(),
-                                0)
-                << " tok/s -> " << path.string() << "\n";
-        } else {
-            const Json &tight = doc["budgets"]["0.25x"];
-            std::cout << name << ": slo (0.25x budget) slice "
-                      << formatDouble(
-                             100.0
-                                 * tight["slice"]["slo_attainment"]
-                                       .asNumber(),
-                             0)
-                      << "% vs policy "
-                      << formatDouble(
-                             100.0
-                                 * tight["policy"]["slo_attainment"]
-                                       .asNumber(),
-                             0)
-                      << "%, shed "
-                      << formatDouble(
-                             100.0
-                                 * tight["policy"]["shed_rate"]
-                                       .asNumber(),
-                             0)
-                      << "% -> " << path.string() << "\n";
-        }
+        file << docs[i].dump(2);
+        std::cout << name << ": " << toRun[i]->headline(docs[i]) << " -> "
+                  << path.string() << "\n";
     }
 
     // Self-timing document: the harness-performance trajectory future
     // perf PRs are judged against.
-    const Json harness = buildHarnessDoc(names, samples, jobs, quick,
+    const Json harness = buildHarnessDoc(toRun, samples, jobs, quick,
                                          seed, totalWallMs);
     const std::filesystem::path harnessPath =
         std::filesystem::path(outDir) / "BENCH_harness.json";
@@ -1519,8 +1199,8 @@ runnerMain(int argc, char **argv)
         return 1;
     }
     harnessFile << harness.dump(2);
-    std::cout << "harness: " << names.size() << " benchmark"
-              << (names.size() == 1 ? "" : "s") << " in "
+    std::cout << "harness: " << toRun.size() << " benchmark"
+              << (toRun.size() == 1 ? "" : "s") << " in "
               << formatDouble(totalWallMs, 1) << " ms (--jobs " << jobs
               << ") -> " << harnessPath.string() << "\n";
     return 0;

@@ -3,7 +3,7 @@
  * Smoke test for the JSON-emitting benchmark harness.
  *
  * Runs the real bench_runner binary (path injected by CMake as
- * FASTTTS_BENCH_RUNNER_PATH): --list must enumerate all 21 registered
+ * FASTTTS_BENCH_RUNNER_PATH): --list must enumerate all 22 registered
  * benchmarks (the figure benchmarks plus the online serving suite),
  * and a --quick run must write BENCH_<name>.json files that
  * parse and carry the throughput / latency-percentile /
@@ -20,6 +20,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -350,6 +351,100 @@ TEST(BenchRunner, FaultToleranceSweepsRatesAndSurvivalModes)
     // points of SLO attainment over fail-fast at the 5% fault rate.
     EXPECT_GE(doc["summary"]["slo_recovery_points_at_5pct"].asNumber(),
               25.0);
+
+    std::filesystem::remove_all(outDir);
+}
+
+/** Every object under `node` that holds `latency_s` — one served cell
+ *  of an online benchmark — keyed by its path for failure messages. */
+void
+collectCells(const Json &node, const std::string &path,
+             std::vector<std::pair<std::string, const Json *>> *cells)
+{
+    if (!node.isObject())
+        return;
+    if (node.has("latency_s")) {
+        cells->emplace_back(path, &node);
+        return;
+    }
+    for (const auto &[key, child] : node.members())
+        collectCells(child, path + "/" + key, cells);
+}
+
+TEST(BenchRunner, OnlineBenchmarksKeepTheirContract)
+{
+    const std::filesystem::path outDir =
+        std::filesystem::path(testing::TempDir())
+        / "fasttts_bench_online_contract";
+    std::filesystem::remove_all(outDir);
+
+    const std::vector<std::string> online = {
+        "online_scheduling",      "online_preemption",
+        "online_batching",        "online_prefix_reuse",
+        "online_fault_tolerance", "online_kv_tiering"};
+    std::string command = std::string(FASTTTS_BENCH_RUNNER_PATH)
+        + " --quick --jobs 4 --out-dir " + outDir.string();
+    for (const std::string &name : online)
+        command += " " + name;
+    std::string output;
+    ASSERT_EQ(runCommand(command, &output), 0) << output;
+
+    for (const std::string &name : online) {
+        std::string error;
+        const Json doc = Json::parse(
+            readFile(outDir / ("BENCH_" + name + ".json")), &error);
+        ASSERT_TRUE(error.empty()) << name << ": " << error;
+        EXPECT_EQ(doc["schema"].asString(), "fasttts-bench-v1") << name;
+        EXPECT_EQ(doc["benchmark"].asString(), name);
+        const Json &config = doc["config"];
+        for (const char *key : {"dataset", "device", "models", "num_beams",
+                                "requests", "seed"})
+            EXPECT_TRUE(config.has(key)) << name << " config." << key;
+        const double requests = config["requests"].asNumber();
+
+        std::vector<std::pair<std::string, const Json *>> cells;
+        collectCells(doc, name, &cells);
+        EXPECT_FALSE(cells.empty()) << name;
+        for (const auto &[path, cell] : cells) {
+            const Json &latency = (*cell)["latency_s"];
+            EXPECT_GT(latency["mean"].asNumber(), 0.0) << path;
+            EXPECT_LE(latency["p50"].asNumber(), latency["p95"].asNumber())
+                << path;
+            EXPECT_LE(latency["p95"].asNumber(), latency["p99"].asNumber())
+                << path;
+            // Every request of the trace ends in exactly one reported
+            // outcome; an outcome a benchmark does not report is 0.
+            EXPECT_EQ((*cell)["completed"].asNumber()
+                          + (*cell)["shed_requests"].asNumber()
+                          + (*cell)["failed_requests"].asNumber()
+                          + (*cell)["timeouts"].asNumber(),
+                      requests)
+                << path;
+            if (cell->has("slo_attainment")) {
+                EXPECT_GE((*cell)["slo_attainment"].asNumber(), 0.0)
+                    << path;
+                EXPECT_LE((*cell)["slo_attainment"].asNumber(), 1.0)
+                    << path;
+            }
+            if (cell->has("utilization")) {
+                EXPECT_GT((*cell)["utilization"].asNumber(), 0.0) << path;
+                EXPECT_LE((*cell)["utilization"].asNumber(), 1.0 + 1e-9)
+                    << path;
+            }
+        }
+    }
+
+    std::string error;
+    const Json harness =
+        Json::parse(readFile(outDir / "BENCH_harness.json"), &error);
+    ASSERT_TRUE(error.empty()) << error;
+    const Json &benchmarks = harness["benchmarks"];
+    ASSERT_EQ(benchmarks.size(), online.size());
+    for (size_t i = 0; i < online.size(); ++i) {
+        EXPECT_EQ(benchmarks.at(i)["name"].asString(), online[i]);
+        EXPECT_GT(benchmarks.at(i)["simulated_tokens"].asNumber(), 0.0)
+            << online[i];
+    }
 
     std::filesystem::remove_all(outDir);
 }
