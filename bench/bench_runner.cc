@@ -311,8 +311,7 @@ knobArms(std::string OnlineServerOptions::*knob,
 }
 
 /** One arm per shared KV budget tier, a fraction of the engine's
- *  device budget (0 is the legacy accounting: every in-flight slot a
- *  full budget); each cell opens with its budget. */
+ *  device budget; each cell opens with its budget. */
 std::vector<Arm>
 budgetArms(double engine_budget_gib,
            const std::vector<std::pair<const char *, double>> &tiers)
@@ -425,8 +424,7 @@ preemptionSweep(bool quick, uint64_t seed)
     sweep.config.set("engine_kv_budget_gib", engineGiB);
     sweep.config.set("shed_doomed", true);
     sweep.outer = budgetArms(
-        engineGiB,
-        {{"legacy", 0.0}, {"1.00x", 1.0}, {"0.50x", 0.5}, {"0.25x", 0.25}});
+        engineGiB, {{"1.00x", 1.0}, {"0.50x", 0.5}, {"0.25x", 0.25}});
     sweep.inner = knobArms(&OnlineServerOptions::preempt, {"slice", "policy"});
     return sweep;
 }

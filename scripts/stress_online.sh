@@ -7,13 +7,13 @@
 #
 # Configures a sanitizer build (FASTTTS_SANITIZE=address), builds the
 # online-responsiveness bench, and serves a heavy-tailed (bursty)
-# 512-request trace with 8 requests interleaved under each of two
-# admission policies — one queue-reordering policy (sjf) and the aging
-# path (priority) — so scheduler races, lifetime bugs and leaks in the
-# multi-request interleaving machinery cannot land silently. A third
-# pass runs preemptive EDF with doomed-request shedding under a tight
+# 512-request trace with 8 requests time-sliced on the engine's own KV
+# budget under each of two admission policies — sjf (queue reordering)
+# and priority (aging) — so races, lifetime bugs and leaks in the
+# one-wave-at-a-time machinery cannot land silently. A third pass
+# runs preemptive EDF with doomed-request shedding under a tight
 # shared KV budget (--preempt policy --kv-budget), hammering the
-# suspend/evict/resume path of the shared-engine server. A fourth pass
+# park/evict/restore path of the shared-engine server. A fourth pass
 # runs continuous batching under the same tight budget (--batching
 # continuous --kv-budget 0.5), fusing decode across requests while the
 # ledger benches and lazily restores batch members. A fifth pass turns
@@ -27,8 +27,8 @@
 # tier with cost-aware victim selection under round-robin time slicing
 # (--kv-tier host --victim-select cost --preempt slice), so every
 # context switch runs the roofline swap-vs-recompute decision and the
-# tier's swap-out/take/LRU-evict machinery races suspend, forced
-# eviction and lazy restore.
+# tier's swap-out/take/LRU-evict machinery races forced eviction and
+# lazy restore.
 
 set -euo pipefail
 

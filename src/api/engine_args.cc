@@ -112,8 +112,8 @@ const Flag kFlags[] = {
     {"--kv-budget", "kv_budget_gib",
      field(&OnlineServerOptions::kvBudgetGiB), "GIB",
      "shared KV budget all in-flight online\n"
-     "requests contend for (0 = legacy\n"
-     "per-slot accounting)"},
+     "requests contend for (0 = the engine's\n"
+     "device KV budget)"},
     {"--shed-doomed", "shed_doomed",
      field(&OnlineServerOptions::shedDoomed), "",
      "shed queued requests whose predicted\n"
@@ -126,14 +126,13 @@ const Flag kFlags[] = {
      "scheduled decode across requests)"},
     {"--max-batched-tokens", "max_batched_tokens",
      field(&OnlineServerOptions::maxBatchedTokens), "N",
-     "per-wave token budget for continuous\n"
-     "batching (default 2048)",
+     "per-wave online token budget, time\n"
+     "slices included (default 2048)",
      1, kMaxCount},
     {"--prefill-chunk", "prefill_chunk",
      field(&OnlineServerOptions::prefillChunk), "N",
      "largest prompt slice per request per\n"
-     "wave under continuous batching\n"
-     "(default 512)",
+     "online wave (default 512)",
      1, kMaxCount},
     {"--prefix-cache", "prefix_cache",
      field(&OnlineServerOptions::prefixCache), "MODE",

@@ -244,11 +244,10 @@ class FastTtsEngine
      * Drop the idle engine context. After finishRequest() the last
      * request's KV trees stay mounted (and keep their shared-ledger
      * charge) until the next beginRequest()/resumeRequest() replaces
-     * them; a serving loop that has drained its trace calls this so a
-     * finished request never squats on the shared budget afterwards
-     * (the ledger returns to its pre-trace occupancy). Also resets
-     * the context-backed accessors (clock(), iterationStats(), ...).
-     * No-op while a request is mounted.
+     * them; ServingSystem::stepBatch() calls this after every
+     * completion, so a finished request never squats on the shared
+     * budget. Also resets the context-backed accessors (clock(),
+     * iterationStats(), ...). No-op while a request is mounted.
      */
     void releaseFinishedKv();
 

@@ -140,8 +140,8 @@ OnlineServerOptions::validate() const
         return s;
     if (!non_negative(kvBudgetGiB))
         return Status::invalidArgument(
-            "kv_budget must be >= 0 GiB (0 keeps the legacy "
-            "per-slot accounting)");
+            "kv_budget must be >= 0 GiB (0 uses the engine's device "
+            "KV budget)");
     if (Status s = check_mode("batching", batching, {"off", "continuous"});
         !s.ok())
         return s;
@@ -210,15 +210,12 @@ OnlineServer::create(const ServingOptions &options,
     if (!system.ok())
         return system.status();
 
-    // The shared KV budget. An explicit --kv-budget is the honest
-    // single-device pool all in-flight requests contend for; 0 keeps
-    // the legacy PR3 accounting where every in-flight slot enjoyed a
-    // full engine budget (2x covers the offload planner, which grants
-    // each model the whole budget), so pre-existing traces replay
-    // bit-for-bit.
+    // The shared KV budget: the one single-device pool all in-flight
+    // requests contend for — --kv-budget when set, otherwise the
+    // engine's own device KV budget.
     const double budget_bytes = online.kvBudgetGiB > 0
         ? online.kvBudgetGiB * GiB
-        : 2.0 * online.maxInflight * system->engine().kvBudgetBytes();
+        : system->engine().kvBudgetBytes();
     auto ledger = std::make_unique<KvBudgetLedger>(budget_bytes);
     system->attachKvLedger(ledger.get());
 
@@ -339,7 +336,6 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     constexpr double kInfinity = std::numeric_limits<double>::infinity();
     PreemptMode mode = PreemptMode::Slice;
     parsePreemptMode(online_.preempt, &mode); // Validated at create().
-    const bool memory_aware = online_.kvBudgetGiB > 0;
     const bool continuous = online_.batching == "continuous";
 
     // --- Tiering / cost-aware victim state. All of it is inert at
@@ -505,22 +501,15 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     struct Flight
     {
         Ticket ticket;
-        RequestId sysId = 0;  //!< 0 until submitted: continuous
-                              //!< batching submits at admission, time
-                              //!< slicing at the first mount.
-        bool started = false; //!< rec.start stamped (first wave or
-                              //!< first mount).
+        RequestId sysId = 0;  //!< Parked in the engine at admission.
+        bool started = false; //!< rec.start stamped (first wave).
         bool benched = false; //!< Force-evicted under memory pressure
                               //!< (continuous batching); sits waves
                               //!< out until the ledger can hold its
                               //!< predicted working set again.
+        bool runs = false;    //!< A candidate of the coming wave.
         long decoded = 0;     //!< Decode tokens this attempt has
                               //!< produced (wasted if killed).
-        double wallBase = 0;  //!< Wall time of the request's engine
-                              //!< clock zero under time slicing:
-                              //!< admission + slices the device spent
-                              //!< on other requests since.
-        double clock = 0;     //!< Engine clock after its last slice.
         double lastRunAt = 0; //!< End of its last wave (cost-aware
                               //!< victim recency).
         double peakKvBytes = 0; //!< Largest observed residency
@@ -540,11 +529,10 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     std::vector<OnlineRequestRecord> records;
     records.reserve(tickets.size());
     std::vector<QueuedRequest> view; // pick() scratch.
-    std::vector<BatchMemberOutcome> members; // This wave, per flight.
     size_t next_ticket = 0;
     size_t rr = 0;          //!< Round-robin cursor ("slice" preempt).
-    size_t current = kNone; //!< In-flight index mounted on the engine
-                            //!< (time slicing only).
+    size_t current = kNone; //!< In-flight index that ran the last
+                            //!< time slice (time slicing only).
     double now = 0;
     double busy = 0;
     int cancelled = 0;
@@ -564,7 +552,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     long swapped_in_tokens = 0;
     double swap_transfer_time = 0;
 
-    // Drop in-flight entry idx, keeping the mounted index and the
+    // Drop in-flight entry idx, keeping the current index and the
     // round-robin cursor on the requests they named.
     const auto eraseFlight = [&](size_t idx) {
         inflight.erase(inflight.begin() + static_cast<long>(idx));
@@ -583,15 +571,12 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     // Abnormal exit of an in-flight attempt (watchdog or fault): its
     // decode so far is wasted recompute, and cancelWith refunds every
     // KV charge and prefix pin exactly (the abnormal-exit path never
-    // publishes the prompt). A flight never submitted has no engine
-    // state to unwind.
+    // publishes the prompt).
     const auto killFlight = [&](size_t idx, Status reason) {
         const RequestId id = inflight[idx].sysId;
         fault_wasted += inflight[idx].decoded;
-        if (id != 0) {
-            checkOk(system_.cancelWith(id, std::move(reason)));
-            checkOk(system_.release(id));
-        }
+        checkOk(system_.cancelWith(id, std::move(reason)));
+        checkOk(system_.release(id));
         eraseFlight(idx);
     };
 
@@ -645,8 +630,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     // --- The serve loop. Each turn takes in arrivals and expired
     //     retries, drops cancelled and timed-out requests, admits
     //     through the policy, then runs one engine wave. `batching`
-    //     changes only what admission does with a new flight, the
-    //     step before each wave, and the wave itself. ---
+    //     only chooses the wave's candidates. ---
     while (true) {
         if (injector != nullptr)
             injector->setNow(now);
@@ -740,7 +724,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             // working sets (an always-thrashing mix helps nobody).
             // A lone request is always admitted — the engine degrades
             // gracefully under budget pressure.
-            if (memory_aware && !inflight.empty()) {
+            if (!inflight.empty()) {
                 double inflight_kv = 0;
                 for (const Flight &f : inflight)
                     inflight_kv += effectiveKv(f.ticket.kvBytes);
@@ -752,22 +736,17 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             queued.erase(queued.begin() + static_cast<long>(pick));
             Flight flight;
             flight.ticket = ticket;
-            flight.wallBase = std::max(ticket.meta.arrival, now);
-            flight.lastRunAt = flight.wallBase;
+            flight.lastRunAt = now;
             flight.rec.problemId = ticket.meta.problemId;
             flight.rec.arrival = ticket.meta.arrival;
-            flight.rec.start = flight.wallBase;
             flight.rec.priority = ticket.meta.priority;
             flight.rec.deadline = ticket.meta.deadline;
-            if (continuous) {
-                // Park it immediately with a deferred prompt: the
-                // scheduler feeds the prompt in chunks so it never
-                // stalls the decoders already in the batch. Time
-                // slicing submits at the first mount instead.
-                flight.sysId = system_.submit(ticketProblem(ticket));
-                checkOk(system_.startSuspended(flight.sysId,
-                                               /*defer_prompt=*/true));
-            }
+            // Park it immediately with a deferred prompt: the
+            // scheduler feeds the prompt in chunks, so it never stalls
+            // the decoders already in a batch.
+            flight.sysId = system_.submit(ticketProblem(ticket));
+            checkOk(system_.startSuspended(flight.sysId,
+                                           /*defer_prompt=*/true));
             inflight.push_back(std::move(flight));
         }
 
@@ -789,8 +768,10 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             continue;
         }
 
+        // --- Choose the wave's candidates. ---
         if (continuous) {
-            // Under budget pressure the later-admitted members are
+            // Continuous batching: every unbenched member runs. Under
+            // budget pressure the later-admitted members are
             // force-evicted and benched. Benching is sticky with
             // hysteresis: a member returns only when the ledger can
             // hold its predicted working set on top of double the
@@ -802,43 +783,43 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             // is released), so a thrashing batch degenerates to the
             // time-sliced server's one-resident-working-set shape
             // instead of deadlocking or ping-ponging.
-            if (memory_aware) {
-                // Remembered so the hysteresis rule below cannot
-                // clear the front's flag twice.
-                const bool front_returned = inflight.front().benched;
-                inflight.front().benched = false;
-                // Legacy order: youngest-admitted member first.
-                std::vector<size_t> victims;
-                for (size_t i = inflight.size() - 1; i > 0; --i) {
-                    if (!inflight[i].benched)
-                        victims.push_back(i);
-                }
-                for (const size_t i : evictForHeadroom(std::move(victims)))
-                    inflight[i].benched = true;
-                // At most one return per wave, oldest benched first
-                // (pickBenchReturn holds the unit-tested contract).
-                std::vector<std::pair<bool, double>> wave;
-                wave.reserve(inflight.size());
-                for (const Flight &flight : inflight)
-                    wave.emplace_back(flight.benched,
-                                      effectiveKv(flight.ticket.kvBytes));
-                const int back = pickBenchReturn(
-                    wave, ledger_->freeBytes(), headroom,
-                    front_returned);
-                if (back >= 0)
-                    inflight[static_cast<size_t>(back)].benched = false;
+
+            // Remembered so the hysteresis rule below cannot clear the
+            // front's flag twice.
+            const bool front_returned = inflight.front().benched;
+            inflight.front().benched = false;
+            // Youngest-admitted member first.
+            std::vector<size_t> victims;
+            for (size_t i = inflight.size() - 1; i > 0; --i) {
+                if (!inflight[i].benched)
+                    victims.push_back(i);
             }
+            for (const size_t i : evictForHeadroom(std::move(victims)))
+                inflight[i].benched = true;
+            // At most one return per wave, oldest benched first
+            // (pickBenchReturn holds the unit-tested contract).
+            std::vector<std::pair<bool, double>> wave;
+            wave.reserve(inflight.size());
+            for (const Flight &flight : inflight)
+                wave.emplace_back(flight.benched,
+                                  effectiveKv(flight.ticket.kvBytes));
+            const int back = pickBenchReturn(
+                wave, ledger_->freeBytes(), headroom, front_returned);
+            if (back >= 0)
+                inflight[static_cast<size_t>(back)].benched = false;
+            for (Flight &flight : inflight)
+                flight.runs = !flight.benched;
         } else {
-            // --- Choose which in-flight request runs this slice. ---
+            // Time slicing: the one member the preempt mode picks runs.
             size_t chosen = 0;
             switch (mode) {
             case PreemptMode::Off:
-                // Run-to-completion: stick with the mounted request;
+                // Run-to-completion: stick with the current request;
                 // otherwise take the earliest admitted.
                 chosen = current != kNone ? current : 0;
                 break;
             case PreemptMode::Slice:
-                // Round-robin, one engine iteration per turn.
+                // Round-robin, one engine wave per turn.
                 chosen = rr;
                 break;
             case PreemptMode::Policy:
@@ -855,8 +836,8 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
                 view.clear();
                 for (const Flight &f : inflight) {
                     QueuedRequest meta = f.ticket.meta;
-                    meta.predictedCost =
-                        std::max(0.0, meta.predictedCost - f.clock);
+                    meta.predictedCost = std::max(
+                        0.0, meta.predictedCost - f.rec.activeTime);
                     view.push_back(meta);
                 }
                 size_t best = policy_->pick(view, now);
@@ -871,74 +852,36 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
                 break;
             }
             }
-
-            // --- Mount the chosen request on the engine. ---
-            if (current != chosen) {
-                if (current != kNone) {
-                    Flight &victim = inflight[current];
-                    checkOk(system_.suspend(victim.sysId));
-                    if (calibrate_kv) {
-                        // A freshly suspended victim's residency is
-                        // the trace's only honest observation of its
-                        // real working set.
-                        auto info = system_.suspendedInfo(victim.sysId);
-                        if (info.ok())
-                            victim.peakKvBytes = std::max(
-                                victim.peakKvBytes, info->residentKvBytes);
-                    }
-                    ++victim.rec.preemptions;
-                    ++context_switches;
-                    // Mid-run switches only happen through slice-mode
-                    // rotation or the policy's shouldPreempt; only the
-                    // latter is a preemption in the scheduling sense.
-                    if (mode == PreemptMode::Policy)
-                        ++preemptions;
-                }
-                Flight &f = inflight[chosen];
-                if (f.sysId == 0) {
-                    // In the non-slicing modes an admitted request may
-                    // sit unmounted behind run-to-completion
-                    // predecessors (or a policy that ranks it low);
-                    // that wait is queueing, not service, so service
-                    // starts at first mount. wallBase has been
-                    // advanced by every intervening slice, so it
-                    // equals "now" here. Slice mode keeps the
-                    // admission stamp: rotation reaches a new request
-                    // within one round, and the legacy traces are
-                    // defined that way.
-                    if (mode != PreemptMode::Slice)
-                        f.rec.start = f.wallBase;
-                    f.started = true;
-                    f.sysId = system_.submit(ticketProblem(f.ticket));
-                } else {
-                    checkOk(system_.resume(f.sysId));
-                }
-                current = chosen;
+            if (current != kNone && current != chosen) {
+                ++inflight[current].rec.preemptions;
+                ++context_switches;
+                // Mid-run switches only happen through slice-mode
+                // rotation or the policy's shouldPreempt; only the
+                // latter is a preemption in the scheduling sense.
+                if (mode == PreemptMode::Policy)
+                    ++preemptions;
             }
-
-            // Make room for the mounted request by force-evicting
-            // suspended victims (legacy order: earliest admitted
-            // first) before their caches squeeze it into thrashing.
-            if (memory_aware) {
-                std::vector<size_t> victims;
-                for (size_t i = 0; i < inflight.size(); ++i) {
-                    if (i != current && inflight[i].sysId != 0)
-                        victims.push_back(i);
-                }
-                (void)evictForHeadroom(std::move(victims));
+            current = chosen;
+            // Make room for the chosen request by force-evicting the
+            // others (earliest admitted first) before their caches
+            // squeeze it into thrashing.
+            std::vector<size_t> victims;
+            for (size_t i = 0; i < inflight.size(); ++i) {
+                inflight[i].runs = i == current;
+                if (i != current)
+                    victims.push_back(i);
             }
+            (void)evictForHeadroom(std::move(victims));
         }
 
-        // Wave-step fault probe: every request about to decode this
-        // wave — the mounted one under time slicing, every unbenched
-        // member under continuous batching — probes the injector. A
-        // fault kills the attempt before the wave runs: it consumes
-        // no device time and is retried after backoff or failed.
+        // Wave-step fault probe: every candidate of this wave probes
+        // the injector. A fault kills the attempt before the wave
+        // runs: it consumes no device time and is retried after
+        // backoff or failed.
         if (injector != nullptr) {
-            const bool mounted = current != kNone;
             for (size_t i = inflight.size(); i > 0; --i) {
                 const Flight &flight = inflight[i - 1];
-                if (flight.benched || (mounted && i - 1 != current))
+                if (!flight.runs)
                     continue;
                 const bool fault = injector->shouldFault(
                     FaultSite::kWaveStep,
@@ -978,82 +921,41 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
                         ++degraded_episodes;
                 }
             }
-            if (inflight.empty() || (mounted && current == kNone))
-                continue; // Loop top re-admits, re-mounts or idles.
+            if (std::none_of(inflight.begin(), inflight.end(),
+                             [](const Flight &f) { return f.runs; }))
+                continue; // Loop top re-admits, re-picks or idles.
         }
 
-        // --- Run the wave. ---
-        const double wave_start = now;
-        double wave_time = 0;
-        if (continuous) {
-            // Every unbenched member is a candidate for one fused
-            // engine wave (sched/batch_scheduler.h).
-            std::vector<RequestId> ids;
-            ids.reserve(inflight.size());
-            std::vector<BatchCandidate> candidates;
-            candidates.reserve(inflight.size());
-            for (size_t i = 0; i < inflight.size(); ++i) {
-                Flight &flight = inflight[i];
-                ids.push_back(flight.sysId);
-                if (flight.benched)
-                    continue;
-                const auto info = system_.suspendedInfo(flight.sysId);
-                if (calibrate_kv)
-                    flight.peakKvBytes = std::max(flight.peakKvBytes,
-                                                  info->residentKvBytes);
-                BatchCandidate candidate;
-                candidate.member = i;
-                candidate.promptRemaining = info->promptTokensPending;
-                candidate.prefixKey = info->prefixKey;
-                candidate.decodeTokens = std::max(
-                    1, static_cast<int>(std::max(1, info->activeBeams)
-                                        * step_tokens));
-                candidates.push_back(candidate);
-            }
-            const BatchPlan plan = scheduler.plan(candidates);
-            auto outcome = system_.stepBatch(ids, plan);
-            if (!outcome.ok())
-                return outcome.status(); // Unreachable: all suspended.
-            wave_members += plan.decodeMembers();
-            wave_time = outcome->schedule.waveTime;
-            now += wave_time;
-            busy += wave_time;
-            members = std::move(outcome->members);
-        } else {
-            // Exactly one request decodes per time slice.
-            Flight &flight = inflight[current];
-            const ScheduleOutcome step = system_.step();
-            const bool finished =
-                system_.requestState(flight.sysId).value()
-                == RequestState::Completed;
-            // The request's wall clock is its engine clock offset by
-            // every slice the device spent elsewhere; computed this
-            // way (rather than by accumulating deltas) the
-            // fifo/maxInflight=1 path reproduces the legacy
-            // run-to-completion times bit-for-bit.
-            flight.clock = system_.engine().clock().now();
-            const double slice_end = flight.wallBase + flight.clock;
-            wave_time = slice_end - now;
-            for (Flight &other : inflight) {
-                if (&other != &flight)
-                    other.wallBase += wave_time;
-            }
-            now = slice_end;
-            members.assign(inflight.size(), BatchMemberOutcome());
-            BatchMemberOutcome &member = members[current];
-            member.participated = true;
-            member.moreWork = !finished;
-            member.decodedTokens = step.tokensDecoded;
-            ++wave_members;
-            if (finished) {
-                // The engine clock is cumulative device time for this
-                // request (it survives suspend/resume and includes
-                // any post-eviction recompute), so its final value IS
-                // the active time, credited whole on the last slice.
-                member.activeDelta = flight.clock;
-                busy += flight.clock;
-            }
+        // --- Run the wave: one plan over the candidates, one fused
+        //     engine wave (sched/batch_scheduler.h). ---
+        std::vector<RequestId> ids;
+        ids.reserve(inflight.size());
+        std::vector<BatchCandidate> candidates;
+        candidates.reserve(inflight.size());
+        for (size_t i = 0; i < inflight.size(); ++i) {
+            const Flight &flight = inflight[i];
+            ids.push_back(flight.sysId);
+            if (!flight.runs)
+                continue;
+            const auto info = system_.suspendedInfo(flight.sysId);
+            BatchCandidate candidate;
+            candidate.member = i;
+            candidate.promptRemaining = info->promptTokensPending;
+            candidate.prefixKey = info->prefixKey;
+            candidate.decodeTokens = std::max(
+                1, static_cast<int>(std::max(1, info->activeBeams)
+                                    * step_tokens));
+            candidates.push_back(candidate);
         }
+        const BatchPlan plan = scheduler.plan(candidates);
+        auto outcome = system_.stepBatch(ids, plan);
+        if (!outcome.ok())
+            return outcome.status(); // Unreachable: all suspended.
+        const double wave_start = now;
+        const double wave_time = outcome->schedule.waveTime;
+        now += wave_time;
+        busy += wave_time;
+        wave_members += plan.decodeMembers();
         ++waves;
         if (degrade_enabled && degrade.degraded()) {
             ++degraded_waves;
@@ -1062,7 +964,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
 
         // --- Completion accounting for every request that ran. ---
         for (size_t i = inflight.size(); i > 0; --i) {
-            const BatchMemberOutcome &member = members[i - 1];
+            const BatchMemberOutcome &member = outcome->members[i - 1];
             if (!member.participated)
                 continue;
             Flight &flight = inflight[i - 1];
@@ -1073,8 +975,16 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             flight.rec.activeTime += member.activeDelta;
             flight.decoded += member.decodedTokens;
             flight.lastRunAt = now;
-            if (member.moreWork)
+            if (member.moreWork) {
+                // A member parked again after running is the trace's
+                // honest observation of its real working set.
+                if (calibrate_kv)
+                    flight.peakKvBytes = std::max(
+                        flight.peakKvBytes,
+                        system_.suspendedInfo(flight.sysId)
+                            ->residentKvBytes);
                 continue;
+            }
             flight.rec.finish = now;
             auto result = system_.result(flight.sysId);
             if (result.ok()) {
@@ -1108,11 +1018,6 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
         if (mode == PreemptMode::Slice && current != kNone)
             rr = (rr + 1) % inflight.size();
     }
-
-    // Trace drained: drop the engine's idle context so the last
-    // finished request's KV charge leaves the shared ledger (only the
-    // prefix cache's own residency may remain).
-    system_.engine().releaseFinishedKv();
 
     OnlineTraceResult out = aggregateTrace(std::move(records), busy);
     out.cancelled = cancelled;

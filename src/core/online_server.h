@@ -13,11 +13,12 @@
  *
  * The server owns exactly ONE ServingSystem — one engine, one device,
  * one shared KV budget — no matter how many requests are in flight.
- * In-flight requests share the engine through the async facade's
- * suspend()/resume(): a parked request keeps its entire engine state
- * (beams, clocks, KV trees) in a SuspendedEngineRequest. All resident
- * KV is charged to one shared KvBudgetLedger, so concurrent requests
- * genuinely contend for device memory; under pressure a suspended
+ * Every admitted request is parked in the engine at once, its prompt
+ * deferred: a parked request keeps its entire engine state (beams,
+ * clocks, KV trees) in a SuspendedEngineRequest, and every wave mounts
+ * its members through ServingSystem::stepBatch(). All resident KV is
+ * charged to one shared KvBudgetLedger, so concurrent requests
+ * genuinely contend for device memory; under pressure a parked
  * request's KV is force-evicted back to the pool and re-prefilled
  * (counted as recompute) — or, with a host tier, swapped back — when
  * it next runs.
@@ -31,41 +32,42 @@
  *  3. admits queued requests into up to maxInflight slots: the
  *     registry-backed QueuePolicy (sched/queue_policy.h; "fifo",
  *     "priority", "sjf", "edf") picks, shedDoomed sheds requests whose
- *     predicted finish already exceeds their deadline, and under a
- *     kvBudgetGiB the memory gate holds back requests the budget
- *     cannot fit beside the in-flight working sets;
+ *     predicted finish already exceeds their deadline, and the memory
+ *     gate holds back requests the shared budget cannot fit beside the
+ *     in-flight working sets;
  *  4. idles to the next arrival or retry when nothing is in flight;
- *  5. prepares the wave; under a kvBudgetGiB it force-evicts suspended
- *     KV while the ledger is short of headroom — in the batching
- *     mode's own order, or cheapest-to-restore first under
- *     victimSelect "cost" (rankEvictionVictims());
- *  6. probes the fault injector for every request about to decode,
- *     killing faulted attempts (retried after backoff or failed);
- *  7. runs one engine wave and accounts every request it completed.
+ *  5. chooses the wave's candidates, force-evicting parked KV while
+ *     the ledger is short of headroom — in the batching mode's own
+ *     order, or cheapest-to-restore first under victimSelect "cost"
+ *     (rankEvictionVictims());
+ *  6. probes the fault injector for every candidate, killing faulted
+ *     attempts (retried after backoff or failed);
+ *  7. runs one engine wave — one BatchScheduler plan over the
+ *     candidates under maxBatchedTokens, long prompts fed in
+ *     prefillChunk-token slices, then one stepBatch() — and accounts
+ *     every request it completed.
  *
- * OnlineServerOptions::batching changes exactly three of those steps:
+ * OnlineServerOptions::batching only chooses the wave's candidates:
  *
- *  - Admission: "continuous" submits a new flight at once and parks it
- *    with its prompt deferred; "off" (time slicing) leaves it
- *    unsubmitted until its first mount.
- *  - Wave preparation: "continuous" evicts and benches the youngest
- *    members first, the oldest always runs, and pickBenchReturn()
- *    returns at most one benched member per wave; "off" mounts the
- *    one request the preempt mode picks — "off" runs to completion,
- *    "slice" round-robins one engine iteration at a time, "policy"
- *    lets QueuePolicy::shouldPreempt take the engine for a more
- *    urgent request — and evicts the others oldest first.
- *  - The wave: "continuous" fuses decode across every unbenched member
- *    under a maxBatchedTokens budget (sched/batch_scheduler.h), long
- *    prompts fed in prefillChunk-token slices; "off" advances the
- *    mounted request one engine iteration, its wall clock being its
- *    engine clock offset by the slices the device spent elsewhere.
+ *  - "continuous": every unbenched member. Under memory pressure the
+ *    youngest members are evicted and benched first, the oldest always
+ *    runs, and pickBenchReturn() returns at most one benched member per
+ *    wave; the fused wave decodes all of them together.
+ *  - "off" (time slicing): the one member the preempt mode picks —
+ *    "off" runs it to completion, "slice" round-robins one wave at a
+ *    time, "policy" lets QueuePolicy::shouldPreempt take the engine for
+ *    a more urgent request — and the others are evicted oldest first.
+ *    A sliced request's prompt is a wave of its own.
+ *
+ * Admission, the fault probe, the wave and completion accounting run
+ * the same code in both modes, so a request's wall time is the sum of
+ * the waves it ran in and device busy time is the sum of all waves.
  *
  * kvTier "host" attaches a budgeted host-side tier (kv/kv_tier.h)
  * behind a finite-bandwidth link, so every preemption eviction makes
  * the roofline swap-vs-recompute call per victim. With the defaults
- * ("fifo", maxInflight 1, batching "off") the server is exactly the
- * legacy run-to-completion FIFO queue.
+ * ("fifo", maxInflight 1, batching "off") the server is a
+ * run-to-completion FIFO queue.
  */
 
 #ifndef FASTTTS_CORE_ONLINE_SERVER_H
@@ -93,10 +95,8 @@ struct OnlineRequestRecord
 {
     int problemId = 0;
     double arrival = 0;   //!< Arrival time (s).
-    double start = 0;     //!< Service start (s): first time slice in
-                          //!< "off"/"policy" preempt modes; admission
-                          //!< into the round-robin in "slice" mode
-                          //!< (the legacy definition).
+    double start = 0;     //!< Service start (s): the start of the
+                          //!< request's first wave, in every mode.
     double finish = 0;    //!< Completion (s).
     int priority = 0;     //!< Admission priority the request carried.
     double deadline = std::numeric_limits<double>::infinity();
@@ -110,9 +110,10 @@ struct OnlineRequestRecord
      *  not over-count under interleaving. */
     double activeTime = 0;
 
-    /** Times this request was suspended off the engine mid-run —
-     *  every context switch counts, including routine "slice"-mode
-     *  round-robin rotation, not only policy-driven preemption. */
+    /** Times time slicing switched the engine away from this request
+     *  mid-run — every context switch counts, including routine
+     *  "slice"-mode round-robin rotation, not only policy-driven
+     *  preemption. */
     int preemptions = 0;
 
     [[nodiscard]] double queueDelay() const { return start - arrival; }
@@ -158,8 +159,10 @@ struct OnlineTraceResult
     int deadlineMisses = 0;  //!< Requests that blew their deadline.
     int cancelled = 0;       //!< Requests abandoned while queued.
     int shedRequests = 0;    //!< Doomed requests shed at admission.
-    int contextSwitches = 0; //!< Mid-run suspensions across the trace
-                             //!< (any cause, slice rotation included).
+    int contextSwitches = 0; //!< Times time slicing moved the engine
+                             //!< off an unfinished request (any cause,
+                             //!< slice rotation included; 0 under
+                             //!< continuous batching).
     int preemptions = 0;     //!< Policy-driven takeovers only: the
                              //!< QueuePolicy displaced the running
                              //!< victim for a more urgent request
@@ -180,10 +183,11 @@ struct OnlineTraceResult
                               //!< --prefix-cache off): the trace's
                               //!< saved recompute volume.
     double batchOccupancy = 0; //!< Mean decode members per engine wave
-                               //!< (1 under time-slicing, where each
-                               //!< slice is a one-member wave; > 1 when
-                               //!< continuous batching fuses requests;
-                               //!< 0 when no wave ran).
+                               //!< (at most 1 under time slicing, where
+                               //!< each slice is a one-member wave and
+                               //!< a prompt wave decodes nothing; > 1
+                               //!< when continuous batching fuses
+                               //!< requests; 0 when no wave ran).
 
     long reprefilledTokens = 0; //!< Subset of recomputedTokens that is
                                 //!< genuine re-prefill after an
@@ -212,8 +216,7 @@ struct OnlineTraceResult
                                 //!< the trace's wasted recompute. Each
                                 //!< fault- or watchdog-killed attempt
                                 //!< counts only the tokens it decoded
-                                //!< itself, mounted or suspended, in
-                                //!< both batching modes.
+                                //!< itself, in both batching modes.
     long degradedWaves = 0;  //!< Engine waves run in degraded mode
                              //!< (speculation disabled, admission
                              //!< halved).
@@ -299,15 +302,16 @@ struct OnlineServerOptions
     double slo = 0;              //!< Default per-request latency budget
                                  //!< (s); 0 disables SLO tracking.
 
-    /** Preemption mode: "off" (run-to-completion), "slice"
-     *  (round-robin time slices; the default, and the legacy PR3
-     *  interleaving), or "policy" (QueuePolicy::shouldPreempt decides
-     *  when a higher-urgency in-flight request takes the engine). */
+    /** Preemption mode of time slicing, where each slice is one
+     *  engine wave of one request: "off" (run-to-completion), "slice"
+     *  (round-robin, one wave per turn; the default), or "policy"
+     *  (QueuePolicy::shouldPreempt decides when a higher-urgency
+     *  in-flight request takes the engine). */
     std::string preempt = "slice";
 
-    /** Shared KV budget (GiB) all in-flight requests contend for;
-     *  also enables memory-aware admission. 0 = legacy accounting
-     *  (each in-flight slot gets a full engine budget). */
+    /** Shared KV budget (GiB) all in-flight requests contend for,
+     *  which also gates admission; 0 means the engine's own device KV
+     *  budget. */
     double kvBudgetGiB = 0;
 
     /** Host KV tier: "off" (the default — device-only KV, preemption
@@ -345,14 +349,13 @@ struct OnlineServerOptions
      *  into, so there is no victim to rotate off the engine. */
     std::string batching = "off";
 
-    /** Per-wave token budget for continuous batching: decode demand
-     *  is packed first, leftover budget becomes prompt-prefill
-     *  chunks. Ignored when batching == "off". */
+    /** Per-wave token budget: decode demand is packed first, leftover
+     *  budget becomes prompt-prefill chunks. Shapes time slices too,
+     *  each of which is a one-member wave. */
     int maxBatchedTokens = 2048;
 
-    /** Largest prompt slice one request prefills per wave under
-     *  continuous batching (chunked prefill). Ignored when
-     *  batching == "off". */
+    /** Largest prompt slice one request prefills per wave (chunked
+     *  prefill), in both batching modes. */
     int prefillChunk = 512;
 
     /** Cross-request prefix cache (kv/prefix_index.h): "off" (the
@@ -428,9 +431,9 @@ struct OnlineRequest
  * Policy-driven online server multiplexing one simulated device.
  *
  * Requests are admitted by the configured QueuePolicy into up to
- * maxInflight in-flight slots that time-share ONE engine through
- * suspend/resume, under one shared KV budget. Move-only; obtain
- * instances through create().
+ * maxInflight in-flight slots that share ONE engine wave by wave
+ * (ServingSystem::stepBatch()), under one shared KV budget. Move-only;
+ * obtain instances through create().
  */
 class OnlineServer
 {

@@ -262,9 +262,13 @@ ServingSystem::stepBatch(const std::vector<RequestId> &ids,
         const RequestId id = ids[i];
         Request &request = requests_.at(id);
         if (!member.moreWork) {
-            // Finished this wave: mount, collect, complete.
+            // Finished this wave: mount, collect, complete. The
+            // finished context is dropped at once; left mounted, it
+            // would keep its ledger charge until the next request
+            // replaced it.
             engine_->resumeRequest(std::move(request.suspended));
             request.result = engine_->finishRequest();
+            engine_->releaseFinishedKv();
             request.state = RequestState::Completed;
             const auto on_complete = request.callbacks.onComplete;
             if (on_complete) {

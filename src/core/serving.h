@@ -25,8 +25,10 @@
  *    running request's whole engine state is parked (beams, clocks,
  *    KV trees) so another request can take the engine, and
  *    evictSuspendedKv(id) drops a parked request's KV back to the
- *    shared pool (rebuilt lazily as recompute) — the mechanism
- *    OnlineServer time-shares one device with.
+ *    shared pool (rebuilt lazily as recompute). startSuspended(id)
+ *    parks a request from the start and stepBatch() runs parked
+ *    requests in one fused wave — the mechanism OnlineServer shares
+ *    one device with, one wave at a time.
  *
  * Typical use (see examples/quickstart.cc; string-friendly
  * configuration via EngineArgs in api/engine_args.h):
@@ -135,7 +137,7 @@ struct ScheduleOutcome
     bool moreWork = false;    //!< Queued or running work remains.
     int requestsAdvanced = 0; //!< Requests that ran this wave.
     int requestsSuspended = 0; //!< Wave participants still parked
-                               //!< (continuous batching; 0 for step()).
+                               //!< (stepBatch(); 0 for step()).
     long tokensDecoded = 0;   //!< Generator tokens drawn this wave.
     int prefillChunks = 0;    //!< Chunked-prefill slices executed.
     double waveTime = 0;      //!< Device time consumed by the wave (s).
@@ -221,8 +223,8 @@ class ServingSystem
     /**
      * Start a queued request directly into the Suspended state: the
      * engine begins it (prompt KV node created) and immediately parks
-     * the context, leaving the engine idle. Continuous batching mounts
-     * such parked contexts wave by wave via stepBatch(). With
+     * the context, leaving the engine idle. OnlineServer mounts such
+     * parked contexts wave by wave via stepBatch(). With
      * defer_prompt true the prompt prefill is NOT charged up front —
      * the batch scheduler feeds it in chunks instead.
      * @return kNotFound for unknown ids, kFailedPrecondition unless
@@ -234,8 +236,9 @@ class ServingSystem
      * Advance every listed suspended request in one fused engine wave
      * according to `plan` (sched/batch_scheduler.h). Members that
      * finish are completed (onComplete fires; per-iteration onStep
-     * callbacks do NOT fire from batched waves); the rest stay
-     * Suspended. Plan entries index into `ids`.
+     * callbacks do NOT fire from batched waves) and their KV is
+     * released, refunding its shared-ledger charge before the call
+     * returns; the rest stay Suspended. Plan entries index into `ids`.
      * @return kFailedPrecondition unless every id is Suspended.
      */
     StatusOr<BatchStepOutcome>

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/serving.h"
+#include "kv/kv_session.h"
 
 namespace fasttts
 {
@@ -597,6 +598,58 @@ TEST(AsyncServing, BatchedResultsMatchSoloRuns)
                       want[i].solutions[j].tokens);
         }
     }
+}
+
+TEST(AsyncServing, CompletedBatchMemberReleasesItsLedgerCharge)
+{
+    // A member that finishes inside stepBatch leaves the shared
+    // ledger with its wave: after every wave that completes a member,
+    // the ledger holds exactly the still-parked members' resident KV,
+    // and nothing once the last member completed.
+    constexpr int kRequests = 3;
+    KvBudgetLedger ledger(64.0 * (1ull << 30)); // Ample: no pressure.
+    ServingSystem system = smallSystem(8);
+    system.attachKvLedger(&ledger);
+    std::vector<RequestId> live;
+    for (int i = 0; i < kRequests; ++i)
+        live.push_back(
+            system.submit(system.problems()[static_cast<size_t>(i)]));
+    for (const RequestId id : live)
+        ASSERT_TRUE(system.startSuspended(id, /*defer_prompt=*/true).ok());
+
+    const BatchScheduler scheduler(1 << 20, 1 << 20);
+    int completing_waves = 0;
+    int guard = 0;
+    while (!live.empty() && ++guard < 10000) {
+        std::vector<BatchCandidate> candidates;
+        for (size_t i = 0; i < live.size(); ++i) {
+            const SuspendedRequestInfo info =
+                system.suspendedInfo(live[i]).value();
+            BatchCandidate candidate;
+            candidate.member = i;
+            candidate.promptRemaining = info.promptTokensPending;
+            candidate.decodeTokens = std::max(1, info.activeBeams);
+            candidates.push_back(candidate);
+        }
+        ASSERT_TRUE(system.stepBatch(live, scheduler.plan(candidates)).ok());
+        std::vector<RequestId> parked;
+        double parked_bytes = 0;
+        for (const RequestId id : live) {
+            if (*system.requestState(id) == RequestState::Completed)
+                continue;
+            parked.push_back(id);
+            parked_bytes += system.suspendedInfo(id)->residentKvBytes;
+        }
+        if (parked.size() < live.size()) {
+            ++completing_waves;
+            EXPECT_DOUBLE_EQ(ledger.usedBytes(), parked_bytes)
+                << parked.size() << " members still parked";
+        }
+        live = std::move(parked);
+    }
+    ASSERT_TRUE(live.empty()) << "batched serving did not converge";
+    EXPECT_GE(completing_waves, 1);
+    EXPECT_DOUBLE_EQ(ledger.usedBytes(), 0.0);
 }
 
 TEST(AsyncServing, FusedWaveIsCheaperThanSerialSlices)
