@@ -1,27 +1,32 @@
 /**
  * @file
- * Machine-readable benchmark harness.
+ * Machine-readable benchmark harness: every benchmark of the repo is
+ * one row of this runner, and each row writes one BENCH_<name>.json.
  *
- * Each paper-figure bench binary prints a human-oriented ASCII table;
- * this runner executes the same serving configurations programmatically
- * and writes one BENCH_<name>.json per benchmark with the numbers every
- * optimisation PR is judged against: throughput (Precise Goodput and
- * wall_tok_s, the verified tokens divided by the sum of the requests'
- * simulated completion times), end-to-end latency percentiles,
- * KV-cache utilization, and accuracy — for the vLLM-style baseline and
- * for FastTTS, plus the derived speedups.
- *
- * The online serving benchmarks are rows of one table-driven sweep:
- * each row builds one trace with its base OnlineServerOptions, and
- * every cell serves that trace under the base options edited by an
- * outer and an optional inner arm, reporting the row's metric keys.
+ * Three kinds of row share the harness:
+ *  - The paper figures (fig01..fig18). Each row measures its figure's
+ *    own sweep — the same axes, problem counts and seed as the paper's
+ *    setup — and its document carries the figure's cells plus a
+ *    `paper` string quoting the claim the figure makes.
+ *  - The engine-cost pairs (micro, online_responsiveness): the
+ *    vLLM-style baseline and FastTTS serving one configuration, with
+ *    throughput (Precise Goodput and wall_tok_s, the verified tokens
+ *    divided by the sum of the requests' simulated completion times),
+ *    end-to-end latency percentiles, KV-cache utilization, accuracy
+ *    and the derived speedups.
+ *  - The online serving benchmarks, rows of one table-driven sweep:
+ *    each row builds one trace with its base OnlineServerOptions, and
+ *    every cell serves that trace under the base options edited by an
+ *    outer and an optional inner arm, reporting the row's metric keys.
  *
  * Usage:
  *   bench_runner --list                 # enumerate benchmark names
  *   bench_runner [--quick] [--jobs N] [--out-dir D] [--seed S] [name...]
  *
- * --quick shrinks beam widths and problem counts so the full suite
- * finishes in seconds (used by CI and scripts/run_benchmarks.sh).
+ * --quick shrinks every row so the full suite finishes in well under a
+ * second (used by CI and scripts/run_benchmarks.sh). A figure keeps
+ * every axis but serves at most two problems at an eighth of each
+ * search width.
  *
  * --jobs N runs the selected benchmarks on a pool of N threads. Every
  * benchmark is deterministic and self-contained (its own ServingSystem,
@@ -44,77 +49,32 @@
 #include <functional>
 #include <iomanip>
 #include <iostream>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "alloc/memory_planner.h"
 #include "api/engine_args.h"
+#include "core/engine.h"
 #include "core/online_server.h"
 #include "core/serving.h"
+#include "kv/prefix_index.h"
+#include "metrics/accuracy.h"
 #include "metrics/request_metrics.h"
-#include "online_calibration.h"
+#include "sched/scheduler.h"
+#include "sim/roofline.h"
+#include "util/histogram.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/table.h"
+#include "util/units.h"
 
 namespace fasttts
 {
 namespace
 {
-
-/** One registered figure benchmark: name + serving configuration. */
-struct BenchSpec
-{
-    const char *name;
-    const char *description;
-    const char *dataset;
-    const char *device;
-    const char *algorithm;
-    const char *models; //!< Model-config registry label.
-    int numBeams;    //!< Search width in full mode.
-    int numProblems; //!< Problems served in full mode.
-};
-
-/**
- * The figure suite. Names match the bench_<name> binaries; the configs
- * mirror each figure's headline setting (scaled to finish quickly —
- * the per-figure binaries remain the faithful reproductions).
- */
-const BenchSpec kBenchmarks[] = {
-    {"fig01_frontier", "Latency vs. accuracy frontier (Fig. 1b)", "AIME",
-     "RTX4090", "beam_search", "1.5B+1.5B", 64, 6},
-    {"fig03_patterns", "TTS workload patterns (Fig. 3)", "MATH500", "RTX4090",
-     "beam_search", "1.5B+1.5B", 64, 6},
-    {"fig04_utilization", "GPU utilization timeline (Fig. 4)", "AIME",
-     "RTX4090", "beam_search", "1.5B+1.5B", 64, 4},
-    {"fig05_prefix_sharing", "Prefix sharing working set (Fig. 5)", "AIME",
-     "RTX4090", "beam_search", "1.5B+1.5B", 64, 4},
-    {"fig06_kv_throughput", "KV pressure vs. throughput (Fig. 6)", "AIME",
-     "RTX4090", "beam_search", "1.5B+1.5B", 64, 6},
-    {"fig10_allocation", "Asymmetric memory allocation (Fig. 10)", "AIME",
-     "RTX4090", "beam_search", "1.5B+7B", 48, 4},
-    {"fig11_variants", "Search method variants (Fig. 11)", "AIME", "RTX4090",
-     "dvts", "1.5B+1.5B", 64, 6},
-    {"fig12_goodput", "Precise Goodput comparison (Fig. 12)", "MATH500",
-     "RTX4090", "beam_search", "1.5B+1.5B", 96, 6},
-    {"fig13_latency", "Latency breakdown (Fig. 13)", "AMC", "RTX4090",
-     "beam_search", "1.5B+1.5B", 64, 6},
-    {"fig14_accuracy", "Accuracy preservation (Fig. 14)", "MATH500",
-     "RTX4090", "beam_search", "1.5B+1.5B", 96, 8},
-    {"fig15_hardware", "Hardware sensitivity (Fig. 15)", "AIME", "RTX3070Ti",
-     "beam_search", "1.5B+1.5B", 48, 4},
-    {"fig16_ablation", "P/M/S ablation (Fig. 16)", "AIME", "RTX4090",
-     "beam_search", "1.5B+1.5B", 64, 6},
-    {"fig17_speculative", "Speculative beam extension (Fig. 17)", "AMC",
-     "RTX4090", "beam_search", "1.5B+1.5B", 64, 6},
-    {"fig18_scheduling", "Prefix-aware scheduling (Fig. 18)", "AIME",
-     "RTX4090", "beam_search", "1.5B+1.5B", 96, 4},
-    {"micro", "Engine micro cost sanity run", "AMC", "RTX4090", "beam_search",
-     "1.5B+1.5B", 16, 2},
-    {"online_responsiveness", "Online serving responsiveness", "AMC",
-     "RTX4090", "beam_search", "1.5B+1.5B", 32, 6},
-};
 
 /** The fields every BENCH_<name>.json document opens with. */
 Json
@@ -128,35 +88,180 @@ openDoc(const char *name, const char *description, bool quick)
     return doc;
 }
 
-/** Metrics of one (benchmark, engine-variant) measurement; adds the
- *  variant's generated tokens to `simulated_tokens`. */
-Json
-measureVariant(const BenchSpec &spec, bool fast, int num_beams,
-               int num_problems, uint64_t seed, long *simulated_tokens)
+// --- Serving cells ---------------------------------------------------
+
+/**
+ * One serving configuration: FastTTS serving 1.5B+1.5B beam search on
+ * AIME on the RTX 4090 unless a benchmark edits it. Every served cell
+ * of every figure and engine-cost pair builds its ServingOptions here.
+ */
+struct Cell
 {
-    // The registered configuration goes through the string-friendly
-    // EngineArgs front door, so every name is registry-validated.
-    EngineArgs args;
-    args.device = spec.device;
-    args.dataset = spec.dataset;
-    args.algorithm = spec.algorithm;
-    args.models = spec.models;
-    args.mode = fast ? "fasttts" : "baseline";
-    args.numBeams = num_beams;
-    args.seed = seed;
-    ServingOptions opts = args.toServingOptions().value();
-    if (opts.deviceName != "RTX4090") {
-        // On 8-12 GB cards the model weights leave little headroom:
-        // grant the run the full device and a slimmer reserve, and let
-        // FastTTS offload, as bench_fig15_hardware (and the paper's
-        // constrained-hardware study) do.
+    FastTtsConfig config = FastTtsConfig::fastTts(); //!< Offload too.
+    ModelConfig models = config1_5Bplus1_5B();
+    std::string device = "RTX4090";
+    std::string dataset = "AIME";
+    std::string algorithm = "beam_search";
+    int numBeams = 64;
+};
+
+/** The engine configuration of one side of a baseline-vs-FastTTS
+ *  comparison. */
+FastTtsConfig
+engineMode(bool fast)
+{
+    return fast ? FastTtsConfig::fastTts() : FastTtsConfig::baseline();
+}
+
+ServingOptions
+servingOptions(const Cell &cell, uint64_t seed)
+{
+    ServingOptions opts;
+    opts.config = cell.config;
+    opts.models = cell.models;
+    if (cell.device != "RTX4090") {
+        // On 8-12 GB cards the two 1.5B models' weights (6.2 GiB)
+        // leave little headroom: grant the run the full device and a
+        // slimmer reserve, as the paper's constrained-hardware study
+        // does.
         opts.models.memoryFraction = 0.95;
         opts.config.reservedBytes = 0.5 * GiB;
-        opts.config.offloadEnabled = fast;
+    }
+    opts.deviceName = cell.device;
+    opts.datasetName = cell.dataset;
+    opts.algorithmName = cell.algorithm;
+    opts.numBeams = cell.numBeams;
+    opts.seed = seed;
+    return opts;
+}
+
+template <typename T>
+Json
+list(const std::vector<T> &values)
+{
+    Json array = Json::array();
+    for (const T &value : values)
+        array.push(Json(value));
+    return array;
+}
+
+/** One swept axis of a figure: the config key it varies, its values,
+ *  the label each value's cells are filed under, and the edit that
+ *  puts the i-th value into a cell. */
+struct Axis
+{
+    const char *key;
+    Json values;
+    std::vector<std::string> labels;
+    std::function<void(Cell &, size_t)> edit;
+};
+
+/** A document's config block: `cell`'s setup, with each key an axis
+ *  sweeps holding the values it sweeps. */
+Json
+cellConfig(const Cell &cell, int num_problems, uint64_t seed,
+           const std::vector<Axis> &axes = {})
+{
+    Json config = Json::object();
+    config.set("dataset", cell.dataset);
+    config.set("device", cell.device);
+    config.set("algorithm", cell.algorithm);
+    config.set("models", cell.models.label);
+    config.set("num_beams", cell.numBeams);
+    config.set("num_problems", num_problems);
+    config.set("seed", seed);
+    for (const Axis &axis : axes)
+        config.set(axis.key, axis.values);
+    return config;
+}
+
+/**
+ * One run of a benchmark: its size and seed, and the simulated-token
+ * counter the harness reports. Every engine run goes through serve()
+ * so the counter sees all of it.
+ */
+struct Run
+{
+    bool quick;
+    uint64_t seed;
+    long *simulatedTokens;
+
+    /** --quick serves at most two problems ... */
+    [[nodiscard]] int
+    problems(int full) const
+    {
+        return quick ? std::min(full, 2) : full;
     }
 
-    ServingSystem system = ServingSystem::create(opts).value();
-    const BatchResult out = system.serveProblems(num_problems);
+    /** ... at an eighth of each search width. */
+    [[nodiscard]] std::vector<int>
+    widths(std::vector<int> full) const
+    {
+        for (int &n : full)
+            n = quick ? std::max(1, n / 8) : n;
+        return full;
+    }
+
+    [[nodiscard]] int
+    width(int full) const
+    {
+        return widths({full}).front();
+    }
+
+    [[nodiscard]] ServingSystem
+    system(const Cell &cell) const
+    {
+        return ServingSystem::create(servingOptions(cell, seed)).value();
+    }
+
+    RequestResult
+    serve(ServingSystem &system, const Problem &problem) const
+    {
+        RequestResult result = system.serve(problem);
+        *simulatedTokens += result.generatedTokens;
+        return result;
+    }
+
+    BatchResult
+    serve(ServingSystem &system, int num_problems) const
+    {
+        BatchResult out = system.serveProblems(num_problems);
+        for (const RequestResult &request : out.requests)
+            *simulatedTokens += request.generatedTokens;
+        return out;
+    }
+
+    BatchResult
+    serve(const Cell &cell, int num_problems) const
+    {
+        ServingSystem served = system(cell);
+        return serve(served, num_problems);
+    }
+};
+
+// --- The engine-cost pairs -------------------------------------------
+
+/** A baseline-vs-FastTTS pair serving one AMC cell. */
+struct PairBench
+{
+    const char *name;
+    const char *description;
+    int numBeams;    //!< Search width in full mode.
+    int numProblems; //!< Problems served in full mode.
+};
+
+const PairBench kPairBenchmarks[] = {
+    {"micro", "Engine micro cost sanity run", 16, 2},
+    {"online_responsiveness", "Online serving responsiveness", 32, 6},
+};
+
+/** Metrics of one side of a pair. */
+Json
+measureVariant(const Run &run, Cell cell, bool fast, int num_problems)
+{
+    cell.config = engineMode(fast);
+    ServingSystem system = run.system(cell);
+    const BatchResult out = run.serve(system, num_problems);
 
     std::vector<double> latencies;
     double wallSeconds = 0;
@@ -176,7 +281,6 @@ measureVariant(const BenchSpec &spec, bool fast, int num_beams,
         kv.hitTokens += request.kvStats.hitTokens;
         kv.missTokens += request.kvStats.missTokens;
     }
-    *simulated_tokens += generatedTokens;
 
     Json throughput = Json::object();
     throughput.set("precise_goodput_tok_s", out.meanGoodput);
@@ -222,34 +326,22 @@ measureVariant(const BenchSpec &spec, bool fast, int num_beams,
 }
 
 Json
-runBenchmark(const BenchSpec &spec, bool quick, uint64_t seed,
-             long *simulated_tokens)
+runPair(const PairBench &spec, const Run &run)
 {
-    Json doc = openDoc(spec.name, spec.description, quick);
+    Json doc = openDoc(spec.name, spec.description, run.quick);
 
     // Quick mode shrinks each run; computed once so the emitted config
     // always matches what was actually measured.
-    const int numBeams = quick ? std::min(spec.numBeams, 16) : spec.numBeams;
+    Cell cell;
+    cell.dataset = "AMC";
+    cell.numBeams = run.quick ? std::min(spec.numBeams, 16) : spec.numBeams;
     const int numProblems =
-        quick ? std::min(spec.numProblems, 2) : spec.numProblems;
-
-    Json config = Json::object();
-    config.set("dataset", spec.dataset);
-    config.set("device", spec.device);
-    config.set("algorithm", spec.algorithm);
-    config.set("models", spec.models);
-    config.set("num_beams", numBeams);
-    config.set("num_problems", numProblems);
-    config.set("seed", seed);
-    doc.set("config", std::move(config));
+        run.quick ? std::min(spec.numProblems, 2) : spec.numProblems;
+    doc.set("config", cellConfig(cell, numProblems, run.seed));
 
     Json variants = Json::object();
-    variants.set("baseline", measureVariant(spec, false, numBeams,
-                                            numProblems, seed,
-                                            simulated_tokens));
-    variants.set("fasttts", measureVariant(spec, true, numBeams,
-                                           numProblems, seed,
-                                           simulated_tokens));
+    variants.set("baseline", measureVariant(run, cell, false, numProblems));
+    variants.set("fasttts", measureVariant(run, cell, true, numProblems));
 
     const double baseGoodput =
         variants["baseline"]["throughput"]["precise_goodput_tok_s"].asNumber();
@@ -269,12 +361,1034 @@ runBenchmark(const BenchSpec &spec, bool quick, uint64_t seed,
     return doc;
 }
 
+/** Fixed-precision renderings for the stdout headlines: a number, a
+ *  whole number, and a fraction as a whole percentage. */
 std::string
-figureHeadline(const Json &doc)
+fixed(const Json &value, int precision)
 {
-    return "goodput x" + formatDouble(doc["speedup"]["goodput"].asNumber(), 2)
-        + ", latency x"
-        + formatDouble(doc["speedup"]["latency"].asNumber(), 2);
+    return formatDouble(value.asNumber(), precision);
+}
+
+std::string
+whole(const Json &value)
+{
+    return fixed(value, 0);
+}
+
+std::string
+percent(const Json &fraction)
+{
+    return formatDouble(100.0 * fraction.asNumber(), 0);
+}
+
+std::string
+pairHeadline(const Json &doc)
+{
+    return "goodput x" + fixed(doc["speedup"]["goodput"], 2)
+        + ", latency x" + fixed(doc["speedup"]["latency"], 2);
+}
+
+// --- The figures -----------------------------------------------------
+//
+// A figure's document holds its config — each swept key listing the
+// values it sweeps — and its cells, nested by axis and keyed by value,
+// e.g. goodput/AIME/1.5B+1.5B/512. A key holding a percentage ends in
+// _pct, a ratio in _x.
+
+/** An axis over one string field of the cell. */
+Axis
+fieldAxis(const char *key, std::string Cell::*field,
+          const std::vector<std::string> &values)
+{
+    return {key, list(values), values, [field, values](Cell &cell, size_t i) {
+                cell.*field = values[i];
+            }};
+}
+
+Axis
+widthAxis(const std::vector<int> &widths)
+{
+    Axis axis{"num_beams", list(widths), {},
+              [widths](Cell &cell, size_t i) { cell.numBeams = widths[i]; }};
+    for (const int n : widths)
+        axis.labels.push_back(std::to_string(n));
+    return axis;
+}
+
+Axis
+modelsAxis()
+{
+    const std::vector<ModelConfig> configs = allModelConfigs();
+    Axis axis{"models", Json::array(), {},
+              [configs](Cell &cell, size_t i) { cell.models = configs[i]; }};
+    for (const ModelConfig &models : configs) {
+        axis.values.push(models.label);
+        axis.labels.push_back(models.label);
+    }
+    return axis;
+}
+
+/** The baseline, then FastTTS. */
+Axis
+modeAxis()
+{
+    const std::vector<std::string> modes = {"baseline", "fasttts"};
+    return {"mode", list(modes), modes, [](Cell &cell, size_t i) {
+                cell.config = engineMode(i == 1);
+            }};
+}
+
+/** `leaf` of every point of the axes' cross product, nested outer axis
+ *  first and keyed by label. */
+Json
+sweep(const Cell &cell, const std::vector<Axis> &axes,
+      const std::function<Json(const Cell &)> &leaf, size_t depth = 0)
+{
+    if (depth == axes.size())
+        return leaf(cell);
+    const Axis &axis = axes[depth];
+    Json cells = Json::object();
+    for (size_t i = 0; i < axis.labels.size(); ++i) {
+        Cell point = cell;
+        axis.edit(point, i);
+        cells.set(axis.labels[i], sweep(point, axes, leaf, depth + 1));
+    }
+    return cells;
+}
+
+/** Mean completion latency and top-1 accuracy of one cell. */
+Json
+latencyAccuracy(const Run &run, const Cell &cell, int num_problems)
+{
+    const BatchResult out = run.serve(cell, num_problems);
+    Json point = Json::object();
+    point.set("latency_s", out.meanLatency);
+    point.set("top1_accuracy_pct", out.top1Accuracy);
+    return point;
+}
+
+/** Baseline and FastTTS Precise Goodput of one cell and their ratio,
+ *  which `gains` collects. FastTTS keeps the cell's offload setting;
+ *  the vLLM-style baseline never offloads. */
+Json
+goodputGain(const Run &run, Cell cell, int num_problems,
+            SummaryStats *gains)
+{
+    const bool offload = cell.config.offloadEnabled;
+    double goodput[2] = {0, 0};
+    for (const bool fast : {false, true}) {
+        cell.config = engineMode(fast);
+        cell.config.offloadEnabled = fast && offload;
+        goodput[fast] = run.serve(cell, num_problems).meanGoodput;
+    }
+    const double gain = goodput[0] > 0 ? goodput[1] / goodput[0] : 0;
+    gains->add(gain);
+    Json pair = Json::object();
+    pair.set("baseline", goodput[0]);
+    pair.set("fasttts", goodput[1]);
+    pair.set("gain_x", gain);
+    return pair;
+}
+
+Json
+gainSummary(const SummaryStats &gains)
+{
+    Json summary = Json::object();
+    summary.set("gain_mean_x", gains.mean());
+    summary.set("gain_min_x", gains.min());
+    summary.set("gain_max_x", gains.max());
+    return summary;
+}
+
+std::string
+gainRange(const Json &summary)
+{
+    return fixed(summary["gain_min_x"], 2) + "x-"
+        + fixed(summary["gain_max_x"], 2) + "x";
+}
+
+/** Goodput gain over the baseline of the cumulative optimizations of
+ *  Fig. 16 and 18 — P, then M+P, then S+M+P — up to `rungs` of them. */
+Json
+ablationGains(const Run &run, Cell cell, int num_problems, size_t rungs)
+{
+    const std::pair<const char *, void (*)(FastTtsConfig &)> kLadder[] = {
+        {"p_pct", [](FastTtsConfig &c) { c.prefixAwareScheduling = true; }},
+        {"mp_pct", [](FastTtsConfig &c) { c.asymmetricAllocation = true; }},
+        {"smp_pct",
+         [](FastTtsConfig &c) {
+             c.speculativeExtension = true;
+             c.lookaheadVerification = true;
+         }},
+    };
+    cell.config = FastTtsConfig::baseline();
+    const double base = run.serve(cell, num_problems).meanGoodput;
+    Json gains = Json::object();
+    for (size_t rung = 0; rung < rungs; ++rung) {
+        kLadder[rung].second(cell.config);
+        const double goodput = run.serve(cell, num_problems).meanGoodput;
+        gains.set(kLadder[rung].first,
+                  base > 0 ? 100.0 * (goodput - base) / base : 0.0);
+    }
+    return gains;
+}
+
+/** Fig. 1b: latency and accuracy of both systems as n grows. */
+void
+frontier(const Run &run, Json *doc)
+{
+    const int problems = run.problems(12);
+    const std::vector<Axis> axes = {
+        modeAxis(), widthAxis(run.widths({8, 32, 128, 512}))};
+    const Cell cell;
+    doc->set("config", cellConfig(cell, problems, run.seed, axes));
+    doc->set("frontier", sweep(cell, axes, [&](const Cell &point) {
+                 return latencyAccuracy(run, point, problems);
+             }));
+}
+
+/** Fig. 3: accuracy vs latency of the search methods under baseline
+ *  serving (left), and the per-step token counts behind the
+ *  stragglers (right). */
+void
+patterns(const Run &run, Json *doc)
+{
+    const int problems = run.problems(16);
+    const std::vector<Axis> axes = {fieldAxis(
+        "algorithm", &Cell::algorithm, {"best_of_n", "beam_search", "dvts"})};
+    Cell cell;
+    cell.config = FastTtsConfig::baseline();
+    cell.dataset = "MATH500";
+    cell.numBeams = run.width(64);
+    Json config = cellConfig(cell, problems, run.seed, axes);
+    config.set("step_tokens_dataset", "AIME");
+    config.set("step_tokens_algorithm", "best_of_n");
+    doc->set("config", std::move(config));
+    doc->set("methods", sweep(cell, axes, [&](const Cell &point) {
+                 return latencyAccuracy(run, point, problems);
+             }));
+
+    cell.dataset = "AIME";
+    cell.algorithm = "best_of_n";
+    ServingSystem system = run.system(cell);
+    std::vector<SummaryStats> perStep(10);
+    for (int i = 0; i < problems; ++i) {
+        // Served for stepTokenSamples() only.
+        (void)run.serve(system, system.problems()[static_cast<size_t>(i)]);
+        const auto &samples = system.engine().stepTokenSamples();
+        for (size_t s = 0; s < perStep.size() && s < samples.size(); ++s)
+            for (const int tokens : samples[s])
+                perStep[s].add(tokens);
+    }
+    Json steps = Json::object();
+    for (size_t s = 0; s < perStep.size(); ++s) {
+        if (perStep[s].count() == 0)
+            continue;
+        Json step = Json::object();
+        step.set("avg_tokens", perStep[s].mean());
+        step.set("max_tokens", perStep[s].max());
+        step.set("samples", perStep[s].count());
+        steps.set(std::to_string(s + 1), std::move(step));
+    }
+    doc->set("step_tokens", std::move(steps));
+}
+
+/** The utilization trace of serving problem 1 of `cell`'s set. */
+std::vector<TimelineSegment>
+traceSegments(const Run &run, Cell cell)
+{
+    cell.config.recordTrace = true;
+    ServingSystem system = run.system(cell);
+    (void)run.serve(system, system.problems()[1]);
+    return system.engine().clock().segments();
+}
+
+/** Fig. 4: compute utilization by phase in one baseline request, and
+ *  its decay across the longest generation stretch. */
+void
+utilization(const Run &run, Json *doc)
+{
+    Cell cell;
+    cell.config = FastTtsConfig::baseline();
+    cell.numBeams = run.width(32);
+    Json config = cellConfig(cell, 1, run.seed);
+    config.set("problem", 1);
+    doc->set("config", std::move(config));
+    const std::vector<TimelineSegment> segs = traceSegments(run, cell);
+
+    SummaryStats genUtil;
+    SummaryStats verUtil;
+    for (const TimelineSegment &seg : segs) {
+        if (seg.phase == Phase::Generation)
+            genUtil.add(seg.computeUtil * 100);
+        else if (seg.phase == Phase::Verification)
+            verUtil.add(seg.computeUtil * 100);
+    }
+    Json phases = Json::object();
+    for (const auto &[phase, stats] :
+         {std::pair{"generation", &genUtil}, {"verification", &verUtil}}) {
+        Json util = Json::object();
+        util.set("mean_util_pct", stats->mean());
+        util.set("min_util_pct", stats->min());
+        util.set("max_util_pct", stats->max());
+        phases.set(phase, std::move(util));
+    }
+    doc->set("phases", std::move(phases));
+
+    // The longest contiguous run of generation segments.
+    size_t bestStart = 0;
+    size_t bestEnd = 0;
+    double bestDur = 0;
+    for (size_t i = 0; i < segs.size();) {
+        if (segs[i].phase != Phase::Generation) {
+            ++i;
+            continue;
+        }
+        size_t j = i;
+        double dur = 0;
+        while (j < segs.size() && segs[j].phase == Phase::Generation) {
+            dur += segs[j].duration;
+            ++j;
+        }
+        if (dur > bestDur) {
+            bestDur = dur;
+            bestStart = i;
+            bestEnd = j;
+        }
+        i = j;
+    }
+    Json decay = Json::object();
+    for (int pct = 0; pct <= 100; pct += 10) {
+        const double t = segs[bestStart].start + bestDur * pct / 100.0;
+        for (size_t i = bestStart; i < bestEnd; ++i) {
+            if (segs[i].start <= t
+                && t <= segs[i].start + segs[i].duration + 1e-12) {
+                Json sample = Json::object();
+                sample.set("compute_util_pct", segs[i].computeUtil * 100);
+                sample.set("active_beams", segs[i].activeSlots);
+                decay.set(std::to_string(pct), std::move(sample));
+                break;
+            }
+        }
+    }
+    doc->set("generation_decay", std::move(decay));
+}
+
+/** Fig. 5: the working set with and without prefix sharing (left),
+ *  adjacent sharing by scheduling order (right), and — beyond the
+ *  figure — inter-request sharing through the global radix prefix
+ *  index over one multi-turn session. */
+void
+prefixSharing(const Run &run, Json *doc)
+{
+    constexpr int kBasePrompt = 96;
+    constexpr int kTurnGrowth = 64;
+    constexpr int kTurns = 4;
+    const std::vector<Axis> axes = {
+        fieldAxis("algorithm", &Cell::algorithm, {"beam_search", "dvts"})};
+    Cell cell;
+    cell.config = FastTtsConfig::baseline();
+    cell.numBeams = run.width(128);
+    Json config = cellConfig(cell, 1, run.seed, axes);
+    config.set("session_num_beams", run.width(16));
+    config.set("session_turns", kTurns);
+    doc->set("config", std::move(config));
+
+    doc->set("working_set", sweep(cell, axes, [&](const Cell &point) {
+                 ServingSystem system = run.system(point);
+                 (void)run.serve(system, system.problems()[0]);
+                 Json iterations = Json::object();
+                 for (const IterationStats &s :
+                      system.engine().iterationStats()) {
+                     const double shared = s.uniqueTokens / 1000.0;
+                     const double unshared = s.unsharedTokens / 1000.0;
+                     Json iteration = Json::object();
+                     iteration.set("with_prefix_cache_ktok", shared);
+                     iteration.set("without_prefix_cache_ktok", unshared);
+                     if (shared > 0)
+                         iteration.set("savings_x", unshared / shared);
+                     iterations.set(std::to_string(s.iteration + 1),
+                                    std::move(iteration));
+                 }
+                 return iterations;
+             }));
+
+    // A final-iteration beam population: 32 parents of 4 leaves each.
+    KvCacheManager kv(1 << 30, 1.0, 16);
+    Rng rng(7);
+    std::vector<SchedEntry> entries;
+    size_t index = 0;
+    for (int p = 0; p < 32; ++p) {
+        const int parent = kv.createChild(KvCacheManager::kRoot,
+                                          static_cast<uint64_t>(p) + 1,
+                                          rng.uniformInt(400, 1200));
+        for (int c = 0; c < 4; ++c) {
+            const int leaf =
+                kv.createChild(parent, 1000 + index, rng.uniformInt(50, 300));
+            SchedEntry e;
+            e.index = index;
+            e.beamId = ++index;
+            e.parentBeam = static_cast<uint64_t>(p);
+            e.prevPosition = p;
+            e.leaf = leaf;
+            e.pathTokens = kv.pathTokens(leaf);
+            entries.push_back(e);
+        }
+    }
+    Json adjacency = Json::object();
+    for (const char *policy :
+         {"random", "worst_case", "prefix_aware", "greedy_prefix"}) {
+        std::vector<SchedEntry> order = entries;
+        Rng policyRng(11);
+        makeScheduler(policy)->order(order, kv, policyRng);
+        adjacency.set(policy, scheduleSharedPrefixSum(kv, order));
+    }
+    doc->set("adjacent_shared_prefix", std::move(adjacency));
+
+    // Turn k's prompt is exactly turn k-1's plus kTurnGrowth fresh
+    // tokens (position-keyed token identities).
+    Cell session;
+    session.numBeams = run.width(16);
+    ServingSystem system = run.system(session);
+    system.enablePrefixCache(1.0 * GiB, nullptr);
+    Json turns = Json::object();
+    for (int turn = 1; turn <= kTurns; ++turn) {
+        Problem problem = system.problems()[0];
+        problem.promptTokens = kBasePrompt + (turn - 1) * kTurnGrowth;
+        problem.promptIds.clear();
+        for (int j = 0; j < problem.promptTokens; ++j)
+            problem.promptIds.push_back(static_cast<int32_t>(1000003 + j));
+        const long mounted = static_cast<long>(
+            run.serve(system, problem).kvStats.prefixHitTokens);
+        Json row = Json::object();
+        row.set("prompt_tokens", problem.promptTokens);
+        row.set("mounted_from_cache", mounted);
+        row.set("prefilled_suffix", problem.promptTokens - mounted);
+        turns.set(std::to_string(turn), std::move(row));
+    }
+    const PrefixIndexStats stats = system.prefixIndex()->stats();
+    Json prefixIndex = Json::object();
+    prefixIndex.set("hit_tokens", stats.hitTokens);
+    prefixIndex.set("lookups", stats.lookups);
+    prefixIndex.set("splits", stats.splits);
+    Json sessionJson = Json::object();
+    sessionJson.set("turns", std::move(turns));
+    sessionJson.set("prefix_index", std::move(prefixIndex));
+    doc->set("session", std::move(sessionJson));
+}
+
+/** Fig. 6: normalized prefill and decode throughput vs KV size, where
+ *  the batch is the KV budget over one sequence's KV and throughput
+ *  follows the roofline. */
+void
+kvThroughput(const Run &run, Json *doc)
+{
+    (void)run;
+    const RooflineModel roofline(rtx4090());
+    const ModelSpec model = qwen25Math1_5B();
+    const std::vector<double> budgetsGiB = {0.05, 0.1,  0.2,  0.39,
+                                            0.5,  0.98, 1.5,  3.06,
+                                            5.18, 8.0,  12.0};
+    Json config = Json::object();
+    config.set("device", "RTX4090");
+    config.set("model", model.name);
+    config.set("kv_gib", list(budgetsGiB));
+    doc->set("config", std::move(config));
+
+    Json stages = Json::object();
+    for (const bool prefill : {true, false}) {
+        const auto throughput = [&](double kv_gib, double seq) {
+            const int batch = std::max(
+                1, static_cast<int>(kv_gib * GiB / model.kvBytes(seq)));
+            return prefill
+                ? batch * seq / roofline.prefillTime(model, batch, seq)
+                : batch / roofline.decodeStepTime(model, batch, seq / 2);
+        };
+        const double seqShort = prefill ? 640 : 512;
+        const double seqLong = prefill ? 1152 : 1024;
+        const double peakShort = throughput(64, seqShort);
+        const double peakLong = throughput(64, seqLong);
+        double cross80 = -1;
+        Json points = Json::object();
+        for (const double gib : budgetsGiB) {
+            const double tpShort = throughput(gib, seqShort);
+            if (cross80 < 0 && tpShort >= 0.8 * peakShort)
+                cross80 = gib;
+            Json point = Json::object();
+            point.set("short_seq_pct", 100 * tpShort / peakShort);
+            point.set("long_seq_pct",
+                      100 * throughput(gib, seqLong) / peakLong);
+            points.set(formatDouble(gib, 2), std::move(point));
+        }
+        Json stage = Json::object();
+        stage.set("short_seq", seqShort);
+        stage.set("long_seq", seqLong);
+        stage.set("short_seq_80pct_gib", cross80);
+        stage.set("kv_gib", std::move(points));
+        stages.set(prefill ? "prefill" : "decoding", std::move(stage));
+    }
+    doc->set("stages", std::move(stages));
+}
+
+/** Fig. 10: the Sec. 4.3.1 roofline-guided allocation — the optimal
+ *  prefill and decode batches per KV budget, and the plan's
+ *  throughput normalized to the largest budget's. */
+void
+allocation(const Run &run, Json *doc)
+{
+    (void)run;
+    WorkloadShape shape;
+    shape.numRequests = 512;
+    shape.verifierSeqLen = 1100;
+    shape.verifierReqLen = 190;
+    shape.decodeLen = 180;
+    shape.avgCacheLen = 900;
+    const std::vector<double> budgetsGiB = {0.06, 0.12, 0.25, 0.5, 1.0,
+                                            2.0,  4.0,  8.0,  16.0};
+    Json config = Json::object();
+    config.set("device", "RTX4090");
+    config.set("models", "1.5B+1.5B");
+    config.set("num_requests", shape.numRequests);
+    config.set("verifier_seq_len", shape.verifierSeqLen);
+    config.set("verifier_req_len", shape.verifierReqLen);
+    config.set("decode_len", shape.decodeLen);
+    config.set("avg_cache_len", shape.avgCacheLen);
+    config.set("kv_gib", list(budgetsGiB));
+    doc->set("config", std::move(config));
+
+    const RooflineModel roofline(rtx4090());
+    auto planner =
+        makeRooflinePlanner(qwen25Math1_5B(), skywork1_5B(), roofline);
+    const double tBest =
+        planner->plan(shape, budgetsGiB.back() * GiB).predictedTime;
+    Json budgets = Json::object();
+    for (const double gib : budgetsGiB) {
+        const auto plan = planner->plan(shape, gib * GiB);
+        Json point = Json::object();
+        point.set("prefill_batch", plan.prefillBatch);
+        point.set("decode_batch", plan.decodeBatch);
+        point.set("norm_throughput_pct", 100.0 * tBest / plan.predictedTime);
+        budgets.set(formatDouble(gib, 2), std::move(point));
+    }
+    doc->set("budgets", std::move(budgets));
+}
+
+/** A goodput-gain figure: both systems' goodput at every point of
+ *  `axes` from `cell`, and the gain's mean and range. */
+void
+gainSweep(const Run &run, const Cell &cell, const std::vector<Axis> &axes,
+          int num_problems, Json *doc)
+{
+    doc->set("config", cellConfig(cell, num_problems, run.seed, axes));
+    SummaryStats gains;
+    doc->set("goodput", sweep(cell, axes, [&](const Cell &point) {
+                 return goodputGain(run, point, num_problems, &gains);
+             }));
+    doc->set("summary", gainSummary(gains));
+}
+
+/** Fig. 11: goodput of both systems across four search variants. */
+void
+variants(const Run &run, Json *doc)
+{
+    gainSweep(run, Cell(),
+              {fieldAxis("algorithm", &Cell::algorithm,
+                         {"beam_search", "dvts", "dynamic_branching",
+                          "varying_granularity"}),
+               widthAxis(run.widths({8, 16, 32, 64, 128, 256, 512}))},
+              run.problems(5), doc);
+}
+
+/** Fig. 12: goodput of both systems across datasets, model
+ *  configurations and n. */
+void
+goodput(const Run &run, Json *doc)
+{
+    gainSweep(run, Cell(),
+              {fieldAxis("dataset", &Cell::dataset, {"AIME", "AMC"}),
+               modelsAxis(),
+               widthAxis(run.widths({8, 16, 32, 64, 128, 256, 512}))},
+              run.problems(6), doc);
+}
+
+/** Fig. 15: goodput of both systems on constrained GPUs — FastTTS
+ *  offloads on the 8 GB card, as the paper does — and on HumanEval. */
+void
+hardware(const Run &run, Json *doc)
+{
+    struct Setup
+    {
+        const char *device;
+        const char *dataset;
+        bool offload;
+    };
+    const std::vector<Setup> setups = {{"RTX3070Ti", "AIME", true},
+                                       {"RTX4070Ti", "AIME", false},
+                                       {"RTX4090", "HumanEval", false}};
+    Axis device{"device", Json::array(), {}, [setups](Cell &cell, size_t i) {
+                    cell.device = setups[i].device;
+                    cell.dataset = setups[i].dataset;
+                    cell.config.offloadEnabled = setups[i].offload;
+                }};
+    Json datasets = Json::array();
+    Json offload = Json::array();
+    for (const Setup &setup : setups) {
+        device.values.push(setup.device);
+        device.labels.emplace_back(setup.device);
+        datasets.push(setup.dataset);
+        offload.push(setup.offload);
+    }
+    gainSweep(run, Cell(),
+              {device, widthAxis(run.widths({8, 16, 32, 64, 128, 256}))},
+              run.problems(5), doc);
+    // Each device serves its own dataset, and only FastTTS offloads.
+    Json config = (*doc)["config"];
+    config.set("dataset", std::move(datasets));
+    config.set("offload", std::move(offload));
+    doc->set("config", std::move(config));
+}
+
+/** Fig. 13: completion latency of both systems with its generator and
+ *  verifier parts, across datasets, model configurations and n. */
+void
+latency(const Run &run, Json *doc)
+{
+    const int problems = run.problems(4);
+    const std::vector<Axis> axes = {
+        fieldAxis("dataset", &Cell::dataset, {"AIME", "AMC"}), modelsAxis(),
+        widthAxis(run.widths({8, 32, 128, 512}))};
+    doc->set("config", cellConfig(Cell(), problems, run.seed, axes));
+
+    const auto reduction = [](double base, double fast) {
+        return 100.0 * (base - fast) / base;
+    };
+    SummaryStats latencyCut;
+    SummaryStats generatorCut;
+    SummaryStats verifierCut;
+    doc->set("latency", sweep(Cell(), axes, [&](Cell cell) {
+                 BatchResult out[2];
+                 Json point = Json::object();
+                 for (const bool fast : {false, true}) {
+                     cell.config = engineMode(fast);
+                     out[fast] = run.serve(cell, problems);
+                     Json parts = Json::object();
+                     parts.set("total_s", out[fast].meanLatency);
+                     parts.set("generator_s", out[fast].meanGeneratorTime);
+                     parts.set("verifier_s", out[fast].meanVerifierTime);
+                     point.set(fast ? "fasttts" : "baseline",
+                               std::move(parts));
+                 }
+                 const double cut =
+                     reduction(out[0].meanLatency, out[1].meanLatency);
+                 latencyCut.add(cut);
+                 if (out[0].meanGeneratorTime > 0)
+                     generatorCut.add(reduction(out[0].meanGeneratorTime,
+                                                out[1].meanGeneratorTime));
+                 if (out[0].meanVerifierTime > 0)
+                     verifierCut.add(reduction(out[0].meanVerifierTime,
+                                               out[1].meanVerifierTime));
+                 point.set("reduction_pct", cut);
+                 return point;
+             }));
+    Json summary = Json::object();
+    summary.set("latency_reduction_pct", latencyCut.mean());
+    summary.set("generator_reduction_pct", generatorCut.mean());
+    summary.set("verifier_reduction_pct", verifierCut.mean());
+    doc->set("summary", std::move(summary));
+}
+
+/** Fig. 14: top-1 accuracy of both systems at the figure's n across
+ *  datasets and model configurations, and Pass@N of the 1.5B+1.5B
+ *  runs. */
+void
+accuracy(const Run &run, Json *doc)
+{
+    const int problems = run.problems(16);
+    const std::vector<int> attempts = run.widths({8, 32, 128, 512});
+    const std::vector<Axis> axes = {
+        fieldAxis("dataset", &Cell::dataset, {"AIME", "AMC"}), modelsAxis()};
+    Cell cell;
+    cell.numBeams = run.width(512);
+    Json config = cellConfig(cell, problems, run.seed, axes);
+    config.set("pass_at", list(attempts));
+    doc->set("config", std::move(config));
+
+    const auto passAtPct = [](const BatchResult &out, int n) {
+        int hits = 0;
+        for (const RequestResult &request : out.requests)
+            hits += passAtN(request.solutions, static_cast<size_t>(n)) ? 1 : 0;
+        return 100.0 * hits / out.requests.size();
+    };
+    Json passAt = Json::object();
+    doc->set("top1_accuracy_pct", sweep(cell, axes, [&](Cell point) {
+                 BatchResult out[2];
+                 Json top1 = Json::object();
+                 for (const bool fast : {false, true}) {
+                     point.config = engineMode(fast);
+                     out[fast] = run.serve(point, problems);
+                     top1.set(fast ? "fasttts" : "baseline",
+                              out[fast].top1Accuracy);
+                 }
+                 if (point.models.label != "1.5B+1.5B")
+                     return top1;
+                 Json byAttempts = Json::object();
+                 for (const int n : attempts) {
+                     Json pass = Json::object();
+                     pass.set("baseline", passAtPct(out[0], n));
+                     pass.set("fasttts", passAtPct(out[1], n));
+                     byAttempts.set(std::to_string(n), std::move(pass));
+                 }
+                 passAt.set(point.dataset, std::move(byAttempts));
+                 return top1;
+             }));
+    doc->set("pass_at_n_pct", std::move(passAt));
+}
+
+/** Fig. 16: the cumulative P / M+P / S+M+P goodput gain across model
+ *  configurations and n. */
+void
+ablation(const Run &run, Json *doc)
+{
+    const int problems = run.problems(5);
+    const std::vector<Axis> axes = {
+        modelsAxis(), widthAxis(run.widths({8, 32, 128, 512}))};
+    doc->set("config", cellConfig(Cell(), problems, run.seed, axes));
+    doc->set("gain", sweep(Cell(), axes, [&](const Cell &point) {
+                 return ablationGains(run, point, problems, 3);
+             }));
+}
+
+/** Fig. 17: generation-phase utilization of both systems over one
+ *  request (left), and goodput vs the truncation ratio R (right). */
+void
+speculative(const Run &run, Json *doc)
+{
+    const int problems = run.problems(5);
+    const std::vector<Axis> axes = {
+        fieldAxis("dataset", &Cell::dataset, {"AIME", "AMC"}),
+        widthAxis(run.widths({64, 128, 256, 512}))};
+    Json config = cellConfig(Cell(), problems, run.seed, axes);
+    config.set("utilization_num_beams", run.width(32));
+    config.set("truncation_ratio", list(std::vector<double>{0.0, 0.85}));
+    doc->set("config", std::move(config));
+
+    // Utilization sampled every 10 ms of generation time.
+    std::vector<double> samples[2];
+    for (const bool fast : {false, true}) {
+        Cell traced;
+        traced.config = engineMode(fast);
+        traced.numBeams = run.width(32);
+        for (const TimelineSegment &seg : traceSegments(run, traced)) {
+            if (seg.phase != Phase::Generation)
+                continue;
+            const int reps =
+                std::max(1, static_cast<int>(seg.duration / 0.01));
+            samples[fast].insert(samples[fast].end(),
+                                 static_cast<size_t>(reps),
+                                 seg.computeUtil * 100);
+        }
+    }
+    const auto at = [&](bool fast, int pct) {
+        const std::vector<double> &s = samples[fast];
+        if (s.empty())
+            return 0.0;
+        return s[std::min(s.size() - 1,
+                          static_cast<size_t>(pct / 100.0 * s.size()))];
+    };
+    Json over = Json::object();
+    for (int pct = 0; pct <= 100; pct += 10) {
+        Json point = Json::object();
+        point.set("baseline_util_pct", at(false, pct));
+        point.set("fasttts_util_pct", at(true, pct));
+        over.set(std::to_string(pct), std::move(point));
+    }
+    doc->set("generation_utilization", std::move(over));
+
+    doc->set("goodput", sweep(Cell(), axes, [&](Cell cell) {
+                 Json point = Json::object();
+                 cell.config = FastTtsConfig::baseline();
+                 point.set("baseline", run.serve(cell, problems).meanGoodput);
+                 for (const auto &[key, ratio] :
+                      {std::pair{"r_0.0", 0.0}, {"r_0.85", 0.85}}) {
+                     cell.config = FastTtsConfig::fastTts();
+                     cell.config.truncationRatio = ratio;
+                     point.set(key, run.serve(cell, problems).meanGoodput);
+                 }
+                 return point;
+             }));
+}
+
+/** Fig. 18: KV growth as the batch grows under each scheduling order
+ *  (left), and the P and M+P gains vs available KV memory (right). */
+void
+scheduling(const Run &run, Json *doc)
+{
+    // Memory fractions that land the engine's KV budget near the
+    // paper's 1.5, 2 and 14 GB points.
+    const std::vector<double> fractions = {0.355, 0.38, 0.88};
+    const std::vector<Axis> axes = {
+        {"memory_fraction", list(fractions), {"~1.5 GB", "~2 GB", "~14 GB"},
+         [fractions](Cell &cell, size_t i) {
+             cell.models.memoryFraction = fractions[i];
+         }}};
+    const std::vector<std::string> orders = {"prefix_aware", "random",
+                                             "worst_case"};
+    const int problems = run.problems(4);
+    Cell cell;
+    cell.numBeams = run.width(512);
+    Json config = cellConfig(cell, problems, run.seed, axes);
+    config.set("scheduling_orders", list(orders));
+    doc->set("config", std::move(config));
+
+    // A beam-search-shaped final iteration: 128 leaves in sibling
+    // groups of 4 under 8 deep shared trunks.
+    KvCacheManager tree(1 << 30, 1.0, 16);
+    Rng rng(2026);
+    std::vector<SchedEntry> entries;
+    size_t index = 0;
+    for (int g = 0; g < 8; ++g) {
+        const int trunk = tree.createChild(KvCacheManager::kRoot,
+                                           1 + static_cast<uint64_t>(g),
+                                           rng.uniformInt(300, 700));
+        for (int p = 0; p < 4; ++p) {
+            const int position = g * 4 + p;
+            const int parent = tree.createChild(trunk, 100 + index,
+                                                rng.uniformInt(150, 450));
+            for (int c = 0; c < 4; ++c) {
+                const int leaf = tree.createChild(parent, 1000 + index,
+                                                  rng.uniformInt(40, 250));
+                SchedEntry e;
+                e.index = index;
+                e.beamId = ++index;
+                e.parentBeam = static_cast<uint64_t>(position);
+                e.prevPosition = position;
+                e.leaf = leaf;
+                e.pathTokens = tree.pathTokens(leaf);
+                entries.push_back(e);
+            }
+        }
+    }
+    // Unique tokens touched as the batch grows in schedule order — a
+    // proxy for KV cache consumption.
+    std::vector<std::vector<double>> cumulative;
+    for (const std::string &order : orders) {
+        std::vector<SchedEntry> scheduled = entries;
+        Rng orderRng(7);
+        makeScheduler(order)->order(scheduled, tree, orderRng);
+        std::set<int> seen;
+        double unique = 0;
+        cumulative.emplace_back();
+        for (const SchedEntry &e : scheduled) {
+            for (int id = e.leaf; id != KvCacheManager::kInvalid;
+                 id = tree.parentOf(id)) {
+                if (!seen.insert(id).second)
+                    break;
+                unique += tree.nodeTokens(id);
+            }
+            cumulative.back().push_back(unique / 1000.0);
+        }
+    }
+    Json growth = Json::object();
+    for (size_t b = 7; b < entries.size(); b += 16) {
+        Json point = Json::object();
+        for (size_t o = 0; o < orders.size(); ++o)
+            point.set(orders[o] + "_ktok", cumulative[o][b]);
+        growth.set(std::to_string(b + 1), std::move(point));
+    }
+    doc->set("kv_growth", std::move(growth));
+    doc->set("gain_vs_memory", sweep(cell, axes, [&](const Cell &point) {
+                 return ablationGains(run, point, problems, 2);
+             }));
+}
+
+/** One paper figure: a row of the suite whose document carries the
+ *  figure's own cells and the claim its caption quotes. */
+struct Figure
+{
+    const char *name;
+    const char *description;
+    const char *paper; //!< The paper's claim, as the figure states it.
+    void (*measure)(const Run &run, Json *doc);
+    std::string (*headline)(const Json &doc);
+};
+
+const Figure kFigures[] = {
+    {"fig01_frontier", "Latency vs. accuracy frontier (Fig. 1b)",
+     "Naive edge TTS needs ~200 s to match cloud accuracy, ~2x the "
+     "cloud latency (o3-pro ~112 s, GPT-5 ~95 s); FastTTS pushes latency "
+     "below the cloud reference at matched accuracy.",
+     frontier,
+     [](const Json &doc) {
+         const auto &[n, base] = doc["frontier"]["baseline"].members().back();
+         return "latency at n=" + n + " baseline "
+             + fixed(base["latency_s"], 1) + " s vs fasttts "
+             + fixed(doc["frontier"]["fasttts"][n]["latency_s"], 1) + " s";
+     }},
+    {"fig03_patterns", "TTS workload patterns (Fig. 3)",
+     "Left: accuracy BoN 50.0% < Beam Search 54.5% < DVTS 56.5% at "
+     "latency 179.5 < 207.0 < 291.5 s, so verifier-guided methods buy "
+     "accuracy with latency. Right: the average step stays in the low "
+     "hundreds of tokens while the max approaches ~1200 tokens at every "
+     "step, the straggler source.",
+     patterns,
+     [](const Json &doc) {
+         std::string line = "top-1";
+         for (const auto &[method, point] : doc["methods"].members())
+             line += " " + method + " "
+                 + fixed(point["top1_accuracy_pct"], 1) + "%";
+         const Json &first = doc["step_tokens"]["1"];
+         return line + "; step 1 avg " + whole(first["avg_tokens"])
+             + " vs max " + whole(first["max_tokens"]) + " tokens";
+     }},
+    {"fig04_utilization", "GPU utilization timeline (Fig. 4)",
+     "Generation-phase utilization peaks at the start and plummets "
+     "toward idle while waiting for the final straggler; verification "
+     "stays uniformly busy.",
+     utilization,
+     [](const Json &doc) {
+         const Json &phases = doc["phases"];
+         return "mean util generation "
+             + fixed(phases["generation"]["mean_util_pct"], 2)
+             + "% vs verification "
+             + fixed(phases["verification"]["mean_util_pct"], 2) + "%";
+     }},
+    {"fig05_prefix_sharing", "Prefix sharing working set (Fig. 5)",
+     "Prefix caching keeps the in-memory footprint several times below "
+     "the unshared footprint, and the gap widens as the tree deepens; "
+     "naive scheduling does not group similar beams, while the "
+     "prefix-aware order maximises adjacent sharing.",
+     prefixSharing,
+     [](const Json &doc) {
+         const Json &adjacency = doc["adjacent_shared_prefix"];
+         return "adjacent shared prefix prefix_aware "
+             + whole(adjacency["prefix_aware"]) + " vs random "
+             + whole(adjacency["random"]) + "; session reused "
+             + whole(doc["session"]["prefix_index"]["hit_tokens"])
+             + " prompt tokens";
+     }},
+    {"fig06_kv_throughput", "KV pressure vs. throughput (Fig. 6)",
+     "Prefill saturates at 0.39-0.98 GiB of KV; decoding needs "
+     "3.06-5.18 GiB (5-10x more).",
+     kvThroughput,
+     [](const Json &doc) {
+         const Json &stages = doc["stages"];
+         return "80% of peak at prefill "
+             + fixed(stages["prefill"]["short_seq_80pct_gib"], 2)
+             + " GiB vs decoding "
+             + fixed(stages["decoding"]["short_seq_80pct_gib"], 2) + " GiB";
+     }},
+    {"fig10_allocation", "Asymmetric memory allocation (Fig. 10)",
+     "The optimal decode batch dominates as memory grows; throughput "
+     "rises steeply then saturates. The search runs in <1 ms per "
+     "invocation.",
+     allocation,
+     [](const Json &doc) {
+         const auto &points = doc["budgets"].members();
+         return "decode batch "
+             + whole(points.front().second["decode_batch"]) + " at "
+             + points.front().first + " GiB -> "
+             + whole(points.back().second["decode_batch"]) + " at "
+             + points.back().first + " GiB";
+     }},
+    {"fig11_variants", "Search method variants (Fig. 11)",
+     "FastTTS improves goodput over the baseline for every search "
+     "variant, by 1.2x-3.9x.",
+     variants,
+     [](const Json &doc) { return "gain " + gainRange(doc["summary"]); }},
+    {"fig12_goodput", "Precise Goodput comparison (Fig. 12)",
+     "FastTTS >= baseline at every n; average gain 2.2x, range "
+     "1.2x-5.4x, growing with n (peak at 7B+1.5B, n=512, AIME).",
+     goodput,
+     [](const Json &doc) {
+         return "mean gain " + fixed(doc["summary"]["gain_mean_x"], 2)
+             + "x, range " + gainRange(doc["summary"]);
+     }},
+    {"fig13_latency", "Latency breakdown (Fig. 13)",
+     "FastTTS reduces latency by 38-68% on average; verifier latency "
+     "falls more (75-85%) than generator latency (36-66%); in 1.5B+7B "
+     "the verifier's share grows with n.",
+     latency,
+     [](const Json &doc) {
+         const Json &summary = doc["summary"];
+         return "mean reduction latency "
+             + fixed(summary["latency_reduction_pct"], 1)
+             + "%, generator "
+             + fixed(summary["generator_reduction_pct"], 1)
+             + "%, verifier "
+             + fixed(summary["verifier_reduction_pct"], 1) + "%";
+     }},
+    {"fig14_accuracy", "Accuracy preservation (Fig. 14)",
+     "FastTTS matches (or slightly exceeds) the baseline's top-1 "
+     "accuracy: algorithmic equivalence. Pass@N matches at large N and "
+     "may slightly exceed the baseline at small N (scheduler side "
+     "effect).",
+     accuracy,
+     [](const Json &doc) {
+         int equal = 0;
+         int cells = 0;
+         for (const auto &[dataset, byModels] :
+              doc["top1_accuracy_pct"].members()) {
+             for (const auto &[models, pair] : byModels.members()) {
+                 ++cells;
+                 equal += pair["baseline"].asNumber()
+                         == pair["fasttts"].asNumber()
+                     ? 1
+                     : 0;
+             }
+         }
+         return "top-1 equal in " + std::to_string(equal) + " of "
+             + std::to_string(cells) + " cells";
+     }},
+    {"fig15_hardware", "Hardware sensitivity (Fig. 15)",
+     "FastTTS outperforms the baseline everywhere: 1.4x-1.6x on the "
+     "constrained GPUs (lower absolute goodput on the 3070 Ti due to "
+     "offloading) and 1.3x-1.8x on HumanEval.",
+     hardware,
+     [](const Json &doc) { return "gain " + gainRange(doc["summary"]); }},
+    {"fig16_ablation", "P/M/S ablation (Fig. 16)",
+     "Cumulative gains: S is the largest single contribution in most "
+     "configurations, P matters most under tight memory (1.5B+1.5B at "
+     "40%), and M grows with n.",
+     ablation,
+     [](const Json &doc) {
+         std::string line = "S+M+P gain at the widest n:";
+         for (const auto &[models, byWidth] : doc["gain"].members())
+             line += " " + models + " "
+                 + fixed(byWidth.members().back().second["smp_pct"], 1)
+                 + "%";
+         return line;
+     }},
+    {"fig17_speculative", "Speculative beam extension (Fig. 17)",
+     "Baseline utilization decays over the iteration while FastTTS stays "
+     "higher and more consistent; R=0.85 (aggressive retention) yields "
+     "more goodput than R=0, both at or above the baseline.",
+     speculative,
+     [](const Json &doc) {
+         const auto &[n, point] = doc["goodput"]["AIME"].members().front();
+         return "AIME n=" + n + " goodput baseline "
+             + fixed(point["baseline"], 2) + ", R=0 "
+             + fixed(point["r_0.0"], 2) + ", R=0.85 "
+             + fixed(point["r_0.85"], 2);
+     }},
+    {"fig18_scheduling", "Prefix-aware scheduling (Fig. 18)",
+     "KV grows much more slowly under prefix-aware scheduling, so a "
+     "fixed budget supports a substantially larger batch; P and M+P gain "
+     "58% and 145% at 1.5 GB, shrinking to ~5% and 24% at 14 GB.",
+     scheduling,
+     [](const Json &doc) {
+         const Json &tight = doc["gain_vs_memory"]["~1.5 GB"];
+         return "gain at ~1.5 GB P " + fixed(tight["p_pct"], 1)
+             + "%, M+P " + fixed(tight["mp_pct"], 1) + "%";
+     }},
+};
+
+Json
+runFigure(const Figure &figure, const Run &run)
+{
+    Json doc = openDoc(figure.name, figure.description, run.quick);
+    doc.set("paper", figure.paper);
+    figure.measure(run, &doc);
+    return doc;
 }
 
 // --- The online sweep ------------------------------------------------
@@ -365,16 +1479,48 @@ newSweep(int num_beams, int num_requests, uint64_t seed)
     return sweep;
 }
 
-/** Serve the probe-calibrated bursty overload trace with tiered
- *  priorities and SLOs (bench/online_calibration.h) — the recipe
- *  bench_fig18_scheduling's bottom table also uses. */
-CalibratedOnlineTrace
+/** The probe-calibrated overload trace of a sweep. */
+struct Storm
+{
+    double rate = 0;         //!< Offered arrival rate (requests/s).
+    double slo = 0;          //!< Base SLO budget (s); requests carry
+                             //!< tiered multiples of it.
+    double measuredMean = 0; //!< Probe-measured mean service time (s).
+};
+
+/**
+ * Give the sweep its bursty overload trace, identical across arms:
+ * probe a few real requests for the mean service time, offer ~3x that
+ * rate in heavy-tailed bursts (long silences drain the queue, so the
+ * mean rate must sit well past capacity for backlog to build), and
+ * hand every request a deterministic priority and SLO-tier mix (a
+ * uniform SLO would make edf collapse to arrival order).
+ */
+Storm
 serveStorm(OnlineSweep &sweep, int num_requests, uint64_t seed)
 {
-    CalibratedOnlineTrace storm =
-        calibrateOnlineTrace(sweep.serving, "bursty", num_requests, seed)
-            .value();
-    sweep.requests = storm.requests;
+    constexpr int kProbes = 4;
+    ServingSystem probe = ServingSystem::create(sweep.serving).value();
+    double measuredMean = 0;
+    for (int i = 0; i < kProbes; ++i)
+        measuredMean +=
+            probe.serve(probe.problems()[static_cast<size_t>(i)])
+                .completionTime;
+    measuredMean /= kProbes;
+
+    const Storm storm{3.0 / measuredMean, 3.0 * measuredMean,
+                      measuredMean};
+    const std::vector<double> arrivals =
+        makeArrivalTrace("bursty", num_requests, storm.rate, seed).value();
+    const double sloTiers[] = {0.75, 1.5, 3.0, 6.0};
+    sweep.requests.reserve(arrivals.size());
+    for (size_t i = 0; i < arrivals.size(); ++i) {
+        OnlineRequest request;
+        request.arrival = arrivals[i];
+        request.priority = static_cast<int>(i % 3) - 1;
+        request.slo = storm.slo * sloTiers[i % 4];
+        sweep.requests.push_back(request);
+    }
     sweep.base.slo = storm.slo;
     return storm;
 }
@@ -393,7 +1539,7 @@ schedulingSweep(bool quick, uint64_t seed)
 {
     const int requests = quick ? 8 : 32;
     OnlineSweep sweep = newSweep(quick ? 8 : 32, requests, seed);
-    const CalibratedOnlineTrace storm = serveStorm(sweep, requests, seed);
+    const Storm storm = serveStorm(sweep, requests, seed);
     sweep.config.set("max_inflight", sweep.base.maxInflight);
     sweep.config.set("arrivals", "bursty");
     sweep.config.set("arrival_rate_per_s", storm.rate);
@@ -412,7 +1558,7 @@ preemptionSweep(bool quick, uint64_t seed)
 {
     const int requests = quick ? 10 : 24;
     OnlineSweep sweep = newSweep(quick ? 8 : 16, requests, seed);
-    const CalibratedOnlineTrace storm = serveStorm(sweep, requests, seed);
+    const Storm storm = serveStorm(sweep, requests, seed);
     const double engineGiB = engineKvBudgetGiB(sweep);
     sweep.base.policy = "edf";
     sweep.base.shedDoomed = true;
@@ -436,7 +1582,7 @@ batchingSweep(bool quick, uint64_t seed)
 {
     const int requests = quick ? 10 : 24;
     OnlineSweep sweep = newSweep(quick ? 8 : 16, requests, seed);
-    const CalibratedOnlineTrace storm = serveStorm(sweep, requests, seed);
+    const Storm storm = serveStorm(sweep, requests, seed);
     const ServingSystem probe = ServingSystem::create(sweep.serving).value();
     const double engineGiB = probe.engine().kvBudgetBytes() / GiB;
     sweep.base.policy = "edf";
@@ -549,7 +1695,7 @@ faultToleranceSweep(bool quick, uint64_t seed)
     // Stretching the calibrated overload trace keeps its bursty shape
     // while dropping the offered load well under capacity and making
     // deadlines generous enough that a few re-serves still meet them.
-    CalibratedOnlineTrace storm = serveStorm(sweep, requests, seed);
+    Storm storm = serveStorm(sweep, requests, seed);
     constexpr double kArrivalStretch = 4.0; // 3x capacity -> 0.75x.
     constexpr double kSloStretch = 4.0;     // Tiers 9x-72x the mean.
     storm.rate /= kArrivalStretch;
@@ -608,7 +1754,7 @@ kvTieringSweep(bool quick, uint64_t seed)
 {
     const int requests = quick ? 10 : 24;
     OnlineSweep sweep = newSweep(quick ? 8 : 16, requests, seed);
-    const CalibratedOnlineTrace storm = serveStorm(sweep, requests, seed);
+    const Storm storm = serveStorm(sweep, requests, seed);
     const double engineGiB = engineKvBudgetGiB(sweep);
     // The device budget sits between one request's working set and the
     // sum of the in-flight sets: every rotation force-evicts suspended
@@ -760,12 +1906,11 @@ serveCell(const OnlineBench &bench, const OnlineSweep &sweep,
 }
 
 Json
-runOnlineBenchmark(const OnlineBench &bench, bool quick, uint64_t seed,
-                   long *simulated_tokens)
+runOnlineBenchmark(const OnlineBench &bench, const Run &run)
 {
-    OnlineSweep sweep = bench.setup(quick, seed);
-    sweep.config.set("seed", seed);
-    Json doc = openDoc(bench.name, bench.description, quick);
+    OnlineSweep sweep = bench.setup(run.quick, run.seed);
+    sweep.config.set("seed", run.seed);
+    Json doc = openDoc(bench.name, bench.description, run.quick);
     doc.set("config", std::move(sweep.config));
 
     Json cells = Json::object();
@@ -774,13 +1919,13 @@ runOnlineBenchmark(const OnlineBench &bench, bool quick, uint64_t seed,
         outer.edit(options);
         Json cell = outer.opens;
         if (sweep.inner.empty())
-            serveCell(bench, sweep, options, &cell, simulated_tokens);
+            serveCell(bench, sweep, options, &cell, run.simulatedTokens);
         for (const Arm &inner : sweep.inner) {
             OnlineServerOptions edited = options;
             inner.edit(edited);
-            Json run = inner.opens;
-            serveCell(bench, sweep, edited, &run, simulated_tokens);
-            cell.set(inner.label, std::move(run));
+            Json served = inner.opens;
+            serveCell(bench, sweep, edited, &served, run.simulatedTokens);
+            cell.set(inner.label, std::move(served));
         }
         cells.set(outer.label, std::move(cell));
     }
@@ -788,20 +1933,6 @@ runOnlineBenchmark(const OnlineBench &bench, bool quick, uint64_t seed,
     if (bench.summarize != nullptr)
         doc.set("summary", bench.summarize(doc[bench.axis]));
     return doc;
-}
-
-/** A number rounded to a whole, and a fraction as a whole
- *  percentage, for the stdout headlines. */
-std::string
-whole(const Json &value)
-{
-    return formatDouble(value.asNumber(), 0);
-}
-
-std::string
-percent(const Json &fraction)
-{
-    return formatDouble(100.0 * fraction.asNumber(), 0);
 }
 
 const OnlineBench kOnlineBenchmarks[] = {
@@ -954,8 +2085,7 @@ struct Benchmark
 {
     const char *name;
     const char *description;
-    std::function<Json(bool quick, uint64_t seed, long *simulated_tokens)>
-        run;
+    std::function<Json(const Run &run)> run;
     std::string (*headline)(const Json &doc);
 };
 
@@ -964,18 +2094,21 @@ registry()
 {
     static const std::vector<Benchmark> all = [] {
         std::vector<Benchmark> benches;
-        for (const BenchSpec &spec : kBenchmarks)
+        for (const Figure &figure : kFigures)
+            benches.push_back(
+                {figure.name, figure.description,
+                 [&figure](const Run &run) { return runFigure(figure, run); },
+                 figure.headline});
+        for (const PairBench &spec : kPairBenchmarks)
             benches.push_back(
                 {spec.name, spec.description,
-                 [&spec](bool quick, uint64_t seed, long *tokens) {
-                     return runBenchmark(spec, quick, seed, tokens);
-                 },
-                 figureHeadline});
+                 [&spec](const Run &run) { return runPair(spec, run); },
+                 pairHeadline});
         for (const OnlineBench &bench : kOnlineBenchmarks)
             benches.push_back(
                 {bench.name, bench.description,
-                 [&bench](bool quick, uint64_t seed, long *tokens) {
-                     return runOnlineBenchmark(bench, quick, seed, tokens);
+                 [&bench](const Run &run) {
+                     return runOnlineBenchmark(bench, run);
                  },
                  bench.headline});
         return benches;
@@ -1056,11 +2189,16 @@ runnerMain(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        if ((arg == "--jobs" || arg == "--out-dir" || arg == "--seed")
+            && i + 1 >= argc) {
+            std::cerr << "bench_runner: " << arg << " expects a value\n";
+            return 2;
+        }
         if (arg == "--list") {
             list = true;
         } else if (arg == "--quick") {
             quick = true;
-        } else if (arg == "--jobs" && i + 1 < argc) {
+        } else if (arg == "--jobs") {
             char *end = nullptr;
             const long value = std::strtol(argv[++i], &end, 10);
             if (end == argv[i] || *end != '\0' || value < 1
@@ -1071,9 +2209,9 @@ runnerMain(int argc, char **argv)
                 return 2;
             }
             jobs = static_cast<int>(value);
-        } else if (arg == "--out-dir" && i + 1 < argc) {
+        } else if (arg == "--out-dir") {
             outDir = argv[++i];
-        } else if (arg == "--seed" && i + 1 < argc) {
+        } else if (arg == "--seed") {
             // Reuse the EngineArgs number grammar for the seed flag.
             const char *fake[] = {"bench_runner", "--seed", argv[++i]};
             auto parsed = EngineArgs::fromArgv(3, fake);
@@ -1112,6 +2250,11 @@ runnerMain(int argc, char **argv)
                       << "' (see --list)\n";
             return 2;
         }
+        if (std::find(toRun.begin(), toRun.end(), &*found) != toRun.end()) {
+            std::cerr << "bench_runner: benchmark '" << name
+                      << "' is named twice\n";
+            return 2;
+        }
         toRun.push_back(&*found);
     }
 
@@ -1142,8 +2285,8 @@ runnerMain(int argc, char **argv)
             for (size_t i = nextTask.fetch_add(1); i < toRun.size();
                  i = nextTask.fetch_add(1)) {
                 const auto start = Clock::now();
-                docs[i] = toRun[i]->run(quick, seed,
-                                        &samples[i].simulatedTokens);
+                docs[i] = toRun[i]->run(
+                    Run{quick, seed, &samples[i].simulatedTokens});
                 samples[i].wallMs =
                     std::chrono::duration<double, std::milli>(
                         Clock::now() - start)

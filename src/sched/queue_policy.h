@@ -8,7 +8,8 @@
  * Which pending request should take the next free slot is a policy
  * decision, not an engine decision: this header makes it a first-class,
  * registry-backed axis so heuristic and learned admission policies can
- * be compared on identical arrival traces (see bench_fig18_scheduling).
+ * be compared on identical arrival traces (see bench_runner's
+ * online_scheduling benchmark).
  *
  * A QueuePolicy ranks the *request* queue of OnlineServer; it is
  * distinct from sched/scheduler.h's BeamScheduler, which orders the

@@ -1,7 +1,6 @@
 #include "util/table.h"
 
 #include <algorithm>
-#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -91,31 +90,6 @@ Table::print(std::ostream &os) const
     os << std::string(total, '=') << "\n";
     if (!caption_.empty())
         os << caption_ << "\n";
-}
-
-bool
-Table::writeCsv(const std::string &path) const
-{
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (size_t i = 0; i < row.size(); ++i) {
-            if (i)
-                out << ",";
-            // Quote cells containing commas.
-            if (row[i].find(',') != std::string::npos)
-                out << '"' << row[i] << '"';
-            else
-                out << row[i];
-        }
-        out << "\n";
-    };
-    if (!header_.empty())
-        emit(header_);
-    for (const auto &row : rows_)
-        emit(row);
-    return true;
 }
 
 } // namespace fasttts

@@ -1,10 +1,10 @@
 /**
  * @file
- * ASCII table and CSV emitters used by the bench harnesses.
+ * Column-aligned ASCII tables for the human-facing tools.
  *
- * Every bench binary regenerates one paper figure by printing the same
- * rows/series the paper reports; Table gives them a uniform, aligned
- * format, and an optional CSV mirror makes the output easy to re-plot.
+ * The examples and bench_online_responsiveness print their results
+ * through Table; the machine-readable figure output is bench_runner's
+ * BENCH_<name>.json.
  */
 
 #ifndef FASTTTS_UTIL_TABLE_H
@@ -41,9 +41,6 @@ class Table
 
     /** Render to a stream. */
     void print(std::ostream &os) const;
-
-    /** Write a CSV version of the table body to the given path. */
-    bool writeCsv(const std::string &path) const;
 
     /** Number of data rows. */
     size_t numRows() const { return rows_.size(); }

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 
 #include "util/histogram.h"
@@ -152,32 +151,6 @@ TEST(Table, FormatDouble)
     EXPECT_EQ(formatDouble(1.23456, 2), "1.23");
     EXPECT_EQ(formatDouble(1.0, 0), "1");
     EXPECT_EQ(formatDouble(-0.5, 1), "-0.5");
-}
-
-TEST(Table, WriteCsvRoundTrip)
-{
-    Table t("csv test");
-    t.setHeader({"col_a", "col_b"});
-    t.addRow({"x", "1"});
-    t.addRow({"with,comma", "2"});
-    const std::string path = ::testing::TempDir() + "/fasttts_table.csv";
-    ASSERT_TRUE(t.writeCsv(path));
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string line;
-    std::getline(in, line);
-    EXPECT_EQ(line, "col_a,col_b");
-    std::getline(in, line);
-    EXPECT_EQ(line, "x,1");
-    std::getline(in, line);
-    EXPECT_EQ(line, "\"with,comma\",2");
-}
-
-TEST(Table, WriteCsvFailsOnBadPath)
-{
-    Table t("csv test");
-    t.addRow({"x"});
-    EXPECT_FALSE(t.writeCsv("/nonexistent_dir_xyz/out.csv"));
 }
 
 } // namespace
