@@ -11,6 +11,10 @@
  * baseline and FastTTS at increasing arrival rates. Shorter service
  * times compound through the queue, so FastTTS's advantage grows with
  * load.
+ *
+ * Exits 1 when any served trace took a defensive hang-guard exit
+ * (OnlineTraceResult::defensiveExits): its numbers would come from a
+ * stalled simulation, so scripts/stress_online.sh gates on it.
  */
 
 #include <iostream>
@@ -57,6 +61,7 @@ main(int argc, char **argv)
     table.setHeader({"arrival rate /s", "system", "mean latency s",
                      "p50 s", "p95 s", "p99 s", "mean queue s",
                      "slo att %", "device util"});
+    int defensive_exits = 0;
     for (double rate : {0.01, 0.05, 0.2}) {
         const std::vector<double> arrivals =
             makeArrivalTrace(args.arrivals, requests, rate, args.seed)
@@ -68,6 +73,7 @@ main(int argc, char **argv)
             OnlineServer server =
                 OnlineServer::create(opts, online).value();
             const auto out = server.serveArrivals(arrivals);
+            defensive_exits += out.defensiveExits;
             table.addRow({formatDouble(rate, 2),
                           fast ? "fasttts" : "baseline",
                           formatDouble(out.meanLatency, 1),
@@ -85,5 +91,11 @@ main(int argc, char **argv)
                      "compound through the queue, widening the latency "
                      "gap as the arrival rate approaches saturation.");
     table.print(std::cout);
+    if (defensive_exits > 0) {
+        std::cerr << "error: " << defensive_exits
+                  << " defensive hang-guard exit(s) fired; the numbers "
+                     "above come from a stalled simulation\n";
+        return 1;
+    }
     return 0;
 }

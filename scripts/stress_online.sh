@@ -28,7 +28,8 @@
 # (--kv-tier host --victim-select cost --preempt slice), so every
 # context switch runs the roofline swap-vs-recompute decision and the
 # tier's swap-out/take/LRU-evict machinery races forced eviction and
-# lazy restore.
+# lazy restore. The bench exits 1 when a defensive hang-guard exit
+# fired, so a pass that stalls the simulation fails the script too.
 
 set -euo pipefail
 
@@ -52,7 +53,7 @@ while [[ $# -gt 0 ]]; do
         shift 2
         ;;
     --help | -h)
-        sed -n '2,31p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'
+        sed -n '2,32p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'
         exit 0
         ;;
     *)

@@ -96,6 +96,7 @@ struct FastTtsEngine::RequestContext
     uint64_t nextSegId_ = 1;
     int iteration_ = 0;
     int forcedTerminations_ = 0;
+    int defensiveExits_ = 0; //!< safety_cap exits of this request.
     int promptNodeGen_ = -1;
     int promptNodeVer_ = -1;
     int promptRemaining_ = 0; //!< Prompt tokens awaiting chunked
@@ -135,8 +136,18 @@ struct FastTtsEngine::RequestContext
     long speculativeTokens_ = 0;
     long wastedSpecTokens_ = 0;
 
-    // Generation-phase scratch (valid within one iteration).
+    // Generation-phase state (valid within one iteration). It lives
+    // here rather than in runGenerationPhase() so that a phase that
+    // yields blocked on memory resumes exactly where it stopped.
     std::vector<size_t> queue_;
+    size_t queueHead_ = 0;      //!< Next queue_ entry to admit.
+    double pinnedTokens_ = 0;   //!< Admission's pinned working-set
+                                //!< estimate (tokens).
+    bool specDisabled_ = false; //!< Memory pressure stopped
+                                //!< speculation for this iteration.
+    bool genBlocked_ = false;   //!< The phase yielded blocked on
+                                //!< memory; the next step resumes it
+                                //!< without replan().
     std::vector<size_t> decodeSet_;
     // Running speculative branches as (active_ index, branch index)
     // pairs, kept sorted in beam order and maintained incrementally
@@ -258,6 +269,7 @@ FastTtsEngine::resetRequestState(const Problem &problem,
     ctx_->completed_.clear();
     ctx_->iterStats_.clear();
     ctx_->queue_.clear();
+    ctx_->genBlocked_ = false;
     ctx_->decodeSet_.clear();
     ctx_->specRunning_.clear();
     ctx_->stepTokens_.assign(static_cast<size_t>(dataset_.maxSteps) + 1, {});
@@ -265,6 +277,7 @@ FastTtsEngine::resetRequestState(const Problem &problem,
     ctx_->nextSegId_ = 1;
     ctx_->iteration_ = 0;
     ctx_->forcedTerminations_ = 0;
+    ctx_->defensiveExits_ = 0;
     ctx_->generatedTokens_ = 0;
     ctx_->speculativeTokens_ = 0;
     ctx_->wastedSpecTokens_ = 0;
@@ -549,6 +562,38 @@ FastTtsEngine::finishStandardBeam(size_t idx)
 }
 
 void
+FastTtsEngine::forceKill(ActiveBeam &beam)
+{
+    // Terminated unverified; selection completes it with a weak score.
+    beam.forceKilled = true;
+    beam.finishedGen = true;
+    ++ctx_->forcedTerminations_;
+}
+
+bool
+FastTtsEngine::blockedOnLedger(const ActiveBeam &refused, int dt) const
+{
+    // Blocked on memory: the request's own pool had the blocks the
+    // refused append needed, so the shared ledger refused it, and
+    // other requests hold ledger bytes the serving layer can free.
+    // The prefix cache's bytes are no such holder.
+    const KvCacheManager &gen = *ctx_->kvGen_;
+    const KvBudgetLedger *ledger = gen.ledger();
+    if (ledger == nullptr)
+        return false;
+    const int tokens = gen.nodeTokens(refused.curSeg);
+    const size_t need = gen.blocksFor(tokens + dt) - gen.blocksFor(tokens);
+    if (gen.allocator().free() < need)
+        return false;
+    double others =
+        ledger->usedBytes() - gen.residentBytes() - ctx_->kvVer_->residentBytes();
+    if (ctx_->prefixIndex_ != nullptr
+        && ctx_->prefixIndex_->ledger() == ledger)
+        others -= ctx_->prefixIndex_->residentBytes();
+    return others > 0.5;
+}
+
+void
 FastTtsEngine::releaseBranch(SpecBranch &branch)
 {
     if (branch.retained && branch.node >= 0) {
@@ -677,7 +722,7 @@ FastTtsEngine::fillSpeculativeSlots()
 }
 
 void
-FastTtsEngine::runGenerationPhase()
+FastTtsEngine::startGenerationPhase()
 {
     if (ctx_->plan_.offloadActive && ctx_->plan_.offloadOverhead > 0)
         ctx_->clock_.advance(ctx_->plan_.offloadOverhead * 0.5, Phase::Transfer);
@@ -706,6 +751,20 @@ FastTtsEngine::runGenerationPhase()
     // Selection released every branch of the previous iteration; start
     // the running-set bookkeeping from a clean slate regardless.
     ctx_->specRunning_.clear();
+    ctx_->queueHead_ = 0;
+    ctx_->pinnedTokens_ = 0;
+    ctx_->specDisabled_ = false;
+}
+
+void
+FastTtsEngine::runGenerationPhase(bool may_yield)
+{
+    // A phase that yielded blocked on memory resumes where it stopped:
+    // its queue, queue head, pinned estimate and speculation flag are
+    // still in the context, and its set-up was already paid for.
+    if (!ctx_->genBlocked_)
+        startGenerationPhase();
+    ctx_->genBlocked_ = false;
 
     const int capacity = std::max(1, ctx_->plan_.decodeBatch);
     // Pinned working-set estimate (tokens) for admission control.
@@ -714,20 +773,25 @@ FastTtsEngine::runGenerationPhase()
     // the local total whenever no ledger binds), so admission waits
     // under cross-request memory pressure instead of admitting beams
     // the ledger will immediately refuse.
-    double pinned_tokens = 0;
+    double &pinned_tokens = ctx_->pinnedTokens_;
     const double budget_tokens =
         static_cast<double>(ctx_->kvGen_->allocator().used()
                             + ctx_->kvGen_->freeBlocks())
         * config_.blockTokens;
 
-    size_t q_head = 0;
-    bool spec_disabled = false;
+    size_t &q_head = ctx_->queueHead_;
+    bool &spec_disabled = ctx_->specDisabled_;
     int safety = 0;
     const int safety_cap = static_cast<int>(ctx_->active_.size()) * 4096 + 4096;
 
     while (true) {
-        if (++safety > safety_cap)
-            break; // Defensive: never hang a simulation.
+        if (++safety > safety_cap) {
+            // Defensive: never hang a simulation. Every wave decodes
+            // or kills a beam, so a healthy run never gets here.
+            ++ctx_->defensiveExits_;
+            ++defensiveExits_;
+            break;
+        }
 
         // --- Phase 1: Continuous Beam Batching admission ---
         while (static_cast<int>(ctx_->decodeSet_.size()) < capacity
@@ -766,9 +830,7 @@ FastTtsEngine::runGenerationPhase()
                     if (ctx_->decodeSet_.empty()) {
                         // Alone it still does not fit: the beam can
                         // never run under this budget.
-                        b.forceKilled = true;
-                        b.finishedGen = true;
-                        ++ctx_->forcedTerminations_;
+                        forceKill(b);
                         ++q_head;
                     }
                     break;
@@ -812,18 +874,18 @@ FastTtsEngine::runGenerationPhase()
             dt = std::min(dt, br->target - br->decoded);
         dt = std::max(dt, 1);
 
+        // The wave is charged after its appends, and only if it
+        // decoded something; the LRU tick is already the wave's end.
         const int active_total = static_cast<int>(ctx_->decodeSet_.size())
             + static_cast<int>(spec_run.size());
         const double ctx = currentAvgContext() + dt * 0.5;
         const double step_time = roofline_.decodeStepTime(
             models_.generator, active_total, ctx);
-        ctx_->clock_.advance(dt * step_time, Phase::Generation,
-                       roofline_.decodeComputeUtil(models_.generator,
-                                                   active_total, ctx),
-                       active_total, capacity);
-
+        const double wave_time = dt * step_time;
+        const double compute_util =
+            roofline_.decodeComputeUtil(models_.generator, active_total, ctx);
         const uint64_t tick =
-            static_cast<uint64_t>(ctx_->clock_.now() * 1e6);
+            static_cast<uint64_t>((ctx_->clock_.now() + wave_time) * 1e6);
 
         // Memory pressure from the standard beams preempts speculation
         // *before* any useful cache gets evicted (Sec. 4.1.2: the
@@ -838,6 +900,8 @@ FastTtsEngine::runGenerationPhase()
         }
 
         // --- Apply dt tokens to every running member ---
+        bool decoded = false;
+        ActiveBeam *refused = nullptr; // Last standard beam preempted.
         std::vector<size_t> still_running;
         for (size_t idx : ctx_->decodeSet_) {
             ActiveBeam &b = *ctx_->active_[idx];
@@ -855,9 +919,11 @@ FastTtsEngine::runGenerationPhase()
                                  - (ctx_->kvGen_->pathTokens(b.curSeg)
                                     + b.targetTokens - b.decoded));
                     ctx_->queue_.push_back(idx);
+                    refused = &b;
                     continue;
                 }
             }
+            decoded = true;
             b.decoded += dt;
             ctx_->generatedTokens_ += dt;
             if (b.decoded >= b.targetTokens) {
@@ -880,11 +946,31 @@ FastTtsEngine::runGenerationPhase()
                 releaseBranch(*br);
                 continue;
             }
+            decoded = true;
             br->decoded += dt;
             ctx_->generatedTokens_ += dt;
             ctx_->speculativeTokens_ += dt;
             if (br->decoded >= br->target)
                 br->complete = true;
+        }
+
+        if (decoded) {
+            ctx_->clock_.advance(wave_time, Phase::Generation, compute_util,
+                                 active_total, capacity);
+        } else if (refused != nullptr) {
+            // Nothing decoded, so the wave costs no time. The beam
+            // preempted last was refused with every other member
+            // already preempted: alone, it does not fit. When only
+            // the shared ledger stands in its way and other requests
+            // hold ledger bytes, the step yields blocked on memory and
+            // resumes here once they are freed. Otherwise (no ledger,
+            // its own pool full, or nobody to wait for) it takes
+            // admission's "can never run" path, so no wave spins.
+            if (may_yield && blockedOnLedger(*refused, dt)) {
+                ctx_->genBlocked_ = true;
+                return;
+            }
+            forceKill(*refused);
         }
 
         // Refresh the running set from this wave's snapshot: branches
@@ -1318,14 +1404,23 @@ FastTtsEngine::stepBatch(const std::vector<RequestContext *> &contexts,
                 + ctx_->clock_.phaseTime(Phase::Recompute);
             const double t0 = ctx_->clock_.now();
             const long decoded0 = ctx_->generatedTokens_;
-            outcome.moreWork = stepRequest();
+            outcome.moreWork = stepIteration(/*may_yield=*/true);
+            outcome.blocked = ctx_->genBlocked_;
             run.genTime = ctx_->clock_.phaseTime(Phase::Generation)
                 + ctx_->clock_.phaseTime(Phase::Recompute) - gen0;
             run.serialTime = (ctx_->clock_.now() - t0) - run.genTime;
             const long decoded = ctx_->generatedTokens_ - decoded0;
             outcome.decodedTokens += decoded;
             out.tokensDecoded += decoded;
-            runs.push_back(run);
+            if (outcome.blocked) {
+                // Out of the fused decode batch: what the member ran
+                // before it blocked is charged serially.
+                const double delta = ctx_->clock_.now() - t0;
+                outcome.activeDelta += delta;
+                out.waveTime += delta;
+            } else {
+                runs.push_back(run);
+            }
         }
         ctx_.release();
     }
@@ -1383,10 +1478,20 @@ FastTtsEngine::generatedTokensSoFar() const
 bool
 FastTtsEngine::stepRequest()
 {
+    return stepIteration(/*may_yield=*/false);
+}
+
+bool
+FastTtsEngine::stepIteration(bool may_yield)
+{
     const int hard_cap = dataset_.maxSteps + 4;
     if (!ctx_->active_.empty() && ctx_->iteration_ < hard_cap) {
-        replan();
-        runGenerationPhase();
+        // A blocked phase resumes under the plan it started with.
+        if (!ctx_->genBlocked_)
+            replan();
+        runGenerationPhase(may_yield);
+        if (ctx_->genBlocked_)
+            return true; // Yielded mid-iteration; no verification yet.
         runVerificationPhase();
 
         IterationStats stats;
@@ -1459,6 +1564,7 @@ FastTtsEngine::finishRequest()
             time_total / static_cast<double>(ctx_->completed_.size());
     }
     result.solutions = ctx_->completed_;
+    result.defensiveExits = ctx_->defensiveExits_;
     result.kvStats = ctx_->kvGen_->stats();
     const KvStats &ver = ctx_->kvVer_->stats();
     result.kvStats.evictions += ver.evictions;

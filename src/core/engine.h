@@ -79,6 +79,10 @@ struct BatchMemberOutcome
     int prefilledTokens = 0;   //!< Prompt tokens prefilled this wave.
     double activeDelta = 0;    //!< Device time attributed to this
                                //!< member under the fused wave clock.
+    bool blocked = false;      //!< The shared ledger refused every beam
+                               //!< while other requests hold its bytes:
+                               //!< the step yielded mid-iteration and
+                               //!< the next decode entry resumes it.
 };
 
 /** What one fused engine wave did across all planned members. */
@@ -158,7 +162,10 @@ class FastTtsEngine
 
     /**
      * Advance the in-flight request by one TTS iteration (replan,
-     * generation, verification, selection).
+     * generation, verification, selection). A generation wave that
+     * decodes nothing costs no time; run alone like this, a request
+     * with nothing to yield to force-kills the beam that cannot fit
+     * (forcedTerminations()), so the call always terminates.
      * @return true while further iterations remain; false once every
      *         beam completed (or the step hard cap was reached), after
      *         which finishRequest() collects the result.
@@ -193,6 +200,12 @@ class FastTtsEngine
      * prefill chunks. Per-member KV trees, beams, counters and RNG
      * streams are untouched by batch composition, so each member's
      * results are identical to a solo run.
+     *
+     * A decode member whose beams the shared ledger refuses while
+     * other requests hold its bytes does not spin: its step ends
+     * blocked on memory (BatchMemberOutcome::blocked), out of the
+     * fused decode batch, and its next decode entry resumes the same
+     * iteration once the caller has freed ledger bytes.
      *
      * The engine must be idle (no mounted in-flight request); the
      * contexts are borrowed for the call and returned untouched in
@@ -319,6 +332,10 @@ class FastTtsEngine
     /** Beams forcibly terminated because they could never fit. */
     [[nodiscard]] int forcedTerminations() const;
 
+    /** Generation phases this engine cut at the hang guard
+     *  (safety_cap), over its lifetime; 0 in a healthy simulation. */
+    [[nodiscard]] int defensiveExits() const { return defensiveExits_; }
+
     /**
      * Graceful-degradation override (serving layer, fault pressure):
      * while set, replan() disables speculative beam extension and
@@ -340,9 +357,11 @@ class FastTtsEngine
     // --- Request lifecycle ---
     void resetRequestState(const Problem &problem,
                            bool defer_prompt_prefill);
+    bool stepIteration(bool may_yield);
     void replan();
     int prefillPromptChunk(int max_tokens);
-    void runGenerationPhase();
+    void startGenerationPhase();
+    void runGenerationPhase(bool may_yield);
     void runVerificationPhase();
     void runSelectionPhase();
 
@@ -350,6 +369,8 @@ class FastTtsEngine
     bool admitBeam(size_t idx);
     void fillSpeculativeSlots();
     void finishStandardBeam(size_t idx);
+    void forceKill(ActiveBeam &beam);
+    bool blockedOnLedger(const ActiveBeam &refused, int dt) const;
     void killAllSpeculation();
     void chargeRecompute(int tokens);
     void chargeSwapIn(double bytes);
@@ -376,6 +397,7 @@ class FastTtsEngine
     double kvBudget_ = 0;
     double expectedStepTokens_ = 0; //!< Cached mean step length.
     bool degraded_ = false; //!< Fault-pressure degradation override.
+    int defensiveExits_ = 0; //!< safety_cap exits, all requests.
     KvBudgetLedger *ledger_ = nullptr; //!< Shared KV budget (optional).
     HostKvTier *hostTier_ = nullptr;   //!< Host swap tier (optional).
     PrefixIndex *prefixIndex_ = nullptr; //!< Cross-request prefix

@@ -296,12 +296,6 @@ OnlineServer::serveArrivals(const std::vector<double> &arrivals)
     return *std::move(result);
 }
 
-StatusOr<OnlineTraceResult>
-OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests)
-{
-    return serveRequestsImpl(requests, nullptr);
-}
-
 BatchResult
 OnlineServer::serveProblems(int num_problems)
 {
@@ -319,15 +313,15 @@ OnlineServer::serveProblems(int num_problems)
     std::vector<RequestResult> results;
     // Arrivals are finite and ids in range by construction, so the
     // one serve loop cannot reject this input.
-    auto trace = serveRequestsImpl(requests, &results);
+    auto trace = serveRequests(requests, &results);
     (void)trace;
     return aggregateResults(std::move(results),
                             system_.options().numBeams);
 }
 
 StatusOr<OnlineTraceResult>
-OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
-                                std::vector<RequestResult> *results_sink)
+OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
+                            std::vector<RequestResult> *results)
 {
     const std::vector<Problem> &problems = system_.problems();
     if (requests.empty() || problems.empty())
@@ -495,6 +489,8 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     const bool degrade_enabled =
         injector != nullptr && online_.retryMax > 0;
     const double watchdog = online_.requestTimeout;
+    const int engine_exits_before = system_.engine().defensiveExits();
+    int defensive_exits = 0; //!< The serve loop's own hang-guard exits.
 
     // --- In-flight bookkeeping, one record type for both batching
     //     modes. ---
@@ -542,6 +538,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     long waves = 0;         //!< Engine waves (a time slice is a
                             //!< one-member wave)...
     long wave_members = 0;  //!< ...and their decode members.
+    long blocked_steps = 0;
     long recomputed_tokens = 0;
     long reprefilled_tokens = 0;
     long preempt_evicted = 0;
@@ -762,8 +759,10 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
                 next_event = tickets[next_ticket].meta.arrival;
             for (const RetryEntry &entry : retry_queue)
                 next_event = std::min(next_event, entry.eligibleAt);
-            if (!std::isfinite(next_event))
-                break; // Defensive: nothing can ever run.
+            if (!std::isfinite(next_event)) {
+                ++defensive_exits; // Defensive: nothing can ever run.
+                break;
+            }
             now = std::max(now, next_event);
             continue;
         }
@@ -975,6 +974,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             flight.rec.activeTime += member.activeDelta;
             flight.decoded += member.decodedTokens;
             flight.lastRunAt = now;
+            blocked_steps += member.blocked ? 1 : 0;
             if (member.moreWork) {
                 // A member parked again after running is the trace's
                 // honest observation of its real working set.
@@ -1006,8 +1006,8 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
                     && flight.peakKvBytes > 0)
                     kv_scale = 0.8 * kv_scale
                         + 0.2 * (flight.peakKvBytes / flight.ticket.kvBytes);
-                if (results_sink)
-                    results_sink->push_back(*std::move(result));
+                if (results != nullptr)
+                    results->push_back(*std::move(result));
             }
             records.push_back(flight.rec);
             checkOk(system_.release(flight.sysId));
@@ -1033,6 +1033,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     out.swappedOutTokens = swapped_out_tokens;
     out.swappedInTokens = swapped_in_tokens;
     out.swapTransferTime = swap_transfer_time;
+    out.blockedSteps = blocked_steps;
     out.batchOccupancy = waves > 0
         ? static_cast<double>(wave_members) / static_cast<double>(waves)
         : 0.0;
@@ -1051,6 +1052,8 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     out.degradedWaves = degraded_waves;
     out.degradedTime = degraded_time;
     out.degradedEpisodes = degraded_episodes;
+    out.defensiveExits = defensive_exits
+        + system_.engine().defensiveExits() - engine_exits_before;
     if (failed_with_deadline > 0) {
         int completed_with_deadline = 0;
         for (const OnlineRequestRecord &rec : out.records)

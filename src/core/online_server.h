@@ -224,6 +224,17 @@ struct OnlineTraceResult
     int degradedEpisodes = 0; //!< Times degradation engaged; with
                               //!< degradedTime this yields mean
                               //!< time-to-recovery.
+
+    long blockedSteps = 0; //!< Decode steps that yielded blocked on
+                           //!< memory: the shared ledger refused the
+                           //!< member while other requests held its
+                           //!< bytes, so the server freed some before
+                           //!< the step resumed.
+
+    /** Hang-guard exits this trace took: engine generation phases
+     *  cut at safety_cap plus the serve loop's "nothing can ever run"
+     *  break. Any nonzero count is a simulator defect. */
+    int defensiveExits = 0;
 };
 
 /**
@@ -471,9 +482,12 @@ class OnlineServer
      * time (negative arrivals queue from the trace start).
      * kInvalidArgument on non-finite arrivals or out-of-range problem
      * ids.
+     * @param results When non-null, each completed request's engine
+     *        result is appended, in OnlineTraceResult::records order.
      */
     StatusOr<OnlineTraceResult>
-    serveRequests(const std::vector<OnlineRequest> &requests);
+    serveRequests(const std::vector<OnlineRequest> &requests,
+                  std::vector<RequestResult> *results = nullptr);
 
     /**
      * Serve the first num_problems of the system's problem set as an
@@ -516,12 +530,6 @@ class OnlineServer
                  OnlineServerOptions online,
                  std::unique_ptr<QueuePolicy> policy,
                  RooflineModel roofline, DatasetProfile profile);
-
-    /** The one serve loop; results_sink (optional) collects each
-     *  completed request's engine result in completion order. */
-    StatusOr<OnlineTraceResult>
-    serveRequestsImpl(const std::vector<OnlineRequest> &requests,
-                      std::vector<RequestResult> *results_sink);
 
     // Declared before ledger_ and system_: both hold borrowed
     // pointers to the injector, so it must outlive them (members

@@ -247,10 +247,12 @@ ServingSystem::stepBatch(const std::vector<RequestId> &ids,
     out.schedule.prefillChunks = wave.prefillChunks;
     out.schedule.waveTime = wave.waveTime;
 
-    // A Decode entry is one TTS iteration of its member.
+    // A Decode entry is one TTS iteration of its member, unless the
+    // member blocked on memory: that iteration resumes next wave.
     for (const BatchPlanEntry &entry : plan.entries) {
         if (entry.kind == BatchWorkKind::Decode
-            && entry.member < ids.size())
+            && entry.member < ids.size()
+            && !wave.outcomes[entry.member].blocked)
             ++requests_.at(ids[entry.member]).iterations;
     }
 

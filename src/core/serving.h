@@ -215,6 +215,11 @@ class ServingSystem
     /**
      * Advance serving by one engine iteration: admit the next queued
      * request if none is running, run one iteration, fire callbacks.
+     * The running request has no one to yield to, so a beam the
+     * shared ledger refuses even alone is force-killed
+     * (FastTtsEngine::stepRequest()) — also while a suspended request
+     * holds the ledger's bytes: step() never evicts a parked request's
+     * KV on its own (evictSuspendedKv() does).
      * @return A ScheduleOutcome that is truthy while queued or
      *         running work remains, carrying what the wave did.
      */
@@ -238,7 +243,12 @@ class ServingSystem
      * finish are completed (onComplete fires; per-iteration onStep
      * callbacks do NOT fire from batched waves) and their KV is
      * released, refunding its shared-ledger charge before the call
-     * returns; the rest stay Suspended. Plan entries index into `ids`.
+     * returns; the rest stay Suspended. A member the shared ledger
+     * refuses while other requests hold its bytes reports
+     * BatchMemberOutcome::blocked: its iteration is not counted and
+     * resumes on its next decode entry, so the caller should free
+     * ledger bytes first (evictSuspendedKv()). Plan entries index
+     * into `ids`.
      * @return kFailedPrecondition unless every id is Suspended.
      */
     StatusOr<BatchStepOutcome>

@@ -43,6 +43,10 @@ struct RequestResult
     // --- Solutions (for accuracy metrics) ---
     std::vector<CompletedSolution> solutions;
 
+    /** Generation phases cut at the engine's hang guard (safety_cap);
+     *  any nonzero count is a simulator defect, not a result. */
+    int defensiveExits = 0;
+
     // --- Cache behaviour ---
     KvStats kvStats;
 

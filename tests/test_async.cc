@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "core/serving.h"
 #include "kv/kv_session.h"
+#include "util/units.h"
 
 namespace fasttts
 {
@@ -699,6 +701,186 @@ TEST(AsyncServing, FusedWaveIsCheaperThanSerialSlices)
 
     for (const RequestId id : ids)
         ASSERT_TRUE(system.cancel(id).ok());
+}
+
+// --- Blocked on memory: a member the shared ledger refuses yields ---
+
+/** The baseline engine never speculates, so with an ample ledger its
+ *  KV only grows: a dry run's final footprint is also its peak. */
+ServingSystem
+baselineSystem()
+{
+    ServingOptions opts;
+    opts.config = FastTtsConfig::baseline();
+    opts.numBeams = 8;
+    return ServingSystem::create(opts).value();
+}
+
+/** A plan that runs one decode iteration of each listed member. */
+BatchPlan
+decodePlan(const std::vector<size_t> &members)
+{
+    BatchPlan plan;
+    for (const size_t member : members) {
+        BatchPlanEntry entry;
+        entry.member = member;
+        entry.kind = BatchWorkKind::Decode;
+        entry.tokens = 1;
+        plan.entries.push_back(entry);
+    }
+    return plan;
+}
+
+/** Two parked requests on `system`: a holder (problem 1) that decoded
+ *  `holder_waves` iterations, then a member (problem 0) whose prompt
+ *  is prefilled up front. Returns {holder, member}. */
+std::pair<RequestId, RequestId>
+parkHolderThenMember(ServingSystem &system, int holder_waves,
+                     RequestCallbacks member_callbacks = {})
+{
+    const RequestId holder = system.submit(system.problems()[1]);
+    EXPECT_TRUE(system.startSuspended(holder, /*defer_prompt=*/false).ok());
+    for (int i = 0; i < holder_waves; ++i)
+        EXPECT_TRUE(system.stepBatch({holder}, decodePlan({0})).ok());
+    const RequestId member = system.submit(system.problems()[0],
+                                           std::move(member_callbacks));
+    EXPECT_TRUE(system.startSuspended(member, /*defer_prompt=*/false).ok());
+    return {holder, member};
+}
+
+/** Ledger bytes parkHolderThenMember() leaves charged: a dry run of the
+ *  same deterministic set-up on an ample ledger. */
+double
+heldBytes(int holder_waves)
+{
+    KvBudgetLedger ample(64.0 * GiB);
+    ServingSystem dry = baselineSystem();
+    dry.attachKvLedger(&ample);
+    const auto [holder, member] = parkHolderThenMember(dry, holder_waves);
+    const double held = ample.usedBytes();
+    EXPECT_TRUE(dry.cancel(holder).ok());
+    EXPECT_TRUE(dry.cancel(member).ok());
+    return held;
+}
+
+constexpr int kHolderWaves = 6;
+
+TEST(AsyncServing, BlockedBatchMemberYieldsAndResumesAfterEviction)
+{
+    // The member starts on a ledger the parked holder has filled to
+    // the last byte. Its first wave decodes nothing, so the step
+    // yields blocked on memory at no cost instead of spinning; once
+    // the holder's KV is evicted the same iteration resumes and the
+    // request finishes exactly as a solo run does.
+    std::vector<int> iterations;
+    RequestCallbacks callbacks;
+    callbacks.onStep = [&](const StepEvent &e) {
+        iterations.push_back(e.iteration);
+    };
+    KvBudgetLedger ledger(heldBytes(kHolderWaves));
+    ServingSystem system = baselineSystem();
+    system.attachKvLedger(&ledger);
+    const auto [holder, member] =
+        parkHolderThenMember(system, kHolderWaves, callbacks);
+    ASSERT_LT(ledger.freeBytes(), 1.0); // The dry run replayed exactly.
+
+    const auto blocked = system.stepBatch({holder, member}, decodePlan({1}));
+    ASSERT_TRUE(blocked.ok());
+    const BatchMemberOutcome &yielded = blocked->members[1];
+    EXPECT_TRUE(yielded.participated);
+    EXPECT_TRUE(yielded.blocked);
+    EXPECT_TRUE(yielded.moreWork);
+    EXPECT_EQ(yielded.activeDelta, 0.0);
+    EXPECT_EQ(yielded.decodedTokens, 0);
+    EXPECT_EQ(blocked->schedule.waveTime, 0.0);
+    EXPECT_EQ(*system.requestState(member), RequestState::Suspended);
+
+    ASSERT_GT(system.evictSuspendedKv(holder).value(), 0);
+    const auto resumed = system.stepBatch({holder, member}, decodePlan({1}));
+    ASSERT_TRUE(resumed.ok());
+    EXPECT_FALSE(resumed->members[1].blocked);
+    EXPECT_GT(resumed->members[1].decodedTokens, 0);
+    EXPECT_GT(resumed->members[1].activeDelta, 0.0);
+
+    // Finish it on step(): the blocked entry was not an iteration, so
+    // the resumed wave was the first and step() continues at the
+    // second.
+    ASSERT_TRUE(system.resume(member).ok());
+    system.drain();
+    ASSERT_EQ(*system.requestState(member), RequestState::Completed);
+    ASSERT_FALSE(iterations.empty());
+    EXPECT_EQ(iterations.front(), 2);
+
+    ServingSystem solo = baselineSystem();
+    const RequestResult want = solo.serve(solo.problems()[0]);
+    const RequestResult got = system.result(member).value();
+    ASSERT_EQ(got.solutions.size(), want.solutions.size());
+    for (size_t i = 0; i < got.solutions.size(); ++i) {
+        EXPECT_EQ(got.solutions[i].answer, want.solutions[i].answer);
+        EXPECT_EQ(got.solutions[i].score, want.solutions[i].score);
+        EXPECT_EQ(got.solutions[i].tokens, want.solutions[i].tokens);
+    }
+    EXPECT_EQ(got.defensiveExits, 0);
+    ASSERT_TRUE(system.cancel(holder).ok());
+}
+
+TEST(AsyncServing, StepForceKillsBeamsAParkedRequestCrowdsOut)
+{
+    // step() runs one request and has no one to yield to: it leaves a
+    // parked request's KV alone, so a beam the full ledger refuses
+    // even alone takes forceKilled and the request still terminates.
+    KvBudgetLedger ledger(heldBytes(kHolderWaves));
+    ServingSystem system = baselineSystem();
+    system.attachKvLedger(&ledger);
+    const auto [holder, member] = parkHolderThenMember(system, kHolderWaves);
+    const double parked = system.suspendedInfo(holder)->residentKvBytes;
+
+    ASSERT_TRUE(system.resume(member).ok());
+    int steps = 0;
+    while (system.step())
+        ASSERT_LT(++steps, 100) << "step() did not terminate";
+    ASSERT_EQ(*system.requestState(member), RequestState::Completed);
+    const RequestResult got = system.result(member).value();
+    EXPECT_EQ(got.defensiveExits, 0);
+    EXPECT_EQ(got.generatedTokens, 0);
+    ASSERT_EQ(got.solutions.size(), 8u);
+    for (const CompletedSolution &sol : got.solutions)
+        EXPECT_EQ(sol.score, 0.05); // Forced, unverified completions.
+    EXPECT_EQ(system.suspendedInfo(holder)->residentKvBytes, parked);
+    ASSERT_TRUE(system.cancel(holder).ok());
+}
+
+TEST(AsyncServing, LoneBatchMemberTheLedgerRefusesIsForceKilled)
+{
+    // Alone on a ledger that holds only its prompt, nobody can free
+    // bytes for the member: it never reports blocked, and every beam
+    // that cannot fit is force-killed, as admission does with a beam
+    // that never fits.
+    KvBudgetLedger ample(64.0 * GiB);
+    ServingSystem dry = smallSystem(8);
+    dry.attachKvLedger(&ample);
+    const RequestId probe = dry.submit(dry.problems()[0]);
+    ASSERT_TRUE(dry.startSuspended(probe, /*defer_prompt=*/false).ok());
+    KvBudgetLedger ledger(ample.usedBytes());
+    ASSERT_TRUE(dry.cancel(probe).ok());
+
+    ServingSystem system = smallSystem(8);
+    system.attachKvLedger(&ledger);
+    const RequestId id = system.submit(system.problems()[0]);
+    ASSERT_TRUE(system.startSuspended(id, /*defer_prompt=*/false).ok());
+    int waves = 0;
+    while (*system.requestState(id) != RequestState::Completed) {
+        const auto wave = system.stepBatch({id}, decodePlan({0}));
+        ASSERT_TRUE(wave.ok());
+        EXPECT_FALSE(wave->members[0].blocked);
+        ASSERT_LT(++waves, 100) << "the lone member did not terminate";
+    }
+    const RequestResult got = system.result(id).value();
+    EXPECT_EQ(got.defensiveExits, 0);
+    EXPECT_EQ(got.generatedTokens, 0);
+    ASSERT_EQ(got.solutions.size(), 8u);
+    for (const CompletedSolution &sol : got.solutions)
+        EXPECT_EQ(sol.score, 0.05);
 }
 
 } // namespace

@@ -258,6 +258,9 @@ TEST(TierTwinProperty, TieredRunDecidesIdenticallyToUntiered)
         }
         EXPECT_EQ(base.verifiedTokens, swap.verifiedTokens);
         EXPECT_EQ(base.generatedTokens, swap.generatedTokens);
+        // The floor budget must not reach the hang guard.
+        EXPECT_EQ(base.defensiveExits, 0) << "seed " << seed;
+        EXPECT_EQ(swap.defensiveExits, 0) << "seed " << seed;
 
         // Only timing and KV statistics may differ: the tiered run
         // replaced recompute with transfers.

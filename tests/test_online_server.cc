@@ -678,6 +678,7 @@ TEST(OnlineServer, PreemptionStormHoldsInvariants)
     EXPECT_EQ(static_cast<int>(out.records.size()) + out.shedRequests
                   + out.cancelled,
               24);
+    EXPECT_EQ(out.defensiveExits, 0);
     EXPECT_LE(server.kvLedger().peakUsedBytes(),
               server.kvLedger().totalBytes() + 1.0);
     EXPECT_LE(out.utilization, 1.0 + 1e-9);
@@ -811,6 +812,7 @@ TEST(OnlineServer, ContinuousBatchingStormHoldsInvariants)
     EXPECT_EQ(static_cast<int>(out.records.size()) + out.shedRequests
                   + out.cancelled,
               24);
+    EXPECT_EQ(out.defensiveExits, 0);
     EXPECT_LE(server.kvLedger().peakUsedBytes(),
               server.kvLedger().totalBytes() + 1.0);
     EXPECT_LE(out.utilization, 1.0 + 1e-9);
@@ -821,6 +823,60 @@ TEST(OnlineServer, ContinuousBatchingStormHoldsInvariants)
         EXPECT_GT(rec.finish, rec.start);
         EXPECT_GT(rec.activeTime, 0.0);
         EXPECT_LE(rec.activeTime, rec.serviceTime() + 1e-9);
+    }
+}
+
+TEST(OnlineServer, LedgerRefusedMemberYieldsInsteadOfSpinning)
+{
+    // A tight shared ledger under continuous batching, sized down from
+    // the responsiveness tool's stress pass (baseline engine, 4 beams,
+    // EDF with shedding, 8 in flight, 0.5 GiB). A member the ledger
+    // refuses while others hold its bytes must yield blocked on memory
+    // and resume once the server frees bytes; spinning through
+    // zero-progress waves used to charge one request over 10^4 s of
+    // engine time on this trace and shed the requests behind it.
+    ServingOptions opts = smallOptions(false);
+    opts.datasetName = "AMC";
+    opts.numBeams = 4;
+    OnlineServerOptions online;
+    online.policy = "edf";
+    online.maxInflight = 8;
+    online.batching = "continuous";
+    online.kvBudgetGiB = 0.5;
+    online.shedDoomed = true;
+    online.slo = 2000;
+    OnlineServer server = OnlineServer::create(opts, online).value();
+
+    std::vector<OnlineRequest> trace;
+    for (const double arrival : burstyArrivalTrace(24, 0.2, 88)) {
+        OnlineRequest r;
+        r.arrival = arrival;
+        trace.push_back(r);
+    }
+    std::vector<RequestResult> results;
+    const auto out = server.serveRequests(trace, &results).value();
+
+    EXPECT_GT(out.blockedSteps, 0); // The yield actually engaged.
+    EXPECT_EQ(out.defensiveExits, 0);
+    EXPECT_EQ(static_cast<int>(out.records.size()) + out.shedRequests
+                  + out.cancelled + out.timeouts + out.failedRequests,
+              static_cast<int>(trace.size()));
+    ASSERT_EQ(results.size(), out.records.size());
+    ServingSystem solo = ServingSystem::create(opts).value();
+    for (size_t i = 0; i < out.records.size(); ++i) {
+        const OnlineRequestRecord &rec = out.records[i];
+        EXPECT_LT(rec.activeTime, 1e3) << "problem " << rec.problemId;
+        const RequestResult want = solo.serve(
+            solo.problems()[static_cast<size_t>(rec.problemId)]);
+        ASSERT_EQ(results[i].solutions.size(), want.solutions.size());
+        for (size_t j = 0; j < want.solutions.size(); ++j) {
+            EXPECT_EQ(results[i].solutions[j].answer,
+                      want.solutions[j].answer);
+            EXPECT_EQ(results[i].solutions[j].score,
+                      want.solutions[j].score);
+            EXPECT_EQ(results[i].solutions[j].tokens,
+                      want.solutions[j].tokens);
+        }
     }
 }
 
@@ -1536,6 +1592,8 @@ expectSameTrace(const OnlineTraceResult &a, const OnlineTraceResult &b,
     EXPECT_EQ(a.degradedWaves, b.degradedWaves) << where;
     EXPECT_EQ(a.degradedTime, b.degradedTime) << where;
     EXPECT_EQ(a.degradedEpisodes, b.degradedEpisodes) << where;
+    EXPECT_EQ(a.blockedSteps, b.blockedSteps) << where;
+    EXPECT_EQ(a.defensiveExits, b.defensiveExits) << where;
 }
 
 TEST(OnlineServer, FlagLatticeHoldsInvariants)
@@ -1603,6 +1661,7 @@ TEST(OnlineServer, FlagLatticeHoldsInvariants)
                               + out.timeouts + out.failedRequests,
                           static_cast<int>(trace.size()))
                     << where;
+                EXPECT_EQ(out.defensiveExits, 0) << where;
                 // Only the prefix cache's own residency outlives the
                 // trace on the shared ledger.
                 const PrefixIndex *index = server.system().prefixIndex();
