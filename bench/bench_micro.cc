@@ -11,10 +11,8 @@
 
 #include "alloc/memory_planner.h"
 #include "core/engine.h"
-#include "core/online_server.h"
 #include "kv/kv_cache.h"
 #include "kv/kv_session.h"
-#include "kv/kv_tier.h"
 #include "model/model_spec.h"
 #include "model/workload.h"
 #include "sched/scheduler.h"
@@ -173,67 +171,6 @@ BM_KvSessionSuspendResume(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_KvSessionSuspendResume)->Arg(64)->Arg(256)->Arg(1024);
-
-/**
- * Host-tier swap round trip: park every resident node of a beam-
- * search-shaped tree on the host tier, force-evict the device copy,
- * then restore the full frontier via ensureResident take() hits. This
- * is the bookkeeping cost of one preemption that chooses transfer
- * over recompute — the tier store itself must stay negligible next to
- * the simulated link time it models.
- */
-void
-BM_KvSwapOutIn(benchmark::State &state)
-{
-    KvCacheManager kv(1 << 30, 1.0, 16);
-    HostKvTier tier(1 << 30, 16.0 * GBps);
-    kv.attachHostTier(&tier, 1.0);
-    Rng rng(7);
-    std::vector<SchedEntry> entries =
-        buildEntries(kv, static_cast<int>(state.range(0)), rng);
-    for (const auto &e : entries) {
-        kv.retain(e.leaf);
-        (void)kv.ensureResident(e.leaf, 1);
-    }
-    uint64_t tick = 2;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(kv.swapOutResident());
-        benchmark::DoNotOptimize(kv.forceEvictAll());
-        for (const auto &e : entries)
-            benchmark::DoNotOptimize(kv.ensureResident(e.leaf, tick));
-        ++tick;
-    }
-    state.SetItemsProcessed(state.iterations()
-                            * static_cast<int64_t>(entries.size()));
-}
-BENCHMARK(BM_KvSwapOutIn)->Arg(8)->Arg(64)->Arg(512);
-
-/**
- * Cost-aware victim ranking over one preemption sweep's candidate
- * set: the online server calls this under memory pressure each time
- * slice, so sorting the suspended set must stay trivial against an
- * engine wave.
- */
-void
-BM_VictimRankCostAware(benchmark::State &state)
-{
-    Rng rng(8);
-    std::vector<VictimCandidate> candidates;
-    const int count = static_cast<int>(state.range(0));
-    candidates.reserve(static_cast<size_t>(count));
-    for (int i = 0; i < count; ++i) {
-        VictimCandidate c;
-        c.kvBytes = rng.uniform(1.0 * MiB, 512.0 * MiB);
-        c.lastRunAt = rng.uniform(0.0, 100.0);
-        c.transferSeconds = c.kvBytes / (16.0 * GBps);
-        c.recomputeSeconds = rng.uniform(0.001, 0.5);
-        candidates.push_back(c);
-    }
-    for (auto _ : state)
-        benchmark::DoNotOptimize(rankEvictionVictims(candidates));
-    state.SetItemsProcessed(state.iterations() * count);
-}
-BENCHMARK(BM_VictimRankCostAware)->Arg(4)->Arg(16)->Arg(64);
 
 /**
  * retain/release round trip over a deep path: still O(depth) for the

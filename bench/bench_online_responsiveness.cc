@@ -41,15 +41,14 @@ main(int argc, char **argv)
         "--slo/--arrivals/--preempt/--kv-budget/--shed-doomed/"
         "--batching/--prefix-cache the queueing discipline, "
         "--faults/--retry-max the fault-tolerance machinery, "
-        "--kv-tier/--victim-select the KV offload hierarchy)",
+        "--calibrate-kv the working-set calibration)",
         {"--problems", "--dataset", "--seed", "--beams", "--policy",
          "--max-inflight", "--slo", "--arrivals", "--preempt",
          "--kv-budget", "--shed-doomed", "--batching",
          "--max-batched-tokens", "--prefill-chunk", "--prefix-cache",
          "--prefix-cache-budget", "--faults", "--fault-plan",
          "--retry-max", "--retry-backoff", "--request-timeout",
-         "--kv-tier", "--host-kv-budget", "--host-bandwidth",
-         "--victim-select"});
+         "--calibrate-kv"});
     const int requests = args.numProblems;
     const OnlineServerOptions &online = args.online;
 

@@ -1746,11 +1746,10 @@ faultToleranceSweep(bool quick, uint64_t seed)
 
 /** The preemption storm (EDF, round-robin slicing, 0.3x device KV
  *  budget — the regime where suspended requests are constantly
- *  force-evicted) with the host tier off, fast and slow, crossed with
- *  admission-order vs cost-aware victim selection: the roofline
- *  swap-vs-recompute study behind --kv-tier. */
+ *  force-evicted) with working-set calibration (--calibrate-kv) off
+ *  and on. */
 OnlineSweep
-kvTieringSweep(bool quick, uint64_t seed)
+kvCalibrationSweep(bool quick, uint64_t seed)
 {
     const int requests = quick ? 10 : 24;
     OnlineSweep sweep = newSweep(quick ? 8 : 16, requests, seed);
@@ -1758,12 +1757,9 @@ kvTieringSweep(bool quick, uint64_t seed)
     const double engineGiB = engineKvBudgetGiB(sweep);
     // The device budget sits between one request's working set and the
     // sum of the in-flight sets: every rotation force-evicts suspended
-    // victims (tier-eligible), while the mounted run itself never
-    // self-reclaims — so preemption evictions dominate the recompute
-    // bill and the tier can absorb them.
+    // requests, so how many working sets the admission gate lets share
+    // the budget decides the recompute bill.
     const double budgetGiB = 0.3 * engineGiB;
-    constexpr double kFastGBs = 16.0; //!< PCIe-class host link.
-    constexpr double kSlowGBs = 0.5;  //!< Link where recompute can win.
     sweep.base.policy = "edf";
     sweep.base.preempt = "slice";
     sweep.base.kvBudgetGiB = budgetGiB;
@@ -1776,36 +1772,18 @@ kvTieringSweep(bool quick, uint64_t seed)
     sweep.config.set("slo_s", storm.slo);
     sweep.config.set("engine_kv_budget_gib", engineGiB);
     sweep.config.set("kv_budget_gib", budgetGiB);
-    sweep.config.set("host_bandwidth_fast_gbs", kFastGBs);
-    sweep.config.set("host_bandwidth_slow_gbs", kSlowGBs);
     sweep.config.set("shed_doomed", true);
-
-    struct Tier
-    {
-        const char *label;
-        const char *kvTier;
-        double bandwidthGBs;
-    };
-    for (const Tier &tier : {Tier{"off", "off", kFastGBs},
-                             Tier{"host_fast", "host", kFastGBs},
-                             Tier{"host_slow", "host", kSlowGBs}}) {
-        Arm arm{tier.label, Json::object(), [tier](OnlineServerOptions &o) {
-                    o.kvTier = tier.kvTier;
-                    o.hostBandwidthGBs = tier.bandwidthGBs;
-                }};
-        arm.opens.set("kv_tier", tier.kvTier);
-        arm.opens.set("host_bandwidth_gbs", tier.bandwidthGBs);
-        sweep.outer.push_back(std::move(arm));
-    }
-    sweep.inner = knobArms(&OnlineServerOptions::victimSelect,
-                           {"admission", "cost"});
+    for (const bool calibrate : {false, true})
+        sweep.outer.push_back({calibrate ? "on" : "off", Json::object(),
+                               [calibrate](OnlineServerOptions &o) {
+                                   o.calibrateKv = calibrate;
+                               }});
     return sweep;
 }
 
 /**
  * Every metric an online cell can report, keyed by its JSON name; a
- * row picks its keys from this. The host-tier keys are present only
- * when the server has a tier attached.
+ * row picks its keys from this.
  */
 Json
 onlineMetrics(const OnlineServer &server, const OnlineTraceResult &out,
@@ -1857,21 +1835,7 @@ onlineMetrics(const OnlineServer &server, const OnlineTraceResult &out,
     // Mean sim-time from degradation entry until the fault window
     // cleared (or the trace ended still degraded).
     m.set("time_to_recovery_s", ratio(out.degradedTime, out.degradedEpisodes));
-    m.set("swapped_out_tokens", out.swappedOutTokens);
-    m.set("swapped_in_tokens", out.swappedInTokens);
-    m.set("swap_transfer_time_s", out.swapTransferTime);
     m.set("kv_peak_gib", toGiB(server.kvLedger().peakUsedBytes()));
-    if (const HostKvTier *tier = server.hostTier(); tier != nullptr) {
-        const HostKvTierStats &stats = tier->stats();
-        m.set("host_peak_gib", toGiB(tier->peakBytes()));
-        m.set("host_swapped_out_nodes",
-              static_cast<double>(stats.swappedOutNodes));
-        m.set("host_swapped_in_nodes",
-              static_cast<double>(stats.swappedInNodes));
-        m.set("host_rejected_nodes", static_cast<double>(stats.rejectedNodes));
-        m.set("host_evicted_nodes", static_cast<double>(stats.evictedNodes));
-        m.set("host_stale_nodes", static_cast<double>(stats.staleNodes));
-    }
     m.set("utilization", out.utilization);
     return m;
 }
@@ -1901,8 +1865,7 @@ serveCell(const OnlineBench &bench, const OnlineSweep &sweep,
     *simulated_tokens += out.generatedTokens;
     const Json metrics = onlineMetrics(server, out, sweep.requests);
     for (const char *key : bench.metrics)
-        if (metrics.has(key))
-            cell->set(key, metrics[key]);
+        cell->set(key, metrics[key]);
 }
 
 Json
@@ -2032,48 +1995,18 @@ const OnlineBench kOnlineBenchmarks[] = {
              + "% (recovered "
              + whole(summary["slo_recovery_points_at_5pct"]) + " pts)";
      }},
-    {"online_kv_tiering",
-     "Host KV tiering: swap-vs-recompute under a preemption storm",
-     kvTieringSweep, "tiers",
+    {"online_kv_calibration",
+     "Working-set calibration off vs on under a preemption storm",
+     kvCalibrationSweep, "calibration",
      {"latency_s", "slo_attainment", "deadline_misses", "completed",
       "shed_requests", "context_switches", "preemptions",
       "recomputed_tokens", "reprefilled_tokens", "preempt_evicted_tokens",
-      "swapped_out_tokens", "swapped_in_tokens", "swap_transfer_time_s",
-      "kv_peak_gib", "host_peak_gib", "host_swapped_out_nodes",
-      "host_swapped_in_nodes", "host_rejected_nodes", "host_evicted_nodes",
-      "host_stale_nodes", "utilization", "makespan_s"},
-     // Headline: cost-aware fast-link tiering vs the legacy
-     // force-evict-recompute server at the identical device budget.
-     // The reduction is over re-prefilled tokens — the post-eviction
-     // recompute tiering can absorb — not raw recomputed_tokens, which
-     // also counts every node's first prefill (KvStats doc).
-     [](const Json &tiers) {
-         const Json &base = tiers["off"]["admission"];
-         const Json &tiered = tiers["host_fast"]["cost"];
-         const double recomputeBase = base["reprefilled_tokens"].asNumber();
-         const double recomputeTiered =
-             tiered["reprefilled_tokens"].asNumber();
-         Json summary = Json::object();
-         summary.set("reprefilled_tokens_baseline", recomputeBase);
-         summary.set("reprefilled_tokens_tiered", recomputeTiered);
-         summary.set("recompute_reduction",
-                     recomputeBase > 0
-                         ? 1.0 - recomputeTiered / recomputeBase
-                         : 0.0);
-         summary.set("slo_attainment_baseline",
-                     base["slo_attainment"].asNumber());
-         summary.set("slo_attainment_tiered",
-                     tiered["slo_attainment"].asNumber());
-         summary.set("swapped_in_tokens_tiered",
-                     tiered["swapped_in_tokens"].asNumber());
-         return summary;
-     },
+      "kv_peak_gib", "utilization", "makespan_s"},
+     nullptr,
      [](const Json &doc) {
-         const Json &summary = doc["summary"];
-         return "recompute -" + percent(summary["recompute_reduction"])
-             + "% (host_fast/cost), slo "
-             + percent(summary["slo_attainment_baseline"]) + "% -> "
-             + percent(summary["slo_attainment_tiered"]) + "%";
+         const Json &cells = doc["calibration"];
+         return "slo off " + percent(cells["off"]["slo_attainment"])
+             + "% vs on " + percent(cells["on"]["slo_attainment"]) + "%";
      }},
 };
 

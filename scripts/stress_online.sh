@@ -23,13 +23,13 @@
 # deterministic wave-step faults at 5% with retries (--faults plan
 # --retry-max 3), so the abort/refund/re-admit machinery — cancel
 # mid-wave, prefix-pin release, ledger refund, backoff re-queue —
-# churns under the sanitizers too. A seventh pass turns on the host KV
-# tier with cost-aware victim selection under round-robin time slicing
-# (--kv-tier host --victim-select cost --preempt slice), so every
-# context switch runs the roofline swap-vs-recompute decision and the
-# tier's swap-out/take/LRU-evict machinery races forced eviction and
-# lazy restore. The bench exits 1 when a defensive hang-guard exit
-# fired, so a pass that stalls the simulation fails the script too.
+# churns under the sanitizers too. A seventh pass turns on working-set
+# calibration under round-robin time slicing and a tighter budget
+# (--preempt slice --calibrate-kv --kv-budget 0.25), so the EWMA-scaled
+# admission gate decides how many working sets share the budget while
+# every context switch force-evicts and lazily restores. The bench
+# exits 1 when a defensive hang-guard exit fired, so a pass that
+# stalls the simulation fails the script too.
 
 set -euo pipefail
 
@@ -127,17 +127,14 @@ echo "-- stress: ${requests} bursty requests, K=${max_inflight}," \
     --retry-max 3 --kv-budget 0.5 --shed-doomed \
     --max-inflight "${max_inflight}" --slo 2000 >/dev/null
 
-# Tiering storm: host KV tier + cost-aware victim selection under
-# round-robin time slicing and a tight shared budget, so every context
-# switch takes the roofline swap-vs-recompute decision and the host
-# store's swap-out/take/LRU-evict bookkeeping churns against suspend,
-# forced eviction and lazy restore.
+# Calibration storm: EWMA working-set calibration under round-robin
+# time slicing and a tighter shared budget, so the rescaled admission
+# gate churns against suspend, forced eviction and lazy restore.
 echo "-- stress: ${requests} bursty requests, K=${max_inflight}," \
-    "policy=edf, preempt=slice, kv-tier=host, victim-select=cost," \
+    "policy=edf, preempt=slice, calibrate-kv," \
     "kv-budget=0.25 GiB, shed-doomed"
 "${bench}" --problems "${requests}" --beams 4 --dataset AMC \
     --arrivals bursty --policy edf --preempt slice \
-    --kv-tier host --host-kv-budget 0.5 --host-bandwidth 16 \
-    --victim-select cost --kv-budget 0.25 --shed-doomed \
+    --calibrate-kv --kv-budget 0.25 --shed-doomed \
     --max-inflight "${max_inflight}" --slo 2000 >/dev/null
 echo "-- scheduler stress passed (ASan+UBSan clean)"

@@ -168,25 +168,12 @@ const Flag kFlags[] = {
      field(&OnlineServerOptions::requestTimeout), "S",
      "watchdog: abort requests older than\n"
      "S sim seconds (0 disables)"},
-    {"--kv-tier", "kv_tier", field(&OnlineServerOptions::kvTier), "MODE",
-     "host KV offload: 'off' (default;\n"
-     "bit-identical device-only serving) or\n"
-     "'host' (preemption swaps KV to a\n"
-     "budgeted host tier when the copy beats\n"
-     "the recompute)"},
-    {"--host-kv-budget", "host_kv_budget_gib",
-     field(&OnlineServerOptions::hostKvBudgetGiB), "GIB",
-     "host tier byte budget (0 = twice the\n"
-     "device KV budget)"},
-    {"--host-bandwidth", "host_bandwidth_gbs",
-     field(&OnlineServerOptions::hostBandwidthGBs), "GBS",
-     "host link bandwidth in GB/s\n"
-     "(default 16)"},
-    {"--victim-select", "victim_select",
-     field(&OnlineServerOptions::victimSelect), "MODE",
-     "memory-pressure eviction order:\n"
-     "'admission' (default) or 'cost'\n"
-     "(cheapest-to-restore first)"},
+    {"--calibrate-kv", "calibrate_kv",
+     field(&OnlineServerOptions::calibrateKv), "",
+     "rescale predicted KV working sets by\n"
+     "an EWMA of observed residency in the\n"
+     "admission gate and bench returns",
+     0, 0, "use raw predictions (default)"},
 };
 
 /** "--no-NAME", a switch's clearing form. */

@@ -7,7 +7,6 @@
 #include <unordered_set>
 
 #include "kv/kv_session.h"
-#include "kv/kv_tier.h"
 #include "kv/prefix_index.h"
 
 namespace fasttts
@@ -159,15 +158,6 @@ struct FastTtsEngine::RequestContext
     double meanVerifierPath_ = 0; //!< Mean full-path length (planning).
     bool specAllowed_ = true;      //!< Memory allows speculation.
     bool lookaheadAllowed_ = true; //!< Verifier cache under pressure.
-
-    // Per-token roofline recompute rates of the two trees, captured at
-    // request start so a parked SuspendedEngineRequest can make the
-    // swap-vs-recompute call without reaching back into the engine.
-    // chunkedRecomputeTime is linear in tokens (max of two
-    // through-origin lines plus a fixed step overhead), so the slope
-    // is exact.
-    double genRecomputePerToken_ = 0;
-    double verRecomputePerToken_ = 0;
 };
 
 namespace
@@ -294,21 +284,6 @@ FastTtsEngine::resetRequestState(const Problem &problem,
     if (ledger_ != nullptr) {
         ctx_->kvGen_->attachLedger(ledger_);
         ctx_->kvVer_->attachLedger(ledger_);
-    }
-    // Exact per-token slope: two point evaluations of a linear cost.
-    ctx_->genRecomputePerToken_ =
-        roofline_.chunkedRecomputeTime(models_.generator, 2)
-        - roofline_.chunkedRecomputeTime(models_.generator, 1);
-    ctx_->verRecomputePerToken_ =
-        roofline_.chunkedRecomputeTime(models_.verifier, 2)
-        - roofline_.chunkedRecomputeTime(models_.verifier, 1);
-    if (hostTier_ != nullptr) {
-        // The per-token rates arm the LRU-path roofline call: victims
-        // cheaper to copy out than to re-prefill park on the host.
-        ctx_->kvGen_->attachHostTier(hostTier_,
-                                     ctx_->genRecomputePerToken_);
-        ctx_->kvVer_->attachHostTier(hostTier_,
-                                     ctx_->verRecomputePerToken_);
     }
 
     // Cross-request prefix cache: mount the longest cached prefix of
@@ -489,25 +464,6 @@ FastTtsEngine::chargeRecompute(int tokens)
         Phase::Recompute, 0.6, 1, 1);
 }
 
-void
-FastTtsEngine::chargeSwapIn(double bytes)
-{
-    // Host-tier traffic: restored bytes come back over the host link
-    // instead of being re-prefilled, and LRU-path swap-outs since the
-    // last charge drain their outbound copy time here too.
-    // Phase::Transfer, like offload traffic, so it lands in
-    // RequestResult::transferTime.
-    if (hostTier_ == nullptr)
-        return;
-    double seconds = bytes > 0 ? hostTier_->transferSeconds(bytes) : 0;
-    if (ctx_->kvGen_ != nullptr)
-        seconds += ctx_->kvGen_->takePendingSwapSeconds();
-    if (ctx_->kvVer_ != nullptr)
-        seconds += ctx_->kvVer_->takePendingSwapSeconds();
-    if (seconds > 0)
-        ctx_->clock_.advance(seconds, Phase::Transfer);
-}
-
 bool
 FastTtsEngine::admitBeam(size_t idx)
 {
@@ -528,7 +484,6 @@ FastTtsEngine::admitBeam(size_t idx)
     if (!touch.ok)
         return false;
     chargeRecompute(touch.recomputeTokens);
-    chargeSwapIn(touch.swappedInBytes);
     ctx_->kvGen_->retain(b.curSeg);
     b.pinned = true;
     if (b.pendingStepDone || b.decoded >= b.targetTokens) {
@@ -707,7 +662,6 @@ FastTtsEngine::fillSpeculativeSlots()
         if (!touch.ok)
             break; // Memory too tight to speculate at all.
         chargeRecompute(touch.recomputeTokens);
-        chargeSwapIn(touch.swappedInBytes);
         ctx_->kvGen_->retain(br.node);
         br.retained = true;
         b.branches.push_back(br);
@@ -1076,10 +1030,6 @@ FastTtsEngine::runVerificationPhase()
             ? touch.recomputeTokens
             : ctx_->kvVer_->pathTokens(touch_leaf); // Budget too small to
                                               // cache: full re-prefill.
-        // Verifier nodes restored from the host tier are excluded
-        // from req_tokens above; pay their link transfer instead.
-        if (touch.ok)
-            chargeSwapIn(touch.swappedInBytes);
         requests.push_back({idx, std::max(req_tokens, 1)});
 
         b.newScore =
@@ -1336,10 +1286,6 @@ FastTtsEngine::prefillPromptChunk(int max_tokens)
             ctx_->promptRemaining_ = 0;
             return 0;
         }
-        // A prompt node parked on the host tier by a mid-prefill
-        // preemption copies back here; the remaining chunks below
-        // still pay their prefill exactly as before.
-        chargeSwapIn(touch.swappedInBytes);
     }
     ctx_->clock_.advance(
         roofline_.prefillTime(models_.generator, 1, chunk),
@@ -1536,10 +1482,6 @@ FastTtsEngine::finishRequest()
         pruneBeam(*b);
     ctx_->active_.clear();
 
-    // Outbound host-link time from swap-outs after the last touch
-    // charge still belongs to this request's clock.
-    chargeSwapIn(0);
-
     RequestResult result;
     result.completionTime = ctx_->clock_.now();
     result.generatorTime = ctx_->clock_.phaseTime(Phase::Generation)
@@ -1575,9 +1517,6 @@ FastTtsEngine::finishRequest()
     result.kvStats.missTokens += ver.missTokens;
     result.kvStats.preemptEvictions += ver.preemptEvictions;
     result.kvStats.preemptEvictedTokens += ver.preemptEvictedTokens;
-    result.kvStats.swappedOutTokens += ver.swappedOutTokens;
-    result.kvStats.swappedInTokens += ver.swappedInTokens;
-    result.kvStats.swapTransferTime += ver.swapTransferTime;
     result.kvStats.prefixHitTokens =
         static_cast<uint64_t>(ctx_->prefixHitTokens_);
     // Publish the prompt back to the cross-request prefix cache (the
@@ -1741,26 +1680,10 @@ SuspendedEngineRequest::evictKv()
     // pressure the serving layer retries eviction every time slice,
     // and an already-evicted victim must not pay two full-tree scans
     // per retry.
-    //
-    // With a host tier attached each tree makes the roofline
-    // swap-vs-recompute call (KvSession::suspend with the per-token
-    // prefill rate captured at request start); the outbound copy is
-    // charged to the parked request's own clock as Phase::Transfer,
-    // so tiering shows up in its latency, not just its token counts.
-    if (ctx_->kvGen_ != nullptr && ctx_->kvGen_->residentBytes() > 0) {
-        KvSession session(*ctx_->kvGen_);
-        dropped += session.suspend(tick, ctx_->genRecomputePerToken_);
-        if (session.lastSwapOutSeconds() > 0)
-            ctx_->clock_.advance(session.lastSwapOutSeconds(),
-                                 Phase::Transfer);
-    }
-    if (ctx_->kvVer_ != nullptr && ctx_->kvVer_->residentBytes() > 0) {
-        KvSession session(*ctx_->kvVer_);
-        dropped += session.suspend(tick, ctx_->verRecomputePerToken_);
-        if (session.lastSwapOutSeconds() > 0)
-            ctx_->clock_.advance(session.lastSwapOutSeconds(),
-                                 Phase::Transfer);
-    }
+    if (ctx_->kvGen_ != nullptr && ctx_->kvGen_->residentBytes() > 0)
+        dropped += KvSession(*ctx_->kvGen_).suspend(tick);
+    if (ctx_->kvVer_ != nullptr && ctx_->kvVer_->residentBytes() > 0)
+        dropped += KvSession(*ctx_->kvVer_).suspend(tick);
     return dropped;
 }
 

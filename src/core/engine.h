@@ -273,21 +273,6 @@ class FastTtsEngine
     void attachKvLedger(KvBudgetLedger *ledger) { ledger_ = ledger; }
 
     /**
-     * Attach a host-side KV swap tier (kv/kv_tier.h). Requests begun
-     * afterwards may park their KV on the host when preempted instead
-     * of recomputing it — SuspendedEngineRequest::evictKv() makes the
-     * roofline swap-vs-recompute call per tree, and touches restore
-     * parked nodes for transfer time (Phase::Transfer). The tier must
-     * outlive the engine and every suspended request handle; pass
-     * nullptr to detach. Serving with a tier attached but never
-     * preempting is byte-identical to serving without one.
-     */
-    void attachHostTier(HostKvTier *tier) { hostTier_ = tier; }
-
-    /** The attached host tier (nullptr when untiered). */
-    [[nodiscard]] HostKvTier *hostTier() const { return hostTier_; }
-
-    /**
      * Attach the global cross-request prefix cache
      * (kv/prefix_index.h). Requests begun afterwards look their
      * prompt up first and mount the longest cached prefix instead of
@@ -373,7 +358,6 @@ class FastTtsEngine
     bool blockedOnLedger(const ActiveBeam &refused, int dt) const;
     void killAllSpeculation();
     void chargeRecompute(int tokens);
-    void chargeSwapIn(double bytes);
     double currentAvgContext() const;
 
     // --- Bookkeeping ---
@@ -399,7 +383,6 @@ class FastTtsEngine
     bool degraded_ = false; //!< Fault-pressure degradation override.
     int defensiveExits_ = 0; //!< safety_cap exits, all requests.
     KvBudgetLedger *ledger_ = nullptr; //!< Shared KV budget (optional).
-    HostKvTier *hostTier_ = nullptr;   //!< Host swap tier (optional).
     PrefixIndex *prefixIndex_ = nullptr; //!< Cross-request prefix
                                          //!< cache (optional).
 

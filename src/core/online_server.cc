@@ -89,13 +89,12 @@ class DegradeTracker
 
 OnlineServer::OnlineServer(ServingSystem system,
                            std::unique_ptr<KvBudgetLedger> ledger,
-                           std::unique_ptr<HostKvTier> tier,
                            std::unique_ptr<FaultInjector> faults,
                            OnlineServerOptions online,
                            std::unique_ptr<QueuePolicy> policy,
                            RooflineModel roofline, DatasetProfile profile)
     : faults_(std::move(faults)), ledger_(std::move(ledger)),
-      hostTier_(std::move(tier)), system_(std::move(system)),
+      system_(std::move(system)),
       online_(std::move(online)), policy_(std::move(policy)),
       roofline_(std::move(roofline)), profile_(std::move(profile))
 {
@@ -181,16 +180,7 @@ OnlineServerOptions::validate() const
         return Status::invalidArgument(
             "request_timeout must be >= 0 seconds (0 disables the "
             "watchdog)");
-    if (Status s = check_mode("kv-tier", kvTier, {"off", "host"}); !s.ok())
-        return s;
-    if (!non_negative(hostKvBudgetGiB))
-        return Status::invalidArgument(
-            "host_kv_budget must be >= 0 GiB (0 defaults to twice "
-            "the device KV budget)");
-    if (!(hostBandwidthGBs > 0) || !std::isfinite(hostBandwidthGBs))
-        return Status::invalidArgument(
-            "host_bandwidth must be a positive, finite GB/s figure");
-    return check_mode("victim-select", victimSelect, {"admission", "cost"});
+    return okStatus();
 }
 
 StatusOr<OnlineServer>
@@ -218,20 +208,6 @@ OnlineServer::create(const ServingOptions &options,
         : system->engine().kvBudgetBytes();
     auto ledger = std::make_unique<KvBudgetLedger>(budget_bytes);
     system->attachKvLedger(ledger.get());
-
-    // Host KV tier: a budgeted host-side store behind a finite-
-    // bandwidth link. Attaching alone changes nothing — the engine
-    // only offers KV to the tier on the preemption-eviction path, so
-    // a trace that never preempts replays bit-identically.
-    std::unique_ptr<HostKvTier> tier;
-    if (online.kvTier == "host") {
-        const double host_budget = online.hostKvBudgetGiB > 0
-            ? online.hostKvBudgetGiB * GiB
-            : 2.0 * budget_bytes;
-        tier = std::make_unique<HostKvTier>(
-            host_budget, online.hostBandwidthGBs * GBps);
-        system->attachHostTier(tier.get());
-    }
 
     // Cross-request prefix cache: cached bytes are charged to the
     // SAME ledger as in-flight KV, so a full cache shows up as
@@ -263,7 +239,7 @@ OnlineServer::create(const ServingOptions &options,
     auto device = deviceByName(options.deviceName);
     auto profile = datasetByName(options.datasetName);
     return OnlineServer(*std::move(system), std::move(ledger),
-                        std::move(tier), std::move(injector), online,
+                        std::move(injector), online,
                         *std::move(policy), RooflineModel(*device),
                         *std::move(profile));
 }
@@ -332,34 +308,16 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
     parsePreemptMode(online_.preempt, &mode); // Validated at create().
     const bool continuous = online_.batching == "continuous";
 
-    // --- Tiering / cost-aware victim state. All of it is inert at
-    //     the defaults (kvTier "off", victimSelect "admission"):
-    //     tier is null, cost_victims is false and kv_scale stays
-    //     pinned at 1.0, so the legacy sweeps and admission gate run
-    //     bit-for-bit. ---
-    const HostKvTier *tier = hostTier_.get();
-    const bool cost_victims = online_.victimSelect == "cost";
-    // Restore-cost model of the cost-aware sweep: re-prefill is
-    // exactly linear in tokens (chunkedRecomputeTime is a max of two
-    // linear terms plus a constant), so seconds-per-byte is the
-    // generator's per-token slope over its per-token KV footprint — a
-    // ranking heuristic that treats a victim's bytes as generator KV
-    // (the dominant tree).
-    const ModelSpec &gen_model = system_.options().models.generator;
-    const double recompute_per_byte =
-        (roofline_.chunkedRecomputeTime(gen_model, 2)
-         - roofline_.chunkedRecomputeTime(gen_model, 1))
-        / gen_model.kvBytesPerToken();
-    // Working-set calibration: predictKvWorkingSetBytes is a
-    // pre-serving heuristic; under tiering or cost-aware eviction the
-    // admission gate steers real memory decisions, so its predictions
-    // are rescaled by a rolling EWMA of observed/predicted residency
-    // across this trace's completions.
-    const bool calibrate_kv = tier != nullptr || cost_victims;
+    // Working-set calibration (--calibrate-kv):
+    // predictKvWorkingSetBytes is a pre-serving heuristic, so the
+    // admission gate and the bench-return rule rescale its
+    // predictions by a rolling EWMA of observed over predicted
+    // residency across this trace's completions. Off, kv_scale stays
+    // 1.0 and both use the raw predictions.
+    const bool calibrate_kv = online_.calibrateKv;
     double kv_scale = 1.0;
     const auto effectiveKv = [&](double predicted_bytes) {
-        return calibrate_kv ? predicted_bytes * kv_scale
-                            : predicted_bytes;
+        return predicted_bytes * kv_scale;
     };
 
     // --- Build and validate tickets in submission order. ---
@@ -506,8 +464,6 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
         bool runs = false;    //!< A candidate of the coming wave.
         long decoded = 0;     //!< Decode tokens this attempt has
                               //!< produced (wasted if killed).
-        double lastRunAt = 0; //!< End of its last wave (cost-aware
-                              //!< victim recency).
         double peakKvBytes = 0; //!< Largest observed residency
                                 //!< (EWMA calibration).
         OnlineRequestRecord rec;
@@ -545,9 +501,6 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
     long verified_tokens = 0;
     long generated_tokens = 0;
     long prefix_hit_tokens = 0;
-    long swapped_out_tokens = 0;
-    long swapped_in_tokens = 0;
-    double swap_transfer_time = 0;
 
     // Drop in-flight entry idx, keeping the current index and the
     // round-robin cursor on the requests they named.
@@ -578,40 +531,11 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
     };
 
     // Memory-pressure sweep: while the ledger is short of headroom,
-    // force-evict the suspended `victims` — in the order given (each
-    // mode's legacy order) or, under --victim-select cost,
-    // cheapest-to-restore first (ties in admission order). Returns
-    // the victims actually evicted.
-    const auto evictForHeadroom = [&](std::vector<size_t> victims) {
+    // force-evict the suspended `victims` in the order given (each
+    // batching mode's own order). Returns the victims actually
+    // evicted.
+    const auto evictForHeadroom = [&](const std::vector<size_t> &victims) {
         std::vector<size_t> evicted;
-        if (ledger_->freeBytes() >= headroom)
-            return evicted;
-        if (cost_victims) {
-            std::sort(victims.begin(), victims.end());
-            std::vector<size_t> resident;
-            std::vector<VictimCandidate> candidates;
-            for (const size_t i : victims) {
-                auto info = system_.suspendedInfo(inflight[i].sysId);
-                if (!info.ok() || info->residentKvBytes <= 0)
-                    continue;
-                // Restoring costs the host-link copy when a tier is
-                // attached (and the engine chose to swap), the
-                // re-prefill otherwise.
-                VictimCandidate candidate;
-                candidate.kvBytes = info->residentKvBytes;
-                candidate.lastRunAt = inflight[i].lastRunAt;
-                candidate.recomputeSeconds =
-                    recompute_per_byte * info->residentKvBytes;
-                if (tier != nullptr)
-                    candidate.transferSeconds =
-                        tier->transferSeconds(info->residentKvBytes);
-                resident.push_back(i);
-                candidates.push_back(candidate);
-            }
-            victims.clear();
-            for (const size_t k : rankEvictionVictims(candidates))
-                victims.push_back(resident[k]);
-        }
         for (const size_t i : victims) {
             if (ledger_->freeBytes() >= headroom)
                 break;
@@ -733,7 +657,6 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
             queued.erase(queued.begin() + static_cast<long>(pick));
             Flight flight;
             flight.ticket = ticket;
-            flight.lastRunAt = now;
             flight.rec.problemId = ticket.meta.problemId;
             flight.rec.arrival = ticket.meta.arrival;
             flight.rec.priority = ticket.meta.priority;
@@ -793,7 +716,7 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
                 if (!inflight[i].benched)
                     victims.push_back(i);
             }
-            for (const size_t i : evictForHeadroom(std::move(victims)))
+            for (const size_t i : evictForHeadroom(victims))
                 inflight[i].benched = true;
             // At most one return per wave, oldest benched first
             // (pickBenchReturn holds the unit-tested contract).
@@ -870,7 +793,7 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
                 if (i != current)
                     victims.push_back(i);
             }
-            (void)evictForHeadroom(std::move(victims));
+            (void)evictForHeadroom(victims);
         }
 
         // Wave-step fault probe: every candidate of this wave probes
@@ -973,7 +896,6 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
             }
             flight.rec.activeTime += member.activeDelta;
             flight.decoded += member.decodedTokens;
-            flight.lastRunAt = now;
             blocked_steps += member.blocked ? 1 : 0;
             if (member.moreWork) {
                 // A member parked again after running is the trace's
@@ -996,11 +918,6 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
                     result->kvStats.reprefilledTokens);
                 prefix_hit_tokens += static_cast<long>(
                     result->kvStats.prefixHitTokens);
-                swapped_out_tokens += static_cast<long>(
-                    result->kvStats.swappedOutTokens);
-                swapped_in_tokens += static_cast<long>(
-                    result->kvStats.swappedInTokens);
-                swap_transfer_time += result->kvStats.swapTransferTime;
                 // EWMA of observed over predicted residency.
                 if (calibrate_kv && flight.ticket.kvBytes > 0
                     && flight.peakKvBytes > 0)
@@ -1030,9 +947,6 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
     out.verifiedTokens = verified_tokens;
     out.generatedTokens = generated_tokens;
     out.prefixHitTokens = prefix_hit_tokens;
-    out.swappedOutTokens = swapped_out_tokens;
-    out.swappedInTokens = swapped_in_tokens;
-    out.swapTransferTime = swap_transfer_time;
     out.blockedSteps = blocked_steps;
     out.batchOccupancy = waves > 0
         ? static_cast<double>(wave_members) / static_cast<double>(waves)
@@ -1069,32 +983,6 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
     if (degrade_enabled)
         system_.engine().setDegraded(false);
     return out;
-}
-
-std::vector<size_t>
-rankEvictionVictims(const std::vector<VictimCandidate> &candidates)
-{
-    std::vector<size_t> order(candidates.size());
-    for (size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    // min(transfer, recompute) is the restore price actually paid:
-    // the engine swaps exactly when the host-link copy is strictly
-    // cheaper than re-prefill, so whichever is smaller is what the
-    // victim's next run costs. stable_sort keeps the admission-order
-    // tiebreak after recency.
-    std::stable_sort(
-        order.begin(), order.end(), [&](size_t a, size_t b) {
-            const double cost_a =
-                std::min(candidates[a].transferSeconds,
-                         candidates[a].recomputeSeconds);
-            const double cost_b =
-                std::min(candidates[b].transferSeconds,
-                         candidates[b].recomputeSeconds);
-            if (cost_a != cost_b)
-                return cost_a < cost_b;
-            return candidates[a].lastRunAt < candidates[b].lastRunAt;
-        });
-    return order;
 }
 
 int

@@ -20,8 +20,7 @@
  * charged to one shared KvBudgetLedger, so concurrent requests
  * genuinely contend for device memory; under pressure a parked
  * request's KV is force-evicted back to the pool and re-prefilled
- * (counted as recompute) — or, with a host tier, swapped back — when
- * it next runs.
+ * (counted as recompute) when it next runs.
  *
  * One serve loop drives every configuration. Each turn it:
  *
@@ -34,12 +33,11 @@
  *     "priority", "sjf", "edf") picks, shedDoomed sheds requests whose
  *     predicted finish already exceeds their deadline, and the memory
  *     gate holds back requests the shared budget cannot fit beside the
- *     in-flight working sets;
+ *     in-flight working sets (predicted, or EWMA-calibrated against
+ *     observed residency under calibrateKv);
  *  4. idles to the next arrival or retry when nothing is in flight;
- *  5. chooses the wave's candidates, force-evicting parked KV while
- *     the ledger is short of headroom — in the batching mode's own
- *     order, or cheapest-to-restore first under victimSelect "cost"
- *     (rankEvictionVictims());
+ *  5. chooses the wave's candidates, force-evicting parked KV in the
+ *     batching mode's own order while the ledger is short of headroom;
  *  6. probes the fault injector for every candidate, killing faulted
  *     attempts (retried after backoff or failed);
  *  7. runs one engine wave — one BatchScheduler plan over the
@@ -63,11 +61,8 @@
  * the same code in both modes, so a request's wall time is the sum of
  * the waves it ran in and device busy time is the sum of all waves.
  *
- * kvTier "host" attaches a budgeted host-side tier (kv/kv_tier.h)
- * behind a finite-bandwidth link, so every preemption eviction makes
- * the roofline swap-vs-recompute call per victim. With the defaults
- * ("fifo", maxInflight 1, batching "off") the server is a
- * run-to-completion FIFO queue.
+ * With the defaults ("fifo", maxInflight 1, batching "off") the server
+ * is a run-to-completion FIFO queue.
  */
 
 #ifndef FASTTTS_CORE_ONLINE_SERVER_H
@@ -83,7 +78,6 @@
 #include "api/status.h"
 #include "core/serving.h"
 #include "kv/kv_session.h"
-#include "kv/kv_tier.h"
 #include "sched/queue_policy.h"
 #include "util/fault_injector.h"
 
@@ -190,18 +184,9 @@ struct OnlineTraceResult
                                //!< requests; 0 when no wave ran).
 
     long reprefilledTokens = 0; //!< Subset of recomputedTokens that is
-                                //!< genuine re-prefill after an
-                                //!< eviction — the volume host tiering
-                                //!< can absorb (KvStats doc).
-
-    // --- Host KV tiering (all zero when kvTier == "off"). Summed
-    //     over completed requests, like recomputedTokens. ---
-    long swappedOutTokens = 0; //!< KV tokens preemption parked on the
-                               //!< host tier instead of dropping.
-    long swappedInTokens = 0;  //!< KV tokens restored over the host
-                               //!< link instead of being recomputed.
-    double swapTransferTime = 0; //!< Sim seconds of host-link copies
-                                 //!< (both directions).
+                                //!< genuine re-prefill after an LRU
+                                //!< or preemption eviction (KvStats
+                                //!< doc).
 
     // --- Fault tolerance (all zero when faults == "off"). ---
     long injectedFaults = 0; //!< Faults the injector fired this trace,
@@ -275,36 +260,6 @@ aggregateTrace(std::vector<OnlineRequestRecord> records, double busy_time);
 pickBenchReturn(const std::vector<std::pair<bool, double>> &members,
                 double free_bytes, double headroom, bool front_returned);
 
-/** One suspended request the memory-pressure sweep may evict:
- *  everything the cost-aware victim ranking sees. */
-struct VictimCandidate
-{
-    double kvBytes = 0;   //!< Resident device KV the eviction frees.
-    double lastRunAt = 0; //!< Sim time the victim last held the engine.
-
-    /** Cost of restoring the working set by host-link copy (seconds);
-     *  infinity when no host tier is attached. */
-    double transferSeconds = std::numeric_limits<double>::infinity();
-
-    /** Cost of restoring the working set by re-prefill (seconds). */
-    double recomputeSeconds = 0;
-};
-
-/**
- * Cost-aware eviction order of the memory-pressure sweep
- * (--victim-select cost), exposed as a pure function so the ranking
- * contract is unit-testable. Victims are ordered cheapest-to-restore
- * first — by min(transferSeconds, recomputeSeconds) ascending, the
- * price actually paid when the victim next runs (the engine swaps
- * exactly when the copy is strictly cheaper) — so the sweep frees
- * memory where re-admission costs least. Ties go to the
- * least-recently-run victim (coldest KV first), then to the smaller
- * index (admission order, the legacy sweep).
- * @return Indices into `candidates` in eviction order.
- */
-[[nodiscard]] std::vector<size_t>
-rankEvictionVictims(const std::vector<VictimCandidate> &candidates);
-
 /** Queueing/scheduling configuration of an OnlineServer. */
 struct OnlineServerOptions
 {
@@ -325,27 +280,13 @@ struct OnlineServerOptions
      *  budget. */
     double kvBudgetGiB = 0;
 
-    /** Host KV tier: "off" (the default — device-only KV, preemption
-     *  evicts and recomputes, bit-identical to the pre-tier server)
-     *  or "host" (a budgeted host-side store behind a finite-
-     *  bandwidth link; every preemption eviction makes the roofline
-     *  swap-vs-recompute call per victim, kv/kv_tier.h). */
-    std::string kvTier = "off";
-
-    /** Byte budget of the host tier in GiB; <= 0 defaults to twice
-     *  the device KV budget. Ignored when kvTier == "off". */
-    double hostKvBudgetGiB = 0;
-
-    /** Host link bandwidth in GB/s (decimal, vendor-style): the rate
-     *  swapped KV moves in either direction. Ignored when
-     *  kvTier == "off". */
-    double hostBandwidthGBs = 16;
-
-    /** Memory-pressure victim order: "admission" (the legacy sweep —
-     *  earliest-admitted suspended request evicted first) or "cost"
-     *  (cheapest-to-restore first via rankEvictionVictims(), with
-     *  EWMA-calibrated working-set prediction for admission). */
-    std::string victimSelect = "admission";
+    /** Working-set calibration: rescale every predicted KV working
+     *  set (predictKvWorkingSetBytes) by an EWMA, over the trace's
+     *  completed requests, of each one's observed peak residency
+     *  divided by its prediction, in the admission gate and
+     *  continuous batching's bench-return rule. Off (the default)
+     *  uses the raw predictions. */
+    bool calibrateKv = false;
 
     /** Shed queued requests whose predicted finish already exceeds
      *  their deadline instead of serving them doomed (counted in
@@ -516,16 +457,9 @@ class OnlineServer
     /** The admission policy instance. */
     [[nodiscard]] const QueuePolicy &policy() const { return *policy_; }
 
-    /** The host KV tier (nullptr when kvTier == "off"). */
-    [[nodiscard]] const HostKvTier *hostTier() const
-    {
-        return hostTier_.get();
-    }
-
   private:
     OnlineServer(ServingSystem system,
                  std::unique_ptr<KvBudgetLedger> ledger,
-                 std::unique_ptr<HostKvTier> tier,
                  std::unique_ptr<FaultInjector> faults,
                  OnlineServerOptions online,
                  std::unique_ptr<QueuePolicy> policy,
@@ -540,10 +474,6 @@ class OnlineServer
     // ledger charge on destruction, so the ledger must outlive the
     // system (members destruct in reverse declaration order).
     std::unique_ptr<KvBudgetLedger> ledger_;
-    // Declared before system_ for the same reason: the engine's KV
-    // managers release their tier entries on destruction. Null when
-    // online_.kvTier == "off".
-    std::unique_ptr<HostKvTier> hostTier_;
     ServingSystem system_; //!< The one engine + device + problem set.
     OnlineServerOptions online_;
     std::unique_ptr<QueuePolicy> policy_;

@@ -352,17 +352,6 @@ class ServingSystem
     }
 
     /**
-     * Attach a host-side KV swap tier (kv/kv_tier.h) that preempted
-     * requests may park their KV on instead of recomputing it — the
-     * device->host hierarchy behind --kv-tier host. The tier must
-     * outlive the system; pass nullptr to detach.
-     */
-    void attachHostTier(HostKvTier *tier)
-    {
-        engine_->attachHostTier(tier);
-    }
-
-    /**
      * Enable the global cross-request prefix cache
      * (kv/prefix_index.h): one radix index, owned by this system,
      * that every subsequently started request queries (mounting the

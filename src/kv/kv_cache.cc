@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "kv/kv_session.h"
-#include "kv/kv_tier.h"
 
 namespace fasttts
 {
@@ -41,8 +40,6 @@ KvCacheManager::~KvCacheManager()
 {
     if (ledger_ != nullptr)
         ledger_->release(ledgerCharged_);
-    if (tier_ != nullptr)
-        tier_->releaseOwner(tierOwner_);
 }
 
 void
@@ -50,27 +47,6 @@ KvCacheManager::attachLedger(KvBudgetLedger *ledger)
 {
     assert(alloc_.used() == 0 && ledgerCharged_ == 0);
     ledger_ = ledger;
-}
-
-void
-KvCacheManager::attachHostTier(HostKvTier *tier,
-                               double recompute_seconds_per_token)
-{
-    if (tier_ != nullptr)
-        tier_->releaseOwner(tierOwner_);
-    tier_ = tier;
-    tierOwner_ = tier_ != nullptr ? tier_->registerOwner() : 0;
-    swapRatePerToken_ =
-        tier_ != nullptr ? std::max(0.0, recompute_seconds_per_token)
-                         : 0;
-}
-
-double
-KvCacheManager::takePendingSwapSeconds()
-{
-    const double seconds = pendingSwapSeconds_;
-    pendingSwapSeconds_ = 0;
-    return seconds;
 }
 
 size_t
@@ -387,23 +363,6 @@ KvCacheManager::evictNode(NodeId id)
 {
     Node &n = node(id);
     assert(evictable(n));
-    // Per-node roofline call on the LRU path: park the victim's bytes
-    // on the host tier iff the copy-out is strictly cheaper than the
-    // re-prefill its next touch would pay (ties go to recompute, so a
-    // zero rate or no tier reproduces the legacy drop exactly). A
-    // refused offer (host budget exhausted) falls through to the
-    // legacy lazy-recompute drop unchanged.
-    if (tier_ != nullptr && swapRatePerToken_ > 0 && n.tokens > 0) {
-        const double node_bytes = n.tokens * kvBytesPerToken_;
-        if (tier_->transferSeconds(node_bytes)
-                < swapRatePerToken_ * n.tokens
-            && tier_->swapOut(tierOwner_, id, n.tokens, node_bytes)) {
-            const double seconds = tier_->transferSeconds(node_bytes);
-            stats_.swappedOutTokens += static_cast<uint64_t>(n.tokens);
-            stats_.swapTransferTime += seconds;
-            pendingSwapSeconds_ += seconds;
-        }
-    }
     n.evictedOnce = true;
     releaseBlocks(n.blocksHeld);
     n.blocksHeld = 0;
@@ -471,19 +430,9 @@ KvCacheManager::ensureResident(NodeId leaf, uint64_t tick)
         }
         n.blocksHeld = need;
         markResident(id, tick);
-        // A node parked on the host tier restores by copying its
-        // bytes back (the caller charges transfer time); everything
-        // else is a recompute exactly as before. Device blocks were
-        // just allocated (and ledger-charged) either way.
-        if (tier_ != nullptr && n.tokens > 0
-            && tier_->take(tierOwner_, id, n.tokens)) {
-            result.swappedInTokens += n.tokens;
-            result.swappedInBytes += n.tokens * kvBytesPerToken_;
-        } else {
-            result.recomputeTokens += n.tokens;
-            if (n.evictedOnce)
-                reprefilled += n.tokens;
-        }
+        result.recomputeTokens += n.tokens;
+        if (n.evictedOnce)
+            reprefilled += n.tokens;
     }
 
     for (NodeId id : path) {
@@ -494,17 +443,10 @@ KvCacheManager::ensureResident(NodeId leaf, uint64_t tick)
     }
 
     stats_.hitTokens += static_cast<uint64_t>(result.cachedTokens);
-    stats_.missTokens += static_cast<uint64_t>(result.recomputeTokens
-                                               + result.swappedInTokens);
+    stats_.missTokens += static_cast<uint64_t>(result.recomputeTokens);
     stats_.recomputedTokens
         += static_cast<uint64_t>(result.recomputeTokens);
     stats_.reprefilledTokens += static_cast<uint64_t>(reprefilled);
-    if (result.swappedInTokens > 0) {
-        stats_.swappedInTokens
-            += static_cast<uint64_t>(result.swappedInTokens);
-        stats_.swapTransferTime
-            += tier_->transferSeconds(result.swappedInBytes);
-    }
     return result;
 }
 
@@ -539,30 +481,6 @@ KvCacheManager::forceEvictAll()
     node(kRoot).residentChildren = 0;
     victims_ = {};
     return dropped;
-}
-
-long
-KvCacheManager::swapOutResident()
-{
-    if (tier_ == nullptr)
-        return 0;
-    long swapped = 0;
-    double bytes = 0;
-    for (NodeId id = 1; id < static_cast<NodeId>(nodes_.size()); ++id) {
-        const Node &n = node(id);
-        if (n.erased || !n.resident || n.tokens <= 0)
-            continue;
-        const double node_bytes = n.tokens * kvBytesPerToken_;
-        if (tier_->swapOut(tierOwner_, id, n.tokens, node_bytes)) {
-            swapped += n.tokens;
-            bytes += node_bytes;
-        }
-    }
-    if (swapped > 0) {
-        stats_.swappedOutTokens += static_cast<uint64_t>(swapped);
-        stats_.swapTransferTime += tier_->transferSeconds(bytes);
-    }
-    return swapped;
 }
 
 std::vector<KvCacheManager::NodeId>

@@ -42,9 +42,8 @@ struct KvStats
     uint64_t reprefilledTokens = 0; //!< Strict subset of
                                     //!< recomputedTokens: tokens
                                     //!< re-prefilled on touch of a node
-                                    //!< that was evicted before — the
-                                    //!< recompute a host tier can
-                                    //!< actually absorb.
+                                    //!< that was evicted before (LRU
+                                    //!< or preemption).
     uint64_t hitTokens = 0;        //!< Tokens found resident on touch.
     uint64_t missTokens = 0;       //!< Tokens materialised on touch.
     uint64_t prefixHitTokens = 0;  //!< Prompt tokens mounted from the
@@ -55,15 +54,9 @@ struct KvStats
     uint64_t victimCompactions = 0;  //!< Victim-heap rebuilds.
     uint64_t preemptEvictions = 0;     //!< Nodes dropped by forceEvictAll.
     uint64_t preemptEvictedTokens = 0; //!< Tokens dropped by forceEvictAll.
-    uint64_t swappedOutTokens = 0; //!< Tokens copied to the host tier.
-    uint64_t swappedInTokens = 0;  //!< Tokens restored from the host
-                                   //!< tier instead of recomputed.
-    double swapTransferTime = 0;   //!< Sim seconds of host-link copies
-                                   //!< (both directions).
 };
 
 class KvBudgetLedger;
-class HostKvTier;
 
 /**
  * Paged, prefix-sharing KV cache for a tree of reasoning beams.
@@ -105,36 +98,6 @@ class KvCacheManager
 
     /** The attached shared ledger (nullptr when standalone). */
     [[nodiscard]] KvBudgetLedger *ledger() const { return ledger_; }
-
-    /**
-     * Attach a host-side KV tier (kv/kv_tier.h). While attached,
-     * swapOutResident() may park resident nodes on the host and
-     * ensureResident() restores parked nodes instead of counting them
-     * as recompute. When recompute_seconds_per_token > 0 the LRU
-     * eviction path additionally makes the per-node roofline call:
-     * a reclaimed victim whose host copy-out is strictly cheaper than
-     * re-prefilling its tokens is parked instead of dropped (ties go
-     * to recompute). The outbound copy time accrues in
-     * KvStats::swapTransferTime and in a pending-seconds counter the
-     * engine drains onto the request clock (takePendingSwapSeconds()).
-     * The manager registers as a tier owner and drops its entries on
-     * destruction (or re-attach); pass nullptr to detach. The tier
-     * must outlive the manager. Attaching does not change behaviour
-     * until an eviction runs, so an attached-but-unused tier is
-     * byte-identical to no tier.
-     */
-    void attachHostTier(HostKvTier *tier,
-                        double recompute_seconds_per_token = 0);
-
-    /** The attached host tier (nullptr when untiered). */
-    [[nodiscard]] HostKvTier *hostTier() const { return tier_; }
-
-    /**
-     * Outbound host-link seconds accrued by LRU-path swap-outs since
-     * the last call, cleared on read. The engine charges these to the
-     * request clock as Phase::Transfer alongside swap-in charges.
-     */
-    [[nodiscard]] double takePendingSwapSeconds();
 
     // ------------------------------------------------------------------
     // Tree structure
@@ -212,11 +175,6 @@ class KvCacheManager
         bool ok = false;          //!< Whole path resident on return.
         int cachedTokens = 0;     //!< Tokens already resident (hit).
         int recomputeTokens = 0;  //!< Tokens that must be re-prefilled.
-        int swappedInTokens = 0;  //!< Tokens restored from the host
-                                  //!< tier (no recompute needed).
-        double swappedInBytes = 0; //!< Bytes copied back over the host
-                                   //!< link; the caller charges
-                                   //!< transfer time for them.
     };
 
     /**
@@ -243,19 +201,6 @@ class KvCacheManager
      * @return Tokens whose KV was dropped.
      */
     long forceEvictAll();
-
-    /**
-     * Offer every resident node (except the root) to the attached
-     * host tier, oldest node id first. Call immediately before
-     * forceEvictAll(): accepted nodes keep their KV on the host and
-     * restore for transfer time instead of recompute at the next
-     * touch; refused nodes (host budget exhausted) fall back to lazy
-     * recompute unchanged. Accrues KvStats::swappedOutTokens and the
-     * outbound half of KvStats::swapTransferTime. No-op without a
-     * tier.
-     * @return Tokens accepted by the tier.
-     */
-    long swapOutResident();
 
     /** Deepest resident node of every cached path (resident nodes
      *  with no resident children), excluding the root; the snapshot
@@ -381,13 +326,6 @@ class KvCacheManager
     BlockAllocator alloc_;
     KvBudgetLedger *ledger_ = nullptr; //!< Shared budget (optional).
     double ledgerCharged_ = 0;         //!< Bytes charged to ledger_.
-    HostKvTier *tier_ = nullptr;       //!< Host swap tier (optional).
-    uint64_t tierOwner_ = 0;           //!< Owner id under tier_.
-    double swapRatePerToken_ = 0;      //!< Recompute s/token for the
-                                       //!< LRU-path roofline call;
-                                       //!< 0 disables it.
-    double pendingSwapSeconds_ = 0;    //!< Outbound copy time not yet
-                                       //!< drained onto a clock.
     std::vector<Node> nodes_;
     std::vector<NodeId> freeList_;
     KvStats stats_;

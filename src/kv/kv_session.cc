@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "kv/kv_tier.h"
 #include "util/fault_injector.h"
 
 namespace fasttts
@@ -42,32 +41,10 @@ KvBudgetLedger::release(double bytes)
 }
 
 long
-KvSession::suspend(uint64_t tick, double recompute_seconds_per_token)
+KvSession::suspend(uint64_t tick)
 {
     (void)tick;
     frontier_ = kv_->residentFrontier();
-    // Roofline-guided tier decision: park the resident KV on the host
-    // iff copying it out (and later back) is strictly cheaper than
-    // re-prefilling it. The transfer estimate uses token bytes (the
-    // payload actually copied), the recompute estimate the caller's
-    // per-token prefill rate; ties go to recompute, so an infinitely
-    // slow link degenerates to the legacy behaviour exactly.
-    lastSwapOutSeconds_ = 0;
-    const HostKvTier *tier = kv_->hostTier();
-    if (tier != nullptr && recompute_seconds_per_token >= 0) {
-        const long tokens = kv_->residentTokens();
-        const double bytes = tokens * kv_->kvBytesPerToken();
-        if (tokens > 0
-            && tier->transferSeconds(bytes)
-                < recompute_seconds_per_token * tokens) {
-            const long swapped = kv_->swapOutResident();
-            if (swapped > 0) {
-                stats_.swappedOutTokens += swapped;
-                lastSwapOutSeconds_ = tier->transferSeconds(
-                    swapped * kv_->kvBytesPerToken());
-            }
-        }
-    }
     const long evicted = kv_->forceEvictAll();
     suspended_ = true;
     ++stats_.suspends;
@@ -79,7 +56,6 @@ long
 KvSession::resume(uint64_t tick)
 {
     long recomputed = 0;
-    long restored = 0;
     for (const KvCacheManager::NodeId leaf : frontier_) {
         // An injected restore failure leaves this leaf cold; it
         // recomputes lazily on first touch, like a budget shortfall.
@@ -88,7 +64,6 @@ KvSession::resume(uint64_t tick)
             continue;
         const auto touch = kv_->ensureResident(leaf, tick);
         recomputed += touch.recomputeTokens;
-        restored += touch.swappedInTokens;
         if (!touch.ok)
             break; // Budget exhausted: the rest recomputes lazily.
     }
@@ -96,7 +71,6 @@ KvSession::resume(uint64_t tick)
     suspended_ = false;
     ++stats_.resumes;
     stats_.recomputedTokens += recomputed;
-    stats_.restoredTokens += restored;
     return recomputed;
 }
 

@@ -94,10 +94,6 @@ struct KvSessionStats
     int resumes = 0;
     long evictedTokens = 0;    //!< Tokens force-evicted by suspend().
     long recomputedTokens = 0; //!< Tokens re-prefilled by resume().
-    long restoredTokens = 0;   //!< Tokens restored from the host tier
-                               //!< by resume() (no recompute paid).
-    long swappedOutTokens = 0; //!< Tokens suspend() parked on the
-                               //!< host tier instead of dropping.
 };
 
 /**
@@ -128,37 +124,16 @@ class KvSession
      * (and the shared ledger, if attached). Reference counts are
      * untouched: pins stay logical, so the tree structure survives
      * and any later touch recomputes.
-     *
-     * When the manager has a host tier attached and
-     * `recompute_seconds_per_token` is non-negative, suspend first
-     * makes the roofline swap-vs-recompute call: with T resident
-     * tokens of B bytes, swapping costs transferSeconds(B) while
-     * recomputing costs recompute_seconds_per_token * T. Iff the
-     * transfer is strictly cheaper, the resident nodes are offered to
-     * the tier (kv_tier.h) before eviction, and the caller should
-     * charge lastSwapOutSeconds() of transfer time against its clock.
-     * Negative (the default) or no tier keeps the pure
-     * evict-and-recompute behaviour bit-identical.
      * @return Tokens whose KV was dropped.
      */
-    long suspend(uint64_t tick,
-                 double recompute_seconds_per_token = -1.0);
-
-    /** Sim seconds of host-link copy incurred by the last suspend()
-     *  (zero when it chose recompute or nothing was accepted). */
-    [[nodiscard]] double lastSwapOutSeconds() const
-    {
-        return lastSwapOutSeconds_;
-    }
+    long suspend(uint64_t tick);
 
     /**
      * Re-materialise the snapshot taken by suspend(), best-effort:
      * paths are restored in snapshot order until the budget runs out;
      * whatever could not be restored is recomputed lazily when next
      * touched. Re-prefilled tokens are counted in the manager's
-     * KvStats (recomputedTokens) exactly as lazy recompute would;
-     * nodes the last suspend() parked on the host tier copy back
-     * instead and land in restoredTokens, not recomputedTokens.
+     * KvStats (recomputedTokens) exactly as lazy recompute would.
      * @return Tokens that had to be re-prefilled.
      */
     long resume(uint64_t tick);
@@ -172,7 +147,6 @@ class KvSession
     KvCacheManager *kv_;
     std::vector<KvCacheManager::NodeId> frontier_;
     bool suspended_ = false;
-    double lastSwapOutSeconds_ = 0;
     KvSessionStats stats_;
     FaultInjector *faults_ = nullptr;
 };

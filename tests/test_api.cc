@@ -821,98 +821,6 @@ TEST(EngineArgsOnline, PrefixCacheFlagValidation)
               std::string::npos);
 }
 
-TEST(EngineArgsOnline, KvTierFlagsArgvAndJsonAgree)
-{
-    const auto via_argv =
-        parse({"--kv-tier", "host", "--host-kv-budget", "1.5",
-               "--host-bandwidth", "8", "--victim-select", "cost"});
-    ASSERT_TRUE(via_argv.ok());
-    const auto via_json = EngineArgs::fromJsonText(R"({
-        "kv_tier": "host",
-        "host_kv_budget_gib": 1.5,
-        "host_bandwidth_gbs": 8,
-        "victim_select": "cost"
-    })");
-    ASSERT_TRUE(via_json.ok());
-    for (const EngineArgs *args : {&*via_argv, &*via_json}) {
-        EXPECT_EQ(args->online.kvTier, "host");
-        EXPECT_DOUBLE_EQ(args->online.hostKvBudgetGiB, 1.5);
-        EXPECT_DOUBLE_EQ(args->online.hostBandwidthGBs, 8);
-        EXPECT_EQ(args->online.victimSelect, "cost");
-        EXPECT_TRUE(args->validate().ok());
-        const OnlineServerOptions online = args->online;
-        EXPECT_EQ(online.kvTier, "host");
-        EXPECT_DOUBLE_EQ(online.hostKvBudgetGiB, 1.5);
-        EXPECT_DOUBLE_EQ(online.hostBandwidthGBs, 8);
-        EXPECT_EQ(online.victimSelect, "cost");
-    }
-    EXPECT_TRUE(via_argv->wasSet("--kv-tier"));
-    EXPECT_TRUE(via_argv->wasSet("--host-kv-budget"));
-    EXPECT_TRUE(via_argv->wasSet("--host-bandwidth"));
-    EXPECT_TRUE(via_argv->wasSet("--victim-select"));
-
-    // The equals form parses too.
-    const auto equals = parse({"--kv-tier=host"});
-    ASSERT_TRUE(equals.ok());
-    EXPECT_EQ(equals->online.kvTier, "host");
-
-    // Defaults keep the tier off with the legacy sweep order and the
-    // derived (0 => 2x device) host budget, so existing invocations
-    // stay bit-identical.
-    const auto defaults = parse({});
-    ASSERT_TRUE(defaults.ok());
-    EXPECT_EQ(defaults->online.kvTier, "off");
-    EXPECT_DOUBLE_EQ(defaults->online.hostKvBudgetGiB, 0.0);
-    EXPECT_DOUBLE_EQ(defaults->online.hostBandwidthGBs, 16.0);
-    EXPECT_EQ(defaults->online.victimSelect, "admission");
-    EXPECT_FALSE(defaults->wasSet("--kv-tier"));
-    EXPECT_EQ(defaults->online.kvTier, "off");
-}
-
-TEST(EngineArgsOnline, KvTierFlagValidation)
-{
-    EngineArgs args;
-    args.online.kvTier = "nvme";
-    EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(args.validate().message().find("host"),
-              std::string::npos);
-
-    args = EngineArgs();
-    args.online.hostKvBudgetGiB = -1;
-    EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
-
-    args = EngineArgs();
-    args.online.hostBandwidthGBs = 0;
-    EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
-
-    args = EngineArgs();
-    args.online.victimSelect = "random";
-    EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
-
-    // Wrong JSON types are rejected up front.
-    EXPECT_EQ(EngineArgs::fromJsonText(R"({"kv_tier": 1})")
-                  .status()
-                  .code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(
-        EngineArgs::fromJsonText(R"({"host_kv_budget_gib": "lots"})")
-            .status()
-            .code(),
-        StatusCode::kInvalidArgument);
-    EXPECT_EQ(
-        EngineArgs::fromJsonText(R"({"host_bandwidth_gbs": true})")
-            .status()
-            .code(),
-        StatusCode::kInvalidArgument);
-
-    // Fixed-config tools reject the tiering flags too.
-    const auto set = parse({"--kv-tier", "host"});
-    ASSERT_TRUE(set.ok());
-    const Status status = set->rejectUnsupportedFlags({"--problems"});
-    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(status.message().find("--kv-tier"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------
 // Fault tolerance: retryable status codes and the fault flags
 // ---------------------------------------------------------------------
@@ -1071,8 +979,8 @@ knobs(const EngineArgs &a)
                     o.kvBudgetGiB, o.shedDoomed, o.batching,
                     o.maxBatchedTokens, o.prefillChunk, o.prefixCache,
                     o.prefixCacheBudgetGiB, o.faults, o.faultPlan,
-                    o.retryMax, o.retryBackoff, o.requestTimeout, o.kvTier,
-                    o.hostKvBudgetGiB, o.hostBandwidthGBs, o.victimSelect);
+                    o.retryMax, o.retryBackoff, o.requestTimeout,
+                    o.calibrateKv);
 }
 
 template <typename Tuple, size_t... I>
@@ -1130,10 +1038,7 @@ const FlagCase kFlagCases[] = {
     {"--retry-max", "3", R"("retry_max": 3)"},
     {"--retry-backoff", "0.125", R"("retry_backoff": 0.125)"},
     {"--request-timeout", "90", R"("request_timeout": 90)"},
-    {"--kv-tier", "host", R"("kv_tier": "host")"},
-    {"--host-kv-budget", "1.5", R"("host_kv_budget_gib": 1.5)"},
-    {"--host-bandwidth", "8", R"("host_bandwidth_gbs": 8)"},
-    {"--victim-select", "cost", R"("victim_select": "cost")"},
+    {"--calibrate-kv", nullptr, R"("calibrate_kv": true)"},
 };
 
 TEST(EngineArgsFlags, EveryDocumentedFlagParsesInEverySpelling)

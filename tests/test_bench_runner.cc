@@ -81,7 +81,7 @@ TEST(BenchRunner, ListEnumeratesAllFigureBenchmarks)
           "online_responsiveness", "online_scheduling",
           "online_preemption", "online_batching",
           "online_prefix_reuse", "online_fault_tolerance",
-          "online_kv_tiering"}) {
+          "online_kv_calibration"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expected),
                   names.end())
             << "missing benchmark: " << expected;
@@ -491,7 +491,7 @@ TEST(BenchRunner, OnlineBenchmarksKeepTheirContract)
     const std::vector<std::string> online = {
         "online_scheduling",      "online_preemption",
         "online_batching",        "online_prefix_reuse",
-        "online_fault_tolerance", "online_kv_tiering"};
+        "online_fault_tolerance", "online_kv_calibration"};
     std::string command = std::string(FASTTTS_BENCH_RUNNER_PATH)
         + " --quick --jobs 4 --out-dir " + outDir.string();
     for (const std::string &name : online)

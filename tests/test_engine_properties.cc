@@ -219,5 +219,27 @@ TEST_P(NoRegressionSweep, FastTtsNeverMeaningfullyWorse)
 INSTANTIATE_TEST_SUITE_P(Widths, NoRegressionSweep,
                          ::testing::Values(8, 16, 32, 64, 128, 256));
 
+/** At the floor budget (weights fill the whole usable memory) the run
+ *  evicts and re-prefills constantly, yet must still finish without
+ *  the safety_cap hang guard. */
+TEST(EngineFloorBudget, ReprefillsWithoutReachingTheHangGuard)
+{
+    const DatasetProfile profile = *datasetByName("AMC");
+    ModelConfig models = *modelConfigByLabel("1.5B+1.5B");
+    models.memoryFraction =
+        (models.generator.weightBytes() + models.verifier.weightBytes())
+        / rtx4090().usableBytes();
+
+    for (uint64_t seed : {11u, 23u, 47u}) {
+        const Problem problem = makeProblems(profile, 1, seed)[0];
+        auto algo = *makeAlgorithm("beam_search", 8, 4);
+        FastTtsEngine engine(FastTtsConfig::fastTts(), models, rtx4090(),
+                             profile, *algo);
+        const RequestResult result = engine.runRequest(problem);
+        EXPECT_GT(result.kvStats.reprefilledTokens, 0u) << "seed " << seed;
+        EXPECT_EQ(result.defensiveExits, 0) << "seed " << seed;
+    }
+}
+
 } // namespace
 } // namespace fasttts

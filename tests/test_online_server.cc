@@ -1581,9 +1581,6 @@ expectSameTrace(const OnlineTraceResult &a, const OnlineTraceResult &b,
     EXPECT_EQ(a.prefixHitTokens, b.prefixHitTokens) << where;
     EXPECT_EQ(a.batchOccupancy, b.batchOccupancy) << where;
     EXPECT_EQ(a.reprefilledTokens, b.reprefilledTokens) << where;
-    EXPECT_EQ(a.swappedOutTokens, b.swappedOutTokens) << where;
-    EXPECT_EQ(a.swappedInTokens, b.swappedInTokens) << where;
-    EXPECT_EQ(a.swapTransferTime, b.swapTransferTime) << where;
     EXPECT_EQ(a.injectedFaults, b.injectedFaults) << where;
     EXPECT_EQ(a.retries, b.retries) << where;
     EXPECT_EQ(a.timeouts, b.timeouts) << where;
@@ -1601,9 +1598,9 @@ TEST(OnlineServer, FlagLatticeHoldsInvariants)
     // One bursty trace — mixed priorities, SLO tiers and client
     // cancellations — served on every point of the serving-flag
     // lattice: batching x preempt x {fifo, edf + shedding} x KV
-    // budget x {no tier, host tier + cost victims} x prefix cache x
-    // {no faults, 10% wave-step faults with retries} x watchdog, 384
-    // points in all.
+    // budget x working-set calibration x prefix cache x {no faults,
+    // 10% wave-step faults with retries} x watchdog, 384 points in
+    // all.
     ServingOptions opts = smallOptions(true);
     opts.numBeams = 4;
     const auto arrivals = burstyArrivalTrace(14, 0.1, 11);
@@ -1631,10 +1628,8 @@ TEST(OnlineServer, FlagLatticeHoldsInvariants)
             }
             if (axes & 2)
                 online.kvBudgetGiB = 0.5;
-            if (axes & 4) {
-                online.kvTier = "host";
-                online.victimSelect = "cost";
-            }
+            if (axes & 4)
+                online.calibrateKv = true;
             if (axes & 8)
                 online.prefixCache = "on";
             if (axes & 16) {
@@ -1733,60 +1728,57 @@ TEST(OnlineServer, SlicingAtOneInflightIsContinuousBatching)
     }
 }
 
-// ---------------------------------------------------------------------
-// Cost-aware victim ranking (--victim-select cost)
-// ---------------------------------------------------------------------
-
-TEST(VictimRanking, OrdersByCheapestRestoreCost)
+TEST(OnlineServer, KvCalibrationIsInertAloneAndSteersSlicedAdmission)
 {
-    // Restore cost is min(transfer, recompute): the engine swaps
-    // exactly when the copy is strictly cheaper, so that minimum is
-    // the price actually paid on re-admission.
-    const std::vector<VictimCandidate> candidates = {
-        {/*kvBytes=*/100, /*lastRunAt=*/1.0,
-         /*transferSeconds=*/5.0, /*recomputeSeconds=*/9.0},  // cost 5
-        {/*kvBytes=*/100, /*lastRunAt=*/2.0,
-         /*transferSeconds=*/8.0, /*recomputeSeconds=*/2.0},  // cost 2
-        {/*kvBytes=*/100, /*lastRunAt=*/3.0,
-         /*transferSeconds=*/1.0, /*recomputeSeconds=*/40.0}, // cost 1
+    // Calibration rescales only the admission gate and the bench
+    // return. A lone request never meets the gate and a one-member
+    // wave never benches, so at one request in flight it must be inert
+    // in both batching modes. With three in flight on a tight budget,
+    // time slicing admits by the calibrated working sets instead of
+    // the raw predictions and serves a different trace.
+    ServingOptions opts = smallOptions(true);
+    opts.numBeams = 4;
+    std::vector<OnlineRequest> trace;
+    for (const double arrival : burstyArrivalTrace(14, 0.1, 11)) {
+        OnlineRequest r;
+        r.arrival = arrival;
+        trace.push_back(r);
+    }
+    const auto serve = [&](OnlineServerOptions online, bool calibrate) {
+        online.policy = "edf";
+        online.slo = 60;
+        online.calibrateKv = calibrate;
+        OnlineServer server = OnlineServer::create(opts, online).value();
+        OnlineTraceResult out = server.serveRequests(trace).value();
+        EXPECT_EQ(out.defensiveExits, 0);
+        return out;
     };
-    const std::vector<size_t> order = rankEvictionVictims(candidates);
-    EXPECT_EQ(order, (std::vector<size_t>{2, 1, 0}));
-}
 
-TEST(VictimRanking, MissingTierFallsBackToRecomputeCost)
-{
-    // Default transferSeconds is infinity (no host tier attached):
-    // the ranking degenerates to cheapest-recompute-first.
-    std::vector<VictimCandidate> candidates(3);
-    candidates[0].recomputeSeconds = 7.0;
-    candidates[1].recomputeSeconds = 3.0;
-    candidates[2].recomputeSeconds = 5.0;
-    const std::vector<size_t> order = rankEvictionVictims(candidates);
-    EXPECT_EQ(order, (std::vector<size_t>{1, 2, 0}));
-}
+    for (const std::string batching : {"off", "continuous"}) {
+        for (const double budget : {0.0, 0.5}) {
+            OnlineServerOptions alone;
+            alone.batching = batching;
+            alone.kvBudgetGiB = budget;
+            const std::string where =
+                batching + "/budget=" + std::to_string(budget);
+            expectSameTrace(serve(alone, false), serve(alone, true), where);
+        }
+    }
 
-TEST(VictimRanking, CostTiesGoToColdestThenAdmissionOrder)
-{
-    // Equal restore cost: the least-recently-run (coldest) victim is
-    // evicted first; a full tie falls back to admission order, which
-    // keeps the ranking a strict refinement of the legacy sweep.
-    std::vector<VictimCandidate> candidates(4);
-    for (auto &c : candidates)
-        c.recomputeSeconds = 4.0;
-    candidates[0].lastRunAt = 9.0;
-    candidates[1].lastRunAt = 2.0;
-    candidates[2].lastRunAt = 9.0;
-    candidates[3].lastRunAt = 2.0;
-    const std::vector<size_t> order = rankEvictionVictims(candidates);
-    EXPECT_EQ(order, (std::vector<size_t>{1, 3, 0, 2}));
-}
-
-TEST(VictimRanking, EmptyAndSingletonAreTrivial)
-{
-    EXPECT_TRUE(rankEvictionVictims({}).empty());
-    const std::vector<VictimCandidate> one(1);
-    EXPECT_EQ(rankEvictionVictims(one), (std::vector<size_t>{0}));
+    OnlineServerOptions sliced;
+    sliced.maxInflight = 3;
+    sliced.kvBudgetGiB = 0.5;
+    const OnlineTraceResult off = serve(sliced, false);
+    const OnlineTraceResult on = serve(sliced, true);
+    ASSERT_EQ(off.records.size(), trace.size());
+    ASSERT_EQ(on.records.size(), trace.size());
+    std::vector<double> finish_off;
+    std::vector<double> finish_on;
+    for (size_t i = 0; i < trace.size(); ++i) {
+        finish_off.push_back(off.records[i].finish);
+        finish_on.push_back(on.records[i].finish);
+    }
+    EXPECT_NE(finish_off, finish_on);
 }
 
 } // namespace
