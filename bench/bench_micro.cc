@@ -12,7 +12,6 @@
 #include "alloc/memory_planner.h"
 #include "core/engine.h"
 #include "kv/kv_cache.h"
-#include "kv/kv_session.h"
 #include "model/model_spec.h"
 #include "model/workload.h"
 #include "sched/scheduler.h"
@@ -143,34 +142,6 @@ BM_PathTokensDeepChain(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PathTokensDeepChain)->Arg(8)->Arg(64)->Arg(512);
-
-/**
- * Full KV session save/restore round trip over a beam-search-shaped
- * tree: suspend snapshots the resident frontier and force-evicts
- * every block; resume re-materialises it. This is the per-preemption
- * cost of the online server's whole-request eviction path, so it must
- * stay far below one engine iteration.
- */
-void
-BM_KvSessionSuspendResume(benchmark::State &state)
-{
-    KvCacheManager kv(1 << 30, 1.0, 16);
-    Rng rng(6);
-    std::vector<SchedEntry> entries =
-        buildEntries(kv, static_cast<int>(state.range(0)), rng);
-    for (const auto &e : entries) {
-        kv.retain(e.leaf);
-        (void)kv.ensureResident(e.leaf, 1);
-    }
-    KvSession session(kv);
-    uint64_t tick = 2;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(session.suspend(tick++));
-        benchmark::DoNotOptimize(session.resume(tick++));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_KvSessionSuspendResume)->Arg(64)->Arg(256)->Arg(1024);
 
 /**
  * retain/release round trip over a deep path: still O(depth) for the

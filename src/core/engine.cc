@@ -72,6 +72,13 @@ struct FastTtsEngine::ActiveBeam
     int branchesStarted = 0;
 };
 
+/** One generation wave as planWave() leaves it for applyWave(). */
+struct FastTtsEngine::WavePlan
+{
+    int dt = 0;        //!< Tokens each member decodes; 0: no wave.
+    uint64_t tick = 0; //!< LRU stamp of the appends: the planned end.
+};
+
 /**
  * Everything that belongs to one in-flight request: mounted on the
  * engine between beginRequest() and finishRequest(), or parked inside
@@ -101,9 +108,10 @@ struct FastTtsEngine::RequestContext
     int promptRemaining_ = 0; //!< Prompt tokens awaiting chunked
                               //!< prefill (deferred-prompt mode).
     int promptChunkTotal_ = 0; //!< Initial chunked-prefill volume
-                               //!< (prompt minus mounted prefix);
-                               //!< chunking restarts from it when the
-                               //!< prompt node is evicted mid-stream.
+                               //!< (prompt minus mounted prefix); the
+                               //!< first chunk starts from it. Evicting
+                               //!< the prompt mid-stream ends chunking
+                               //!< (evictKv).
     bool inRequest_ = false; //!< Between beginRequest and finish.
 
     // --- Cross-request prefix cache (kv/prefix_index.h) ---
@@ -153,7 +161,6 @@ struct FastTtsEngine::RequestContext
     // (added at creation, filtered per event wave, cleared on kill) so
     // the event loop never rescans all beams x branches.
     std::vector<std::pair<size_t, size_t>> specRunning_;
-    std::vector<std::pair<size_t, size_t>> specScratch_;
     double meanVerifierSeq_ = 0;  //!< Mean incremental request length.
     double meanVerifierPath_ = 0; //!< Mean full-path length (planning).
     bool specAllowed_ = true;      //!< Memory allows speculation.
@@ -426,32 +433,6 @@ FastTtsEngine::replan()
     }
 }
 
-double
-FastTtsEngine::currentAvgContext() const
-{
-    // Path tokens are cached per node (O(1)) and the running branch
-    // set is maintained incrementally, so this is O(batch members)
-    // instead of O(beams x branches x depth). The accumulator stays
-    // integral, so the mean is bit-identical to the full rescan.
-    long total = 0;
-    int count = 0;
-    for (size_t idx : ctx_->decodeSet_) {
-        const ActiveBeam &b = *ctx_->active_[idx];
-        total += ctx_->kvGen_->pathTokens(b.curSeg);
-        ++count;
-    }
-    for (const auto &[beam_idx, branch_idx] : ctx_->specRunning_) {
-        const SpecBranch &br = ctx_->active_[beam_idx]->branches[branch_idx];
-        if (br.node >= 0 && !br.complete && br.retained) {
-            total += ctx_->kvGen_->pathTokens(br.node);
-            ++count;
-        }
-    }
-    if (count == 0)
-        return ctx_->problem_.promptTokens;
-    return static_cast<double>(total) / count;
-}
-
 void
 FastTtsEngine::chargeRecompute(int tokens)
 {
@@ -564,16 +545,18 @@ FastTtsEngine::releaseBranch(SpecBranch &branch)
 void
 FastTtsEngine::killAllSpeculation()
 {
-    // Branches are only *marked* dead (node = -1); the vector is never
-    // resized here because the event loop may hold pointers into it.
-    // Only the tracked running set needs visiting: completed branches
-    // stay alive for selection, dead ones are already node = -1.
+    // Speculation stays off for the rest of the iteration. Branches
+    // are only *marked* dead (node = -1), never erased from their
+    // beam. Only the tracked running set needs visiting: completed
+    // branches stay alive for selection, dead ones are already
+    // node = -1.
     for (const auto &[beam_idx, branch_idx] : ctx_->specRunning_) {
         SpecBranch &br = ctx_->active_[beam_idx]->branches[branch_idx];
         if (br.node >= 0 && !br.complete)
             releaseBranch(br);
     }
     ctx_->specRunning_.clear();
+    ctx_->specDisabled_ = true;
 }
 
 void
@@ -720,230 +703,218 @@ FastTtsEngine::runGenerationPhase(bool may_yield)
         startGenerationPhase();
     ctx_->genBlocked_ = false;
 
-    const int capacity = std::max(1, ctx_->plan_.decodeBatch);
-    // Pinned working-set estimate (tokens) for admission control.
-    // Capacity is what this request can actually obtain: the local
-    // pool capped by the shared ledger's remaining headroom (equal to
-    // the local total whenever no ledger binds), so admission waits
-    // under cross-request memory pressure instead of admitting beams
-    // the ledger will immediately refuse.
-    double &pinned_tokens = ctx_->pinnedTokens_;
+    // Admission's capacity (tokens) is what this request can actually
+    // obtain: the local pool capped by the shared ledger's remaining
+    // headroom (equal to the local total whenever no ledger binds), so
+    // admission waits under cross-request memory pressure instead of
+    // admitting beams the ledger will immediately refuse.
     const double budget_tokens =
         static_cast<double>(ctx_->kvGen_->allocator().used()
                             + ctx_->kvGen_->freeBlocks())
         * config_.blockTokens;
-
-    size_t &q_head = ctx_->queueHead_;
-    bool &spec_disabled = ctx_->specDisabled_;
-    int safety = 0;
-    const int safety_cap = static_cast<int>(ctx_->active_.size()) * 4096 + 4096;
-
-    while (true) {
-        if (++safety > safety_cap) {
-            // Defensive: never hang a simulation. Every wave decodes
-            // or kills a beam, so a healthy run never gets here.
-            ++ctx_->defensiveExits_;
-            ++defensiveExits_;
-            break;
+    const int safety_cap =
+        static_cast<int>(ctx_->active_.size()) * 4096 + 4096;
+    for (int wave = 0; wave < safety_cap; ++wave) {
+        const WavePlan plan = planWave(budget_tokens);
+        if (plan.dt == 0)
+            return;
+        ActiveBeam *stuck = applyWave(plan);
+        if (stuck == nullptr)
+            continue;
+        // Nothing decoded, so the wave cost no time. The beam
+        // preempted last was refused with every other member already
+        // preempted: alone, it does not fit. When only the shared
+        // ledger stands in its way and other requests hold ledger
+        // bytes, the step yields blocked on memory and resumes here
+        // once they are freed. Otherwise (no ledger, its own pool
+        // full, or nobody to wait for) it takes admission's "can never
+        // run" path, so no wave spins.
+        if (may_yield && blockedOnLedger(*stuck, plan.dt)) {
+            ctx_->genBlocked_ = true;
+            return;
         }
+        forceKill(*stuck);
+    }
+    // Defensive: never hang a simulation. Every wave decodes or kills
+    // a beam, so a healthy run never gets here.
+    ++ctx_->defensiveExits_;
+    ++defensiveExits_;
+}
 
-        // --- Phase 1: Continuous Beam Batching admission ---
-        while (static_cast<int>(ctx_->decodeSet_.size()) < capacity
-               && q_head < ctx_->queue_.size()) {
-            const size_t idx = ctx_->queue_[q_head];
-            ActiveBeam &b = *ctx_->active_[idx];
-            if (b.forceKilled) {
+FastTtsEngine::WavePlan
+FastTtsEngine::planWave(double budget_tokens)
+{
+    // The iteration ends when every standard beam finished its step;
+    // in-flight speculation is strictly terminated at that point
+    // (partial tokens are kept as head starts).
+    size_t &q_head = ctx_->queueHead_;
+    if (ctx_->decodeSet_.empty() && q_head >= ctx_->queue_.size())
+        return {};
+
+    // --- Continuous Beam Batching admission ---
+    const int capacity = std::max(1, ctx_->plan_.decodeBatch);
+    while (static_cast<int>(ctx_->decodeSet_.size()) < capacity
+           && q_head < ctx_->queue_.size()) {
+        const size_t idx = ctx_->queue_[q_head];
+        ActiveBeam &b = *ctx_->active_[idx];
+        if (b.forceKilled) {
+            ++q_head;
+            continue;
+        }
+        // Admission control. With Asymmetric Allocation (M) the
+        // planner-informed watermark reserves room for the whole
+        // step, preventing mid-decode preemption. The naive
+        // baseline admits on *current* free memory only — vLLM's
+        // behaviour — and pays preemption/recompute churn when
+        // running beams outgrow the pool (Sec. 6.5.1).
+        const int remaining = b.stepPrepared
+            ? b.targetTokens - b.decoded
+            : std::min(static_cast<int>(expectedStepTokens_),
+                       algorithm_.stepTokenCap(b.steps));
+        const double need = ctx_->kvGen_->pathTokens(b.leaf) + b.decoded
+            + remaining;
+        if (config_.asymmetricAllocation
+            && ctx_->pinnedTokens_ + need > budget_tokens * 0.95
+            && !ctx_->decodeSet_.empty()) {
+            break; // Wait for running beams to finish.
+        }
+        // Baseline (M off): admit whenever blocks can be found now
+        // — evictable cache counts as allocatable, exactly vLLM's
+        // policy — and eat mid-decode preemptions later.
+        if (!admitBeam(idx)) {
+            // Could not materialise the path: speculation yields first.
+            killAllSpeculation();
+            if (!admitBeam(idx)) {
+                if (!ctx_->decodeSet_.empty())
+                    break; // Wait for running beams to finish.
+                // Alone it still does not fit: the beam can never run
+                // under this budget.
+                forceKill(b);
                 ++q_head;
                 continue;
             }
-            // Admission control. With Asymmetric Allocation (M) the
-            // planner-informed watermark reserves room for the whole
-            // step, preventing mid-decode preemption. The naive
-            // baseline admits on *current* free memory only — vLLM's
-            // behaviour — and pays preemption/recompute churn when
-            // running beams outgrow the pool (Sec. 6.5.1).
-            const int remaining = b.stepPrepared
-                ? b.targetTokens - b.decoded
-                : std::min(static_cast<int>(expectedStepTokens_),
-                           algorithm_.stepTokenCap(b.steps));
-            const double need = ctx_->kvGen_->pathTokens(b.leaf) + b.decoded
-                + remaining;
-            if (config_.asymmetricAllocation
-                && pinned_tokens + need > budget_tokens * 0.95
-                && !ctx_->decodeSet_.empty()) {
-                break; // Wait for running beams to finish.
-            }
-            // Baseline (M off): admit whenever blocks can be found now
-            // — evictable cache counts as allocatable, exactly vLLM's
-            // policy — and eat mid-decode preemptions later.
-            if (!admitBeam(idx)) {
-                // Could not materialise the path.
-                killAllSpeculation();
-                spec_disabled = true;
-                if (!admitBeam(idx)) {
-                    if (ctx_->decodeSet_.empty()) {
-                        // Alone it still does not fit: the beam can
-                        // never run under this budget.
-                        forceKill(b);
-                        ++q_head;
-                    }
-                    break;
-                }
-            }
-            if (b.inDecode)
-                pinned_tokens += need;
-            ++q_head;
         }
+        if (b.inDecode)
+            ctx_->pinnedTokens_ += need;
+        ++q_head;
+    }
 
-        // --- Phase 2: speculative extension (preemptible) ---
-        if (config_.speculativeExtension && ctx_->specAllowed_
-            && !spec_disabled && q_head >= ctx_->queue_.size()) {
-            fillSpeculativeSlots();
-        }
+    // --- Speculative extension (preemptible) ---
+    if (config_.speculativeExtension && ctx_->specAllowed_
+        && !ctx_->specDisabled_ && q_head >= ctx_->queue_.size()) {
+        fillSpeculativeSlots();
+    }
+    if (ctx_->decodeSet_.empty() && ctx_->specRunning_.empty())
+        return {};
 
-        // Snapshot the running members for this wave. Branch vectors
-        // may grow (invalidating pointers) only in fillSpeculativeSlots
-        // above, so pointers are stable for the rest of the wave.
-        ctx_->specScratch_ = ctx_->specRunning_;
-        std::vector<SpecBranch *> spec_run;
-        spec_run.reserve(ctx_->specScratch_.size());
-        for (const auto &[beam_idx, branch_idx] : ctx_->specScratch_) {
-            SpecBranch &br = ctx_->active_[beam_idx]->branches[branch_idx];
-            if (br.node >= 0 && !br.complete && br.retained)
-                spec_run.push_back(&br);
-        }
-        if (ctx_->decodeSet_.empty() && spec_run.empty()) {
-            if (q_head >= ctx_->queue_.size())
-                break;
-            continue; // More standard beams to admit.
-        }
+    // --- Next event: smallest remaining token count ---
+    WavePlan plan;
+    plan.dt = std::numeric_limits<int>::max();
+    long context = 0;
+    for (size_t idx : ctx_->decodeSet_) {
+        const ActiveBeam &b = *ctx_->active_[idx];
+        plan.dt = std::min(plan.dt, b.targetTokens - b.decoded);
+        context += ctx_->kvGen_->pathTokens(b.curSeg);
+    }
+    for (const auto &[beam_idx, branch_idx] : ctx_->specRunning_) {
+        const SpecBranch &br = ctx_->active_[beam_idx]->branches[branch_idx];
+        plan.dt = std::min(plan.dt, br.target - br.decoded);
+        context += ctx_->kvGen_->pathTokens(br.node);
+    }
+    plan.dt = std::max(plan.dt, 1);
+    const int members = static_cast<int>(ctx_->decodeSet_.size()
+                                         + ctx_->specRunning_.size());
+    const double ctx = static_cast<double>(context) / members + plan.dt * 0.5;
+    plan.tick = static_cast<uint64_t>(
+        (ctx_->clock_.now()
+         + plan.dt * roofline_.decodeStepTime(models_.generator, members, ctx))
+        * 1e6);
 
-        // --- Next event: smallest remaining token count ---
-        int dt = std::numeric_limits<int>::max();
-        for (size_t idx : ctx_->decodeSet_) {
-            const ActiveBeam &b = *ctx_->active_[idx];
-            dt = std::min(dt, b.targetTokens - b.decoded);
-        }
-        for (SpecBranch *br : spec_run)
-            dt = std::min(dt, br->target - br->decoded);
-        dt = std::max(dt, 1);
+    // Memory pressure from the standard beams preempts speculation
+    // *before* any useful cache gets evicted (Sec. 4.1.2: the
+    // speculative phase is fully preemptible).
+    if (!ctx_->specRunning_.empty()
+        && ctx_->kvGen_->freeBlocks()
+            < ctx_->kvGen_->blocksFor(plan.dt) * static_cast<size_t>(members))
+        killAllSpeculation();
+    return plan;
+}
 
-        // The wave is charged after its appends, and only if it
-        // decoded something; the LRU tick is already the wave's end.
-        const int active_total = static_cast<int>(ctx_->decodeSet_.size())
-            + static_cast<int>(spec_run.size());
-        const double ctx = currentAvgContext() + dt * 0.5;
-        const double step_time = roofline_.decodeStepTime(
-            models_.generator, active_total, ctx);
-        const double wave_time = dt * step_time;
-        const double compute_util =
-            roofline_.decodeComputeUtil(models_.generator, active_total, ctx);
-        const uint64_t tick =
-            static_cast<uint64_t>((ctx_->clock_.now() + wave_time) * 1e6);
-
-        // Memory pressure from the standard beams preempts speculation
-        // *before* any useful cache gets evicted (Sec. 4.1.2: the
-        // speculative phase is fully preemptible).
-        if (!spec_run.empty()) {
-            const size_t wave_need = ctx_->kvGen_->blocksFor(dt)
-                * (ctx_->decodeSet_.size() + spec_run.size());
-            if (ctx_->kvGen_->freeBlocks() < wave_need) {
-                killAllSpeculation();
-                spec_disabled = true;
-            }
-        }
-
-        // --- Apply dt tokens to every running member ---
-        bool decoded = false;
-        ActiveBeam *refused = nullptr; // Last standard beam preempted.
-        std::vector<size_t> still_running;
-        for (size_t idx : ctx_->decodeSet_) {
-            ActiveBeam &b = *ctx_->active_[idx];
-            if (!ctx_->kvGen_->appendTokens(b.curSeg, dt, tick)) {
-                // Memory pressure: stop speculation, then preempt the
-                // beam itself if still stuck (vLLM swap semantics).
-                killAllSpeculation();
-                spec_disabled = true;
-                if (!ctx_->kvGen_->appendTokens(b.curSeg, dt, tick)) {
-                    ctx_->kvGen_->release(b.curSeg);
-                    b.pinned = false;
-                    b.inDecode = false;
-                    pinned_tokens = std::max(
-                        0.0, pinned_tokens
-                                 - (ctx_->kvGen_->pathTokens(b.curSeg)
-                                    + b.targetTokens - b.decoded));
-                    ctx_->queue_.push_back(idx);
-                    refused = &b;
-                    continue;
-                }
-            }
-            decoded = true;
-            b.decoded += dt;
-            ctx_->generatedTokens_ += dt;
-            if (b.decoded >= b.targetTokens) {
-                pinned_tokens = std::max(
-                    0.0, pinned_tokens - ctx_->kvGen_->pathTokens(b.curSeg));
-                finishStandardBeam(idx);
-            } else {
-                still_running.push_back(idx);
-            }
-        }
-        ctx_->decodeSet_ = std::move(still_running);
-
-        for (SpecBranch *br : spec_run) {
-            if (br->node < 0 || !br->retained)
-                continue; // Killed above.
-            // Speculative appends may only take free blocks; they must
-            // never evict cache the standard beams will re-touch.
-            if (!ctx_->kvGen_->appendTokens(br->node, dt, tick,
-                                      /*allow_evict=*/false)) {
-                releaseBranch(*br);
+FastTtsEngine::ActiveBeam *
+FastTtsEngine::applyWave(const WavePlan &plan)
+{
+    const int dt = plan.dt;
+    int members = 0;  // Members that decoded: what the wave costs.
+    long context = 0; // Their path tokens before the wave.
+    ActiveBeam *refused = nullptr; // Last standard beam preempted.
+    size_t kept = 0;
+    for (size_t idx : ctx_->decodeSet_) {
+        ActiveBeam &b = *ctx_->active_[idx];
+        const int path = ctx_->kvGen_->pathTokens(b.curSeg);
+        if (!ctx_->kvGen_->appendTokens(b.curSeg, dt, plan.tick)) {
+            // Memory pressure: stop speculation, then preempt the
+            // beam itself if still stuck (vLLM swap semantics).
+            killAllSpeculation();
+            if (!ctx_->kvGen_->appendTokens(b.curSeg, dt, plan.tick)) {
+                ctx_->kvGen_->release(b.curSeg);
+                b.pinned = false;
+                b.inDecode = false;
+                ctx_->pinnedTokens_ = std::max(
+                    0.0, ctx_->pinnedTokens_
+                             - (path + b.targetTokens - b.decoded));
+                ctx_->queue_.push_back(idx);
+                refused = &b;
                 continue;
             }
-            decoded = true;
-            br->decoded += dt;
-            ctx_->generatedTokens_ += dt;
-            ctx_->speculativeTokens_ += dt;
-            if (br->decoded >= br->target)
-                br->complete = true;
         }
-
-        if (decoded) {
-            ctx_->clock_.advance(wave_time, Phase::Generation, compute_util,
-                                 active_total, capacity);
-        } else if (refused != nullptr) {
-            // Nothing decoded, so the wave costs no time. The beam
-            // preempted last was refused with every other member
-            // already preempted: alone, it does not fit. When only
-            // the shared ledger stands in its way and other requests
-            // hold ledger bytes, the step yields blocked on memory and
-            // resumes here once they are freed. Otherwise (no ledger,
-            // its own pool full, or nobody to wait for) it takes
-            // admission's "can never run" path, so no wave spins.
-            if (may_yield && blockedOnLedger(*refused, dt)) {
-                ctx_->genBlocked_ = true;
-                return;
-            }
-            forceKill(*refused);
+        ++members;
+        context += path;
+        b.decoded += dt;
+        ctx_->generatedTokens_ += dt;
+        if (b.decoded >= b.targetTokens) {
+            ctx_->pinnedTokens_ = std::max(
+                0.0, ctx_->pinnedTokens_ - ctx_->kvGen_->pathTokens(b.curSeg));
+            finishStandardBeam(idx);
+        } else {
+            ctx_->decodeSet_[kept++] = idx;
         }
-
-        // Refresh the running set from this wave's snapshot: branches
-        // that completed, were preempted, or were killed above drop
-        // out; order is preserved.
-        ctx_->specRunning_.clear();
-        for (const auto &entry : ctx_->specScratch_) {
-            const SpecBranch &br =
-                ctx_->active_[entry.first]->branches[entry.second];
-            if (br.node >= 0 && !br.complete && br.retained)
-                ctx_->specRunning_.push_back(entry);
-        }
-
-        // Iteration ends when every standard beam finished its step;
-        // in-flight speculation is strictly terminated at that point
-        // (partial tokens are kept as head starts).
-        if (ctx_->decodeSet_.empty() && q_head >= ctx_->queue_.size())
-            break;
     }
+    ctx_->decodeSet_.resize(kept);
+
+    // Branches that complete, are preempted or were killed above drop
+    // out of the running set; order is preserved.
+    kept = 0;
+    for (const auto &entry : ctx_->specRunning_) {
+        SpecBranch &br = ctx_->active_[entry.first]->branches[entry.second];
+        const int path = ctx_->kvGen_->pathTokens(br.node);
+        // Speculative appends may only take free blocks; they must
+        // never evict cache the standard beams will re-touch.
+        if (!ctx_->kvGen_->appendTokens(br.node, dt, plan.tick,
+                                        /*allow_evict=*/false)) {
+            releaseBranch(br);
+            continue;
+        }
+        ++members;
+        context += path;
+        br.decoded += dt;
+        ctx_->generatedTokens_ += dt;
+        ctx_->speculativeTokens_ += dt;
+        if (br.decoded >= br.target)
+            br.complete = true;
+        else
+            ctx_->specRunning_[kept++] = entry;
+    }
+    ctx_->specRunning_.resize(kept);
+
+    if (members == 0)
+        return refused;
+    const double ctx = static_cast<double>(context) / members + dt * 0.5;
+    ctx_->clock_.advance(
+        dt * roofline_.decodeStepTime(models_.generator, members, ctx),
+        Phase::Generation,
+        roofline_.decodeComputeUtil(models_.generator, members, ctx),
+        members, std::max(1, ctx_->plan_.decodeBatch));
+    return nullptr;
 }
 
 void
@@ -1673,17 +1644,20 @@ SuspendedEngineRequest::evictKv()
 {
     if (ctx_ == nullptr)
         return 0;
-    const uint64_t tick =
-        static_cast<uint64_t>(ctx_->clock_.now() * 1e6);
     long dropped = 0;
     // Skip trees that hold no blocks (O(1)): under sustained budget
     // pressure the serving layer retries eviction every time slice,
     // and an already-evicted victim must not pay two full-tree scans
     // per retry.
     if (ctx_->kvGen_ != nullptr && ctx_->kvGen_->residentBytes() > 0)
-        dropped += KvSession(*ctx_->kvGen_).suspend(tick);
+        dropped += ctx_->kvGen_->forceEvictAll();
     if (ctx_->kvVer_ != nullptr && ctx_->kvVer_->residentBytes() > 0)
-        dropped += KvSession(*ctx_->kvVer_).suspend(tick);
+        dropped += ctx_->kvVer_->forceEvictAll();
+    // The prompt node went with them. A request part-way through its
+    // chunked prefill stops chunking, so its first decode touch
+    // re-prefills the prompt once, as after a refused first chunk.
+    if (ctx_->promptRemaining_ < ctx_->promptChunkTotal_)
+        ctx_->promptRemaining_ = 0;
     return dropped;
 }
 

@@ -22,6 +22,16 @@
  * Speculation and scheduling affect only *when* tokens materialise,
  * never *what* a beam samples (see trajectory.h), so the engine is
  * algorithmically equivalent to the baseline by construction.
+ *
+ * The Generation phase runs in waves. planWave() admits queued beams
+ * into the decode batch, fills free slots with speculative branches,
+ * and picks dt, the fewest tokens any member has left in its step;
+ * when the pool cannot take dt more tokens per member, all
+ * speculation is dropped first. applyWave() then appends dt tokens
+ * to each member, and a member whose append is refused leaves the
+ * wave. The clock is charged once per wave, as one decode step of
+ * the members that decoded, repeated dt times; a wave in which no
+ * member decoded costs nothing.
  */
 
 #ifndef FASTTTS_CORE_ENGINE_H
@@ -338,6 +348,7 @@ class FastTtsEngine
   private:
     struct ActiveBeam;
     struct SpecBranch;
+    struct WavePlan;
 
     // --- Request lifecycle ---
     void resetRequestState(const Problem &problem,
@@ -347,6 +358,13 @@ class FastTtsEngine
     int prefillPromptChunk(int max_tokens);
     void startGenerationPhase();
     void runGenerationPhase(bool may_yield);
+    /** Plan the next wave (see the file comment). `budget_tokens` is
+     *  admission's KV capacity; a zero dt means the phase is over. */
+    WavePlan planWave(double budget_tokens);
+    /** Run the planned wave and charge it for the members that
+     *  decoded. @return The standard beam refused last when no member
+     *  decoded, else nullptr. */
+    ActiveBeam *applyWave(const WavePlan &plan);
     void runVerificationPhase();
     void runSelectionPhase();
 
@@ -358,7 +376,6 @@ class FastTtsEngine
     bool blockedOnLedger(const ActiveBeam &refused, int dt) const;
     void killAllSpeculation();
     void chargeRecompute(int tokens);
-    double currentAvgContext() const;
 
     // --- Bookkeeping ---
     void completeBeam(ActiveBeam &beam, double score);
@@ -440,10 +457,13 @@ class SuspendedEngineRequest
     }
 
     /**
-     * Force-evict the parked request's KV state (KvSession::suspend
-     * on both trees): every block returns to the allocator and shared
-     * ledger; the request's beams keep logical references and
-     * recompute their paths — counted in KvStats — when next run.
+     * Force-evict the parked request's KV state
+     * (KvCacheManager::forceEvictAll on both trees): every block
+     * returns to the allocator and shared ledger; the request's beams
+     * keep logical references and recompute their paths — counted in
+     * KvStats — when next run. A request part-way through its chunked
+     * prompt prefill stops chunking: its first decode touch
+     * re-prefills the whole prompt once.
      * @return Tokens whose KV was dropped.
      */
     long evictKv();

@@ -483,18 +483,6 @@ KvCacheManager::forceEvictAll()
     return dropped;
 }
 
-std::vector<KvCacheManager::NodeId>
-KvCacheManager::residentFrontier() const
-{
-    std::vector<NodeId> frontier;
-    for (NodeId id = 1; id < static_cast<NodeId>(nodes_.size()); ++id) {
-        const Node &n = node(id);
-        if (!n.erased && n.resident && n.residentChildren == 0)
-            frontier.push_back(id);
-    }
-    return frontier;
-}
-
 int
 KvCacheManager::residentPrefixTokens(NodeId leaf) const
 {

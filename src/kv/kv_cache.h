@@ -120,7 +120,7 @@ class KvCacheManager
      * blocks — the bytes live in (and are charged by) the global
      * PrefixIndex — so path lengths, context sizes and roofline times
      * include the prefix while this manager's pool does not pay for
-     * it, and forceEvictAll()/suspend() never drop it. Must be called
+     * it, and forceEvictAll() never drops it. Must be called
      * before any child exists (prefix sums are derived at
      * createChild time).
      */
@@ -201,11 +201,6 @@ class KvCacheManager
      * @return Tokens whose KV was dropped.
      */
     long forceEvictAll();
-
-    /** Deepest resident node of every cached path (resident nodes
-     *  with no resident children), excluding the root; the snapshot
-     *  KvSession::suspend() restores from. */
-    [[nodiscard]] std::vector<NodeId> residentFrontier() const;
 
     // ------------------------------------------------------------------
     // Introspection / metrics

@@ -40,38 +40,4 @@ KvBudgetLedger::release(double bytes)
     used_ = std::max(0.0, used_ - bytes);
 }
 
-long
-KvSession::suspend(uint64_t tick)
-{
-    (void)tick;
-    frontier_ = kv_->residentFrontier();
-    const long evicted = kv_->forceEvictAll();
-    suspended_ = true;
-    ++stats_.suspends;
-    stats_.evictedTokens += evicted;
-    return evicted;
-}
-
-long
-KvSession::resume(uint64_t tick)
-{
-    long recomputed = 0;
-    for (const KvCacheManager::NodeId leaf : frontier_) {
-        // An injected restore failure leaves this leaf cold; it
-        // recomputes lazily on first touch, like a budget shortfall.
-        if (faults_ != nullptr
-            && faults_->shouldFault(FaultSite::kKvRestore))
-            continue;
-        const auto touch = kv_->ensureResident(leaf, tick);
-        recomputed += touch.recomputeTokens;
-        if (!touch.ok)
-            break; // Budget exhausted: the rest recomputes lazily.
-    }
-    frontier_.clear();
-    suspended_ = false;
-    ++stats_.resumes;
-    stats_.recomputedTokens += recomputed;
-    return recomputed;
-}
-
 } // namespace fasttts

@@ -15,8 +15,6 @@ faultSiteName(FaultSite site)
         return "wave_step";
     case FaultSite::kKvAlloc:
         return "kv_alloc";
-    case FaultSite::kKvRestore:
-        return "kv_restore";
     case FaultSite::kPrefixAcquire:
         return "prefix_acquire";
     }
@@ -30,14 +28,11 @@ faultSiteFromName(const std::string &name)
         return FaultSite::kWaveStep;
     if (name == "kv_alloc")
         return FaultSite::kKvAlloc;
-    if (name == "kv_restore")
-        return FaultSite::kKvRestore;
     if (name == "prefix_acquire")
         return FaultSite::kPrefixAcquire;
     return Status::notFound(
         "unknown fault site '" + name
-        + "' (expected wave_step, kv_alloc, kv_restore or "
-          "prefix_acquire)");
+        + "' (expected wave_step, kv_alloc or prefix_acquire)");
 }
 
 namespace

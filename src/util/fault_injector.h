@@ -2,7 +2,7 @@
  * @file
  * Deterministic, schedule-driven fault injection.
  *
- * The serving stack has four injection sites threaded through its
+ * The serving stack has three injection sites threaded through its
  * layers; a FaultInjector decides — reproducibly — whether each
  * probed operation fails. A fault plan is a list of rules, each
  * selecting along **four axes**:
@@ -15,9 +15,6 @@
  *       `KvBudgetLedger::charge` refuses as if the budget were
  *       exhausted; the engine's existing refusal path (deferred
  *       first-touch recompute) absorbs it.
- *     - `kKvRestore`: a restore failure during `KvSession::resume`.
- *       The affected frontier leaf stays cold and is recomputed on
- *       first touch instead of being restored.
  *     - `kPrefixAcquire`: prefix-cache corruption. The probed
  *       `PrefixIndex::acquire` reports a miss (zero matched tokens),
  *       forcing a full prompt prefill.
@@ -60,12 +57,11 @@ namespace fasttts
 enum class FaultSite {
     kWaveStep = 0,  //!< Engine wave step: transient device error.
     kKvAlloc = 1,   //!< KvBudgetLedger::charge: allocation refusal.
-    kKvRestore = 2, //!< KvSession::resume: leaf restore failure.
-    kPrefixAcquire = 3, //!< PrefixIndex::acquire: forced cache miss.
+    kPrefixAcquire = 2, //!< PrefixIndex::acquire: forced cache miss.
 };
 
 /** Number of distinct FaultSite values (for stats arrays). */
-inline constexpr int kNumFaultSites = 4;
+inline constexpr int kNumFaultSites = 3;
 
 /** The plan-JSON name of a site ("wave_step", "kv_alloc", ...). */
 const char *faultSiteName(FaultSite site);
@@ -105,7 +101,7 @@ struct FaultPlan {
      */
     static StatusOr<FaultPlan> fromJsonText(const std::string &text);
 
-    /** All four sites armed at `rate` for all time, any request. */
+    /** All three sites armed at `rate` for all time, any request. */
     static FaultPlan uniform(double rate);
 };
 

@@ -13,6 +13,8 @@
 
 #include "core/serving.h"
 #include "kv/kv_session.h"
+#include "sim/device.h"
+#include "sim/roofline.h"
 #include "util/units.h"
 
 namespace fasttts
@@ -436,6 +438,39 @@ TEST(AsyncServing, EvictSuspendedKvForcesRecomputeButSameAnswers)
     }
 }
 
+TEST(AsyncServing, EvictionMidChunkingEndsTheChunkedPrefill)
+{
+    // Evicting a parked request part-way through its chunked prompt
+    // drops the prompt's KV with everything else: chunking ends, the
+    // first decode touch re-prefills the prompt once, and the answers
+    // are those of a solo run.
+    ServingSystem solo = smallSystem();
+    const RequestResult want = solo.serve(solo.problems()[0]);
+
+    ServingSystem system = smallSystem();
+    const Problem &problem = system.problems()[0];
+    ASSERT_GT(problem.promptTokens, 64);
+    const RequestId id = system.submit(problem);
+    ASSERT_TRUE(system.startSuspended(id, /*defer_prompt=*/true).ok());
+    BatchPlan chunk;
+    chunk.entries.push_back({0, BatchWorkKind::PrefillChunk, 64});
+    ASSERT_TRUE(system.stepBatch({id}, chunk).ok());
+    ASSERT_EQ(system.suspendedInfo(id)->promptTokensPending,
+              problem.promptTokens - 64);
+    ASSERT_GT(system.evictSuspendedKv(id).value(), 0);
+    EXPECT_EQ(system.suspendedInfo(id)->promptTokensPending, 0);
+
+    ASSERT_TRUE(system.resume(id).ok());
+    system.drain();
+    const RequestResult got = system.result(id).value();
+    ASSERT_EQ(got.solutions.size(), want.solutions.size());
+    for (size_t i = 0; i < got.solutions.size(); ++i) {
+        EXPECT_EQ(got.solutions[i].answer, want.solutions[i].answer);
+        EXPECT_EQ(got.solutions[i].score, want.solutions[i].score);
+        EXPECT_EQ(got.solutions[i].tokens, want.solutions[i].tokens);
+    }
+}
+
 TEST(AsyncServing, SuspendResumeErrorPaths)
 {
     ServingSystem system = smallSystem();
@@ -708,11 +743,12 @@ TEST(AsyncServing, FusedWaveIsCheaperThanSerialSlices)
 /** The baseline engine never speculates, so with an ample ledger its
  *  KV only grows: a dry run's final footprint is also its peak. */
 ServingSystem
-baselineSystem()
+baselineSystem(int beams = 8, bool record_trace = false)
 {
     ServingOptions opts;
     opts.config = FastTtsConfig::baseline();
-    opts.numBeams = 8;
+    opts.config.recordTrace = record_trace;
+    opts.numBeams = beams;
     return ServingSystem::create(opts).value();
 }
 
@@ -732,17 +768,18 @@ decodePlan(const std::vector<size_t> &members)
 }
 
 /** Two parked requests on `system`: a holder (problem 1) that decoded
- *  `holder_waves` iterations, then a member (problem 0) whose prompt
- *  is prefilled up front. Returns {holder, member}. */
+ *  `holder_waves` iterations, then a member (problem `member_problem`)
+ *  whose prompt is prefilled up front. Returns {holder, member}. */
 std::pair<RequestId, RequestId>
 parkHolderThenMember(ServingSystem &system, int holder_waves,
-                     RequestCallbacks member_callbacks = {})
+                     RequestCallbacks member_callbacks = {},
+                     size_t member_problem = 0)
 {
     const RequestId holder = system.submit(system.problems()[1]);
     EXPECT_TRUE(system.startSuspended(holder, /*defer_prompt=*/false).ok());
     for (int i = 0; i < holder_waves; ++i)
         EXPECT_TRUE(system.stepBatch({holder}, decodePlan({0})).ok());
-    const RequestId member = system.submit(system.problems()[0],
+    const RequestId member = system.submit(system.problems()[member_problem],
                                            std::move(member_callbacks));
     EXPECT_TRUE(system.startSuspended(member, /*defer_prompt=*/false).ok());
     return {holder, member};
@@ -822,6 +859,69 @@ TEST(AsyncServing, BlockedBatchMemberYieldsAndResumesAfterEviction)
     }
     EXPECT_EQ(got.defensiveExits, 0);
     ASSERT_TRUE(system.cancel(holder).ok());
+}
+
+/** The first Generation segment of the request mounted on `system`. */
+TimelineSegment
+firstGenerationWave(const ServingSystem &system)
+{
+    for (const TimelineSegment &seg : system.engine().clock().segments()) {
+        if (seg.phase == Phase::Generation)
+            return seg;
+    }
+    ADD_FAILURE() << "no Generation segment";
+    return {};
+}
+
+TEST(AsyncServing, WaveIsChargedOnlyForTheBeamsThatDecode)
+{
+    // The member's first wave plans both of its beams, but the ledger
+    // the parked holder fills has room for one beam's tokens only:
+    // the other's append is refused and it leaves the wave, so the
+    // wave records one active slot and is priced for one. Problem 2's
+    // first-admitted beam takes the longer first step, so it is still
+    // decoding, its KV pinned, when the second beam is refused.
+    constexpr size_t kProblem = 2;
+    // Dry run on an ample ledger: the bytes the holder and the
+    // member's prompt hold, and the member's two first-step lengths;
+    // the first wave decodes dt, the shorter one, on both beams.
+    KvBudgetLedger ample(64.0 * GiB);
+    ServingSystem dry = baselineSystem(2, /*record_trace=*/true);
+    dry.attachKvLedger(&ample);
+    const auto [dry_holder, dry_member] =
+        parkHolderThenMember(dry, 1, {}, kProblem);
+    const double held = ample.usedBytes();
+    ASSERT_TRUE(
+        dry.stepBatch({dry_holder, dry_member}, decodePlan({1})).ok());
+    ASSERT_TRUE(dry.resume(dry_member).ok());
+    const std::vector<int> &lengths = dry.engine().stepTokenSamples()[0];
+    ASSERT_EQ(lengths.size(), 2u);
+    const int dt = std::min(lengths[0], lengths[1]);
+
+    const RooflineModel roofline(rtx4090());
+    const ModelSpec &gen = dry.options().models.generator;
+    const double ctx = dry.problems()[kProblem].promptTokens + dt * 0.5;
+    const TimelineSegment planned = firstGenerationWave(dry);
+    EXPECT_EQ(planned.activeSlots, 2);
+    EXPECT_DOUBLE_EQ(planned.duration,
+                     dt * roofline.decodeStepTime(gen, 2, ctx));
+
+    const int block = dry.options().config.blockTokens;
+    KvBudgetLedger ledger(held
+                          + (dt + block - 1) / block * block
+                              * gen.kvBytesPerToken());
+    ServingSystem system = baselineSystem(2, /*record_trace=*/true);
+    system.attachKvLedger(&ledger);
+    const auto [holder, member] =
+        parkHolderThenMember(system, 1, {}, kProblem);
+    ASSERT_TRUE(system.stepBatch({holder, member}, decodePlan({1})).ok());
+    ASSERT_TRUE(system.resume(member).ok());
+    const TimelineSegment wave = firstGenerationWave(system);
+    EXPECT_EQ(wave.activeSlots, 1);
+    EXPECT_DOUBLE_EQ(wave.duration,
+                     dt * roofline.decodeStepTime(gen, 1, ctx));
+    EXPECT_DOUBLE_EQ(wave.computeUtil,
+                     roofline.decodeComputeUtil(gen, 1, ctx));
 }
 
 TEST(AsyncServing, StepForceKillsBeamsAParkedRequestCrowdsOut)

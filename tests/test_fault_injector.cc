@@ -94,6 +94,15 @@ TEST(FaultPlan, RejectsMalformedSchedules)
         "{\"rules\": [{\"site\": \"bogus\", \"rate\": 0.1}]}");
     ASSERT_FALSE(unknown_site.ok());
     EXPECT_EQ(unknown_site.status().code(), StatusCode::kNotFound);
+    // No serving path restores KV eagerly, so kv_restore is no site.
+    const auto restore = FaultPlan::fromJsonText(
+        "{\"rules\": [{\"site\": \"kv_restore\", \"rate\": 0.1}]}");
+    ASSERT_FALSE(restore.ok());
+    EXPECT_EQ(restore.status().code(), StatusCode::kNotFound);
+    EXPECT_NE(restore.status().message().find(
+                  "expected wave_step, kv_alloc or prefix_acquire"),
+              std::string::npos)
+        << restore.status().message();
 }
 
 TEST(FaultPlan, UniformArmsEverySite)
@@ -220,12 +229,12 @@ TEST(FaultInjector, OverlappingRulesCombineAsIndependentSources)
 TEST(FaultInjector, ZeroRateRuleArmsButNeverFires)
 {
     const auto plan = FaultPlan::fromJsonText(
-        "{\"rules\": [{\"site\": \"kv_restore\", \"rate\": 0.0}]}");
+        "{\"rules\": [{\"site\": \"prefix_acquire\", \"rate\": 0.0}]}");
     ASSERT_TRUE(plan.ok());
     FaultInjector injector(*plan, 5);
     for (int i = 0; i < 100; ++i)
-        EXPECT_FALSE(injector.shouldFault(FaultSite::kKvRestore));
-    EXPECT_EQ(injector.stats(FaultSite::kKvRestore).probes, 100);
+        EXPECT_FALSE(injector.shouldFault(FaultSite::kPrefixAcquire));
+    EXPECT_EQ(injector.stats(FaultSite::kPrefixAcquire).probes, 100);
     EXPECT_EQ(injector.injectedCount(), 0);
 }
 

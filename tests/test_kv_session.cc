@@ -1,20 +1,15 @@
 /**
  * @file
- * Tests for the shared KV budget ledger and KV session save/restore:
- * cross-manager budget enforcement, force-eviction, and the
- * randomized suspend -> evict -> resume round-trip property the
- * online server's preemption relies on.
+ * Tests for the shared KV budget ledger: cross-manager budget
+ * enforcement, byte-exact charges and refunds, and the whole-request
+ * force-eviction the online server's preemption relies on.
  */
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
-
 #include "kv/kv_cache.h"
 #include "kv/kv_session.h"
 #include "util/fault_injector.h"
-#include "util/rng.h"
 
 namespace fasttts
 {
@@ -106,13 +101,14 @@ TEST(KvBudgetLedger, SharedBudgetBindsAcrossManagers)
 
     // Releasing a's pin and force-evicting it frees the budget for b.
     a.release(leaf_a);
-    KvSession(a).suspend(3);
+    a.forceEvictAll();
     EXPECT_TRUE(b.ensureResident(leaf_b, 4).ok);
     EXPECT_LE(ledger.usedBytes(), ledger.totalBytes());
 }
 
 TEST(KvSession, SuspendDropsEverythingAndCountsIt)
 {
+    // A parked request's KV is dropped whole by forceEvictAll().
     KvCacheManager kv(2048, kTokenByte, kBlockTokens);
     const int a = kv.createChild(KvCacheManager::kRoot, 1, 100);
     const int b = kv.createChild(a, 2, 60);
@@ -120,10 +116,8 @@ TEST(KvSession, SuspendDropsEverythingAndCountsIt)
     ASSERT_TRUE(kv.ensureResident(b, 1).ok);
     ASSERT_TRUE(kv.isResident(b));
 
-    KvSession session(kv);
-    const long dropped = session.suspend(2);
+    const long dropped = kv.forceEvictAll();
     EXPECT_EQ(dropped, 160);
-    EXPECT_TRUE(session.suspended());
     EXPECT_FALSE(kv.isResident(a));
     EXPECT_FALSE(kv.isResident(b));
     EXPECT_TRUE(kv.isResident(KvCacheManager::kRoot));
@@ -131,174 +125,9 @@ TEST(KvSession, SuspendDropsEverythingAndCountsIt)
     EXPECT_EQ(kv.residentTokens(), 0);
     EXPECT_EQ(kv.stats().preemptEvictedTokens, 160u);
     EXPECT_EQ(kv.refCount(b), 1); // The pin is still logical.
-
-    // Resume restores the frontier (and hence the whole path),
-    // counted as recompute.
-    const long restored = session.resume(3);
-    EXPECT_EQ(restored, 160);
-    EXPECT_TRUE(kv.isResident(a));
-    EXPECT_TRUE(kv.isResident(b));
-    EXPECT_EQ(session.stats().suspends, 1);
-    EXPECT_EQ(session.stats().resumes, 1);
 }
 
-/**
- * Apply one pseudo-random tree operation to a manager. Determinism:
- * both twins run the identical op stream from identical seeds.
- */
-void
-applyRandomOp(KvCacheManager &kv, std::vector<int> &leaves,
-              std::vector<int> &retained, Rng &rng, uint64_t &next_seg,
-              uint64_t tick)
-{
-    const int op = rng.uniformInt(0, 5);
-    const int pick = leaves.empty()
-        ? -1
-        : leaves[static_cast<size_t>(
-              rng.uniformInt(0, static_cast<int>(leaves.size()) - 1))];
-    switch (op) {
-    case 0: { // Grow the tree.
-        const int parent = pick < 0 ? KvCacheManager::kRoot : pick;
-        const int child = kv.createChild(parent, next_seg++,
-                                         rng.uniformInt(1, 40));
-        leaves.push_back(child);
-        break;
-    }
-    case 1: // Touch a path.
-        if (pick >= 0)
-            (void)kv.ensureResident(pick, tick);
-        break;
-    case 2: // Decode into a leaf.
-        if (pick >= 0)
-            (void)kv.appendTokens(pick, rng.uniformInt(1, 24), tick);
-        break;
-    case 3: // Truncate (speculative duplicate).
-        if (pick >= 0 && kv.nodeTokens(pick) > 1)
-            kv.truncateTokens(pick,
-                              rng.uniformInt(0, kv.nodeTokens(pick) - 1));
-        break;
-    case 4: // Pin a beam.
-        if (pick >= 0) {
-            kv.retain(pick);
-            retained.push_back(pick);
-        }
-        break;
-    default: // Unpin.
-        if (!retained.empty()) {
-            const size_t at = static_cast<size_t>(rng.uniformInt(
-                0, static_cast<int>(retained.size()) - 1));
-            kv.release(retained[at]);
-            retained.erase(retained.begin() + static_cast<long>(at));
-        }
-        break;
-    }
-}
-
-TEST(KvSession, RandomizedSuspendEvictResumeRoundTrip)
-{
-    // Property: running an op stream with interleaved
-    // suspend -> (blocks evicted) -> resume cycles leaves every
-    // observable — path tokens, unshared tokens, node count and
-    // allocator occupancy — identical to the uninterrupted twin.
-    for (uint64_t seed = 1; seed <= 8; ++seed) {
-        KvCacheManager plain(1 << 12, kTokenByte, kBlockTokens);
-        KvCacheManager preempted(1 << 12, kTokenByte, kBlockTokens);
-        KvSession session(preempted);
-        Rng rng_a(seed);
-        Rng rng_b(seed);
-        std::vector<int> leaves_a, retained_a;
-        std::vector<int> leaves_b, retained_b;
-        uint64_t seg_a = 1, seg_b = 1;
-
-        for (int step = 0; step < 200; ++step) {
-            const uint64_t tick = static_cast<uint64_t>(step) + 1;
-            applyRandomOp(plain, leaves_a, retained_a, rng_a, seg_a,
-                          tick);
-            applyRandomOp(preempted, leaves_b, retained_b, rng_b,
-                          seg_b, tick);
-            ASSERT_EQ(leaves_a.size(), leaves_b.size());
-            if (step % 37 == 36) {
-                session.suspend(tick);
-                EXPECT_EQ(preempted.allocator().used(), 0u);
-                session.resume(tick);
-            }
-        }
-        // One final cycle so the comparison happens right after a
-        // round trip too.
-        session.suspend(999);
-        session.resume(999);
-
-        ASSERT_EQ(plain.nodeCount(), preempted.nodeCount());
-        EXPECT_EQ(plain.unsharedTokens(), preempted.unsharedTokens());
-        for (size_t i = 0; i < leaves_a.size(); ++i) {
-            EXPECT_EQ(plain.pathTokens(leaves_a[i]),
-                      preempted.pathTokens(leaves_b[i]));
-            EXPECT_EQ(plain.nodeTokens(leaves_a[i]),
-                      preempted.nodeTokens(leaves_b[i]));
-            EXPECT_EQ(plain.refCount(leaves_a[i]),
-                      preempted.refCount(leaves_b[i]));
-        }
-        // Resume restores exactly the frontier that was resident, so
-        // block occupancy matches the uninterrupted run whenever the
-        // budget was never the binding constraint — which a 4 KiB
-        // pool over <= 200 small ops guarantees here.
-        EXPECT_EQ(plain.allocator().used(),
-                  preempted.allocator().used());
-        EXPECT_EQ(plain.residentTokens(), preempted.residentTokens());
-    }
-}
-
-// --- Partial resume under a near-full shared ledger ---
-
-TEST(KvSession, PartialResumeUnderNearFullLedgerBalancesCharges)
-{
-    // resume() is best-effort: with the shared ledger nearly full it
-    // restores paths in snapshot order until the budget refuses, and
-    // every byte it does charge must equal the manager's resident
-    // bytes exactly — no drift, no leak — with the unrestored paths
-    // recomputing lazily once the pressure lifts.
-    KvBudgetLedger ledger(512);
-    KvCacheManager kv(2048, kTokenByte, kBlockTokens);
-    kv.attachLedger(&ledger);
-    std::vector<int> leaves;
-    for (int i = 0; i < 4; ++i) {
-        const int leaf = kv.createChild(KvCacheManager::kRoot,
-                                        static_cast<uint64_t>(i + 1),
-                                        96);
-        kv.retain(leaf);
-        ASSERT_TRUE(kv.ensureResident(leaf, 1).ok);
-        leaves.push_back(leaf);
-    }
-    EXPECT_DOUBLE_EQ(ledger.usedBytes(), kv.residentBytes());
-    const double full_bytes = kv.residentBytes();
-
-    KvSession session(kv);
-    const long evicted = session.suspend(2);
-    EXPECT_EQ(evicted, 4 * 96);
-    EXPECT_DOUBLE_EQ(ledger.usedBytes(), 0.0);
-
-    // Another request hogs the pool: only ~2 of the 4 paths fit.
-    const double squatter = 300;
-    ASSERT_TRUE(ledger.charge(squatter));
-    const long restored = session.resume(3);
-    EXPECT_GT(restored, 0);
-    EXPECT_LT(restored, evicted);
-    // Byte-exact: the ledger holds the squatter plus exactly the
-    // manager's resident KV, nothing more.
-    EXPECT_DOUBLE_EQ(ledger.usedBytes(), squatter + kv.residentBytes());
-    EXPECT_LE(ledger.usedBytes(), ledger.totalBytes());
-
-    // Pressure lifts; lazy recompute brings every path back, and the
-    // books still balance byte for byte.
-    ledger.release(squatter);
-    for (const int leaf : leaves)
-        ASSERT_TRUE(kv.ensureResident(leaf, 4).ok);
-    EXPECT_DOUBLE_EQ(ledger.usedBytes(), kv.residentBytes());
-    EXPECT_DOUBLE_EQ(ledger.usedBytes(), full_bytes);
-    EXPECT_EQ(kv.residentTokens(), 4 * 96);
-}
-
-// --- Fault injection at the KV sites ---
+// --- Fault injection at the ledger ---
 
 TEST(KvBudgetLedger, InjectedAllocFaultRefusesChargeWithoutStateChange)
 {
@@ -312,91 +141,6 @@ TEST(KvBudgetLedger, InjectedAllocFaultRefusesChargeWithoutStateChange)
     ledger.attachFaultInjector(nullptr);
     EXPECT_TRUE(ledger.charge(100));
     EXPECT_DOUBLE_EQ(ledger.usedBytes(), 100.0);
-}
-
-TEST(KvSession, InjectedRestoreFaultLeavesLeavesColdAndBalanced)
-{
-    // A rate-1.0 kv_restore plan fails every frontier leaf: resume()
-    // restores nothing, the session stays structurally intact, and
-    // first touch recomputes each path with charges still balanced.
-    KvBudgetLedger ledger(4096);
-    KvCacheManager kv(2048, kTokenByte, kBlockTokens);
-    kv.attachLedger(&ledger);
-    const int a = kv.createChild(KvCacheManager::kRoot, 1, 100);
-    const int b = kv.createChild(KvCacheManager::kRoot, 2, 60);
-    kv.retain(a);
-    kv.retain(b);
-    ASSERT_TRUE(kv.ensureResident(a, 1).ok);
-    ASSERT_TRUE(kv.ensureResident(b, 1).ok);
-
-    const auto plan = FaultPlan::fromJsonText(
-        "{\"rules\": [{\"site\": \"kv_restore\", \"rate\": 1.0}]}");
-    ASSERT_TRUE(plan.ok());
-    FaultInjector injector(*plan, 9);
-    KvSession session(kv);
-    session.attachFaultInjector(&injector);
-
-    ASSERT_EQ(session.suspend(2), 160);
-    EXPECT_EQ(session.resume(3), 0);
-    EXPECT_EQ(injector.stats(FaultSite::kKvRestore).probes, 2);
-    EXPECT_EQ(injector.stats(FaultSite::kKvRestore).injected, 2);
-    EXPECT_FALSE(kv.isResident(a));
-    EXPECT_FALSE(kv.isResident(b));
-    EXPECT_DOUBLE_EQ(ledger.usedBytes(), 0.0);
-
-    ASSERT_TRUE(kv.ensureResident(a, 4).ok);
-    ASSERT_TRUE(kv.ensureResident(b, 4).ok);
-    EXPECT_DOUBLE_EQ(ledger.usedBytes(), kv.residentBytes());
-    EXPECT_EQ(kv.residentTokens(), 160);
-}
-
-TEST(KvSession, FaultedResumeTwinMatchesUninterruptedSolutions)
-{
-    // The satellite-3 property: an op stream whose suspend/resume
-    // cycles fail half their restores is still logically identical
-    // to the uninterrupted twin — faulted leaves recompute lazily, so
-    // only residency timing may differ, never tree content.
-    for (uint64_t seed = 1; seed <= 4; ++seed) {
-        KvCacheManager plain(1 << 12, kTokenByte, kBlockTokens);
-        KvCacheManager faulted(1 << 12, kTokenByte, kBlockTokens);
-        KvSession session(faulted);
-        const auto plan = FaultPlan::fromJsonText(
-            "{\"rules\": [{\"site\": \"kv_restore\", "
-            "\"rate\": 0.5}]}");
-        ASSERT_TRUE(plan.ok());
-        FaultInjector injector(*plan, seed);
-        session.attachFaultInjector(&injector);
-        Rng rng_a(seed);
-        Rng rng_b(seed);
-        std::vector<int> leaves_a, retained_a;
-        std::vector<int> leaves_b, retained_b;
-        uint64_t seg_a = 1, seg_b = 1;
-
-        for (int step = 0; step < 200; ++step) {
-            const uint64_t tick = static_cast<uint64_t>(step) + 1;
-            applyRandomOp(plain, leaves_a, retained_a, rng_a, seg_a,
-                          tick);
-            applyRandomOp(faulted, leaves_b, retained_b, rng_b,
-                          seg_b, tick);
-            if (step % 37 == 36) {
-                session.suspend(tick);
-                session.resume(tick);
-            }
-        }
-        EXPECT_GT(injector.stats(FaultSite::kKvRestore).probes, 0);
-
-        ASSERT_EQ(plain.nodeCount(), faulted.nodeCount());
-        EXPECT_EQ(plain.unsharedTokens(), faulted.unsharedTokens());
-        ASSERT_EQ(leaves_a.size(), leaves_b.size());
-        for (size_t i = 0; i < leaves_a.size(); ++i) {
-            EXPECT_EQ(plain.pathTokens(leaves_a[i]),
-                      faulted.pathTokens(leaves_b[i]));
-            EXPECT_EQ(plain.nodeTokens(leaves_a[i]),
-                      faulted.nodeTokens(leaves_b[i]));
-            EXPECT_EQ(plain.refCount(leaves_a[i]),
-                      faulted.refCount(leaves_b[i]));
-        }
-    }
 }
 
 } // namespace
