@@ -176,15 +176,17 @@ cellConfig(const Cell &cell, int num_problems, uint64_t seed,
 }
 
 /**
- * One run of a benchmark: its size and seed, and the simulated-token
- * counter the harness reports. Every engine run goes through serve()
- * so the counter sees all of it.
+ * One run of a benchmark: its size and seed, the simulated-token
+ * counter the harness reports, and the count of defensive hang-guard
+ * exits that fails the run. Every engine run goes through serve() so
+ * the counters see all of it.
  */
 struct Run
 {
     bool quick;
     uint64_t seed;
     long *simulatedTokens;
+    int *defensiveExits;
 
     /** --quick serves at most two problems ... */
     [[nodiscard]] int
@@ -219,6 +221,7 @@ struct Run
     {
         RequestResult result = system.serve(problem);
         *simulatedTokens += result.generatedTokens;
+        *defensiveExits += result.defensiveExits;
         return result;
     }
 
@@ -226,8 +229,10 @@ struct Run
     serve(ServingSystem &system, int num_problems) const
     {
         BatchResult out = system.serveProblems(num_problems);
-        for (const RequestResult &request : out.requests)
+        for (const RequestResult &request : out.requests) {
             *simulatedTokens += request.generatedTokens;
+            *defensiveExits += request.defensiveExits;
+        }
         return out;
     }
 
@@ -1457,6 +1462,7 @@ struct OnlineSweep
     Json config = Json::object();
     std::vector<Arm> outer;
     std::vector<Arm> inner; //!< Empty: each outer cell is one run.
+    int defensiveExits = 0; //!< Hang-guard exits of the probe runs.
 };
 
 /** A sweep on AMC at the default device and models, four requests in
@@ -1502,10 +1508,12 @@ serveStorm(OnlineSweep &sweep, int num_requests, uint64_t seed)
     constexpr int kProbes = 4;
     ServingSystem probe = ServingSystem::create(sweep.serving).value();
     double measuredMean = 0;
-    for (int i = 0; i < kProbes; ++i)
-        measuredMean +=
-            probe.serve(probe.problems()[static_cast<size_t>(i)])
-                .completionTime;
+    for (int i = 0; i < kProbes; ++i) {
+        const RequestResult result =
+            probe.serve(probe.problems()[static_cast<size_t>(i)]);
+        measuredMean += result.completionTime;
+        sweep.defensiveExits += result.defensiveExits;
+    }
     measuredMean /= kProbes;
 
     const Storm storm{3.0 / measuredMean, 3.0 * measuredMean,
@@ -1852,17 +1860,17 @@ struct OnlineBench
     std::string (*headline)(const Json &doc);
 };
 
-/** Serve the sweep's trace once under `options`, add its generated
- *  tokens to `simulated_tokens`, and write the row's metrics into
- *  `cell`. */
+/** Serve the sweep's trace once under `options`, count its generated
+ *  tokens and hang-guard exits on `run`, and write the row's metrics
+ *  into `cell`. */
 void
 serveCell(const OnlineBench &bench, const OnlineSweep &sweep,
-          const OnlineServerOptions &options, Json *cell,
-          long *simulated_tokens)
+          const OnlineServerOptions &options, Json *cell, const Run &run)
 {
     OnlineServer server = OnlineServer::create(sweep.serving, options).value();
     const OnlineTraceResult out = server.serveRequests(sweep.requests).value();
-    *simulated_tokens += out.generatedTokens;
+    *run.simulatedTokens += out.generatedTokens;
+    *run.defensiveExits += out.defensiveExits;
     const Json metrics = onlineMetrics(server, out, sweep.requests);
     for (const char *key : bench.metrics)
         cell->set(key, metrics[key]);
@@ -1872,6 +1880,7 @@ Json
 runOnlineBenchmark(const OnlineBench &bench, const Run &run)
 {
     OnlineSweep sweep = bench.setup(run.quick, run.seed);
+    *run.defensiveExits += sweep.defensiveExits;
     sweep.config.set("seed", run.seed);
     Json doc = openDoc(bench.name, bench.description, run.quick);
     doc.set("config", std::move(sweep.config));
@@ -1882,12 +1891,12 @@ runOnlineBenchmark(const OnlineBench &bench, const Run &run)
         outer.edit(options);
         Json cell = outer.opens;
         if (sweep.inner.empty())
-            serveCell(bench, sweep, options, &cell, run.simulatedTokens);
+            serveCell(bench, sweep, options, &cell, run);
         for (const Arm &inner : sweep.inner) {
             OnlineServerOptions edited = options;
             inner.edit(edited);
             Json served = inner.opens;
-            serveCell(bench, sweep, edited, &served, run.simulatedTokens);
+            serveCell(bench, sweep, edited, &served, run);
             cell.set(inner.label, std::move(served));
         }
         cells.set(outer.label, std::move(cell));
@@ -2057,6 +2066,7 @@ struct HarnessSample
 {
     double wallMs = 0;
     long simulatedTokens = 0;
+    int defensiveExits = 0; //!< Not in the document: any fails the run.
 };
 
 Json
@@ -2099,7 +2109,9 @@ usage(std::ostream &os, int exit_code)
           "names, one per line, and exits. --jobs N runs benchmarks on\n"
           "N threads; output is bit-identical to --jobs 1. Every run\n"
           "also writes BENCH_harness.json (schema fasttts-harness-v1)\n"
-          "with per-benchmark wall_ms and simulated tokens/s.\n"
+          "with per-benchmark wall_ms and simulated tokens/s. Exits 1\n"
+          "when any benchmark cut a run at the engine's hang guard\n"
+          "(named on stderr; its files are still written).\n"
           "\n"
           "Benchmarks:\n";
     for (const Benchmark &bench : registry())
@@ -2218,8 +2230,9 @@ runnerMain(int argc, char **argv)
             for (size_t i = nextTask.fetch_add(1); i < toRun.size();
                  i = nextTask.fetch_add(1)) {
                 const auto start = Clock::now();
-                docs[i] = toRun[i]->run(
-                    Run{quick, seed, &samples[i].simulatedTokens});
+                docs[i] = toRun[i]->run(Run{quick, seed,
+                                            &samples[i].simulatedTokens,
+                                            &samples[i].defensiveExits});
                 samples[i].wallMs =
                     std::chrono::duration<double, std::milli>(
                         Clock::now() - start)
@@ -2277,7 +2290,19 @@ runnerMain(int argc, char **argv)
               << (toRun.size() == 1 ? "" : "s") << " in "
               << formatDouble(totalWallMs, 1) << " ms (--jobs " << jobs
               << ") -> " << harnessPath.string() << "\n";
-    return 0;
+
+    // A generation phase cut at the engine's hang guard (safety_cap)
+    // leaves numbers that look valid, so any such exit fails the run.
+    int status = 0;
+    for (size_t i = 0; i < toRun.size(); ++i) {
+        if (samples[i].defensiveExits == 0)
+            continue;
+        std::cerr << "bench_runner: " << toRun[i]->name << ": "
+                  << samples[i].defensiveExits
+                  << " defensive hang-guard exit(s)\n";
+        status = 1;
+    }
+    return status;
 }
 
 } // namespace

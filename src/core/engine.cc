@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
 
 #include "kv/kv_session.h"
 #include "kv/prefix_index.h"
@@ -77,6 +76,27 @@ struct FastTtsEngine::WavePlan
 {
     int dt = 0;        //!< Tokens each member decodes; 0: no wave.
     uint64_t tick = 0; //!< LRU stamp of the appends: the planned end.
+};
+
+/**
+ * A standard beam in the decode set. An append that crosses no block
+ * boundary needs no block, so it cannot fail, reclaim or charge the
+ * ledger; it only moves the leaf's token count and LRU stamp, which
+ * nothing reads while the leaf is pinned and childless. So a member
+ * appends only when its step ends or its next block fills, and its
+ * node then catches up in one append. The counters are stamps on the
+ * phase's decode clock (RequestContext::decodeClock_), so a wave that
+ * is no event for a member does not write it: at clock c the member
+ * has end - c tokens left in its step and c - synced tokens decoded
+ * but not yet appended.
+ */
+struct FastTtsEngine::DecodeMember
+{
+    size_t idx = 0;  //!< Index into active_.
+    long end = 0;    //!< Decode clock at which its step ends.
+    long next = 0;   //!< Decode clock at which it must append: its
+                     //!< step ends or its next block fills.
+    long synced = 0; //!< Decode clock its node was last appended at.
 };
 
 /**
@@ -155,7 +175,11 @@ struct FastTtsEngine::RequestContext
     bool genBlocked_ = false;   //!< The phase yielded blocked on
                                 //!< memory; the next step resumes it
                                 //!< without replan().
-    std::vector<size_t> decodeSet_;
+    std::vector<DecodeMember> decodeSet_;
+    long decodeClock_ = 0; //!< Sum of the phase's wave dt: every
+                           //!< decode-set member decodes dt per wave.
+    long decodePath_ = 0; //!< Path tokens of the decode-set members,
+                          //!< deferred tokens included.
     // Running speculative branches as (active_ index, branch index)
     // pairs, kept sorted in beam order and maintained incrementally
     // (added at creation, filtered per event wave, cleared on kill) so
@@ -165,6 +189,9 @@ struct FastTtsEngine::RequestContext
     double meanVerifierPath_ = 0; //!< Mean full-path length (planning).
     bool specAllowed_ = true;      //!< Memory allows speculation.
     bool lookaheadAllowed_ = true; //!< Verifier cache under pressure.
+    std::vector<int> visitMark_; //!< Per generator KV node: 1 + the
+                                 //!< last iteration whose unique-token
+                                 //!< walk reached it.
 };
 
 namespace
@@ -268,7 +295,10 @@ FastTtsEngine::resetRequestState(const Problem &problem,
     ctx_->queue_.clear();
     ctx_->genBlocked_ = false;
     ctx_->decodeSet_.clear();
+    ctx_->decodeClock_ = 0;
+    ctx_->decodePath_ = 0;
     ctx_->specRunning_.clear();
+    ctx_->visitMark_.clear();
     ctx_->stepTokens_.assign(static_cast<size_t>(dataset_.maxSteps) + 1, {});
     ctx_->nextBeamId_ = 1;
     ctx_->nextSegId_ = 1;
@@ -478,9 +508,45 @@ FastTtsEngine::admitBeam(size_t idx)
             .push_back(b.targetTokens);
     } else {
         b.inDecode = true;
-        ctx_->decodeSet_.push_back(idx);
+        ctx_->decodeSet_.push_back(decodeMember(idx));
+        ctx_->decodePath_ += ctx_->kvGen_->pathTokens(b.curSeg);
     }
     return true;
+}
+
+FastTtsEngine::DecodeMember
+FastTtsEngine::decodeMember(size_t idx) const
+{
+    const ActiveBeam &b = *ctx_->active_[idx];
+    const KvCacheManager &kv = *ctx_->kvGen_;
+    const int tokens = kv.nodeTokens(b.curSeg);
+    const int room =
+        static_cast<int>(kv.blocksFor(tokens)) * kv.blockTokens() - tokens;
+    const long clock = ctx_->decodeClock_;
+    DecodeMember m;
+    m.idx = idx;
+    m.end = clock + b.targetTokens - b.decoded;
+    m.next = std::min(m.end, clock + room + 1);
+    m.synced = clock;
+    return m;
+}
+
+void
+FastTtsEngine::catchUp(DecodeMember &m, long clock, uint64_t tick)
+{
+    ActiveBeam &b = *ctx_->active_[m.idx];
+    b.decoded = b.targetTokens - static_cast<int>(m.end - clock);
+    const int lag = static_cast<int>(clock - m.synced);
+    m.synced = clock;
+    if (lag == 0)
+        return;
+    KvCacheManager &kv = *ctx_->kvGen_;
+    const int tokens = kv.nodeTokens(b.curSeg);
+    assert(kv.blocksFor(tokens + lag) == kv.blocksFor(tokens));
+    const bool appended = kv.appendTokens(b.curSeg, lag, tick);
+    assert(appended);
+    (void)tokens;
+    (void)appended;
 }
 
 void
@@ -685,6 +751,8 @@ FastTtsEngine::startGenerationPhase()
         ctx_->queue_.push_back(entries[pos].index);
     }
     ctx_->decodeSet_.clear();
+    ctx_->decodeClock_ = 0;
+    ctx_->decodePath_ = 0;
     // Selection released every branch of the previous iteration; start
     // the running-set bookkeeping from a clean slate regardless.
     ctx_->specRunning_.clear();
@@ -714,11 +782,13 @@ FastTtsEngine::runGenerationPhase(bool may_yield)
         * config_.blockTokens;
     const int safety_cap =
         static_cast<int>(ctx_->active_.size()) * 4096 + 4096;
+    uint64_t prev_tick = 0; // The last wave's tick.
     for (int wave = 0; wave < safety_cap; ++wave) {
         const WavePlan plan = planWave(budget_tokens);
         if (plan.dt == 0)
             return;
-        ActiveBeam *stuck = applyWave(plan);
+        ActiveBeam *stuck = applyWave(plan, prev_tick);
+        prev_tick = plan.tick;
         if (stuck == nullptr)
             continue;
         // Nothing decoded, so the wave cost no time. The beam
@@ -736,7 +806,10 @@ FastTtsEngine::runGenerationPhase(bool may_yield)
         forceKill(*stuck);
     }
     // Defensive: never hang a simulation. Every wave decodes or kills
-    // a beam, so a healthy run never gets here.
+    // a beam, so a healthy run never gets here. It is the one exit that
+    // leaves members in the decode set, so their nodes catch up here.
+    for (DecodeMember &m : ctx_->decodeSet_)
+        catchUp(m, ctx_->decodeClock_, prev_tick);
     ++ctx_->defensiveExits_;
     ++defensiveExits_;
 }
@@ -810,12 +883,10 @@ FastTtsEngine::planWave(double budget_tokens)
     // --- Next event: smallest remaining token count ---
     WavePlan plan;
     plan.dt = std::numeric_limits<int>::max();
-    long context = 0;
-    for (size_t idx : ctx_->decodeSet_) {
-        const ActiveBeam &b = *ctx_->active_[idx];
-        plan.dt = std::min(plan.dt, b.targetTokens - b.decoded);
-        context += ctx_->kvGen_->pathTokens(b.curSeg);
-    }
+    for (const DecodeMember &m : ctx_->decodeSet_)
+        plan.dt = std::min(plan.dt,
+                           static_cast<int>(m.end - ctx_->decodeClock_));
+    long context = ctx_->decodePath_;
     for (const auto &[beam_idx, branch_idx] : ctx_->specRunning_) {
         const SpecBranch &br = ctx_->active_[beam_idx]->branches[branch_idx];
         plan.dt = std::min(plan.dt, br.target - br.decoded);
@@ -841,45 +912,71 @@ FastTtsEngine::planWave(double budget_tokens)
 }
 
 FastTtsEngine::ActiveBeam *
-FastTtsEngine::applyWave(const WavePlan &plan)
+FastTtsEngine::applyWave(const WavePlan &plan, uint64_t prev_tick)
 {
     const int dt = plan.dt;
-    int members = 0;  // Members that decoded: what the wave costs.
-    long context = 0; // Their path tokens before the wave.
+    KvCacheManager &kv = *ctx_->kvGen_;
+    DecodeMember *set = ctx_->decodeSet_.data();
+    const size_t count = ctx_->decodeSet_.size();
+    const long clock = ctx_->decodeClock_; // Before the wave.
+    const long after = clock + dt;
+    ctx_->decodeClock_ = after;
+    int members = static_cast<int>(count); // Members that decoded: what
+                                           // the wave costs.
+    long context = ctx_->decodePath_; // Their path tokens before the wave.
+    long finished = 0; // Pre-wave path tokens of members whose step ends.
     ActiveBeam *refused = nullptr; // Last standard beam preempted.
     size_t kept = 0;
-    for (size_t idx : ctx_->decodeSet_) {
-        ActiveBeam &b = *ctx_->active_[idx];
-        const int path = ctx_->kvGen_->pathTokens(b.curSeg);
-        if (!ctx_->kvGen_->appendTokens(b.curSeg, dt, plan.tick)) {
-            // Memory pressure: stop speculation, then preempt the
-            // beam itself if still stuck (vLLM swap semantics).
+    for (size_t i = 0; i < count; ++i) {
+        if (after < set[i].next) {
+            // Neither its step ends nor its next block fills.
+            if (kept != i)
+                set[kept] = set[i];
+            ++kept;
+            continue;
+        }
+        DecodeMember m = set[i];
+        ActiveBeam &b = *ctx_->active_[m.idx];
+        const int lag = static_cast<int>(clock - m.synced);
+        const int left = static_cast<int>(m.end - clock);
+        const int path = kv.pathTokens(b.curSeg) + lag;
+        // The deferred tokens and this wave's need exactly the blocks
+        // this wave's alone would.
+        if (!kv.appendTokens(b.curSeg, lag + dt, plan.tick)) {
+            // Refused. The deferred tokens were decoded up to the last
+            // wave and need no block, so they land first, stamped with
+            // that wave's tick; then memory pressure stops speculation,
+            // and the beam itself is preempted if still stuck (vLLM
+            // swap semantics).
+            catchUp(m, clock, prev_tick);
             killAllSpeculation();
-            if (!ctx_->kvGen_->appendTokens(b.curSeg, dt, plan.tick)) {
-                ctx_->kvGen_->release(b.curSeg);
+            if (!kv.appendTokens(b.curSeg, dt, plan.tick)) {
+                kv.release(b.curSeg);
                 b.pinned = false;
                 b.inDecode = false;
-                ctx_->pinnedTokens_ = std::max(
-                    0.0, ctx_->pinnedTokens_
-                             - (path + b.targetTokens - b.decoded));
-                ctx_->queue_.push_back(idx);
+                ctx_->pinnedTokens_ =
+                    std::max(0.0, ctx_->pinnedTokens_ - (path + left));
+                ctx_->queue_.push_back(m.idx);
                 refused = &b;
+                --members;
+                context -= path;
                 continue;
             }
         }
-        ++members;
-        context += path;
-        b.decoded += dt;
-        ctx_->generatedTokens_ += dt;
+        b.decoded = b.targetTokens - left + dt;
         if (b.decoded >= b.targetTokens) {
             ctx_->pinnedTokens_ = std::max(
-                0.0, ctx_->pinnedTokens_ - ctx_->kvGen_->pathTokens(b.curSeg));
-            finishStandardBeam(idx);
+                0.0, ctx_->pinnedTokens_ - kv.pathTokens(b.curSeg));
+            finished += path;
+            finishStandardBeam(m.idx);
         } else {
-            ctx_->decodeSet_[kept++] = idx;
+            set[kept++] = decodeMember(m.idx);
         }
     }
     ctx_->decodeSet_.resize(kept);
+    ctx_->decodePath_ =
+        context - finished + static_cast<long>(dt) * static_cast<long>(kept);
+    ctx_->generatedTokens_ += static_cast<long>(dt) * members;
 
     // Branches that complete, are preempted or were killed above drop
     // out of the running set; order is preserved.
@@ -1418,14 +1515,21 @@ FastTtsEngine::stepIteration(bool may_yield)
         stats.residentTokens = ctx_->kvGen_->residentTokens();
         long unshared = 0;
         long unique = 0;
-        std::unordered_set<int> visited;
+        // Node ids are dense (the tree never erases a node), so marks
+        // indexed by id replace a visited set; the iteration number
+        // makes every earlier mark stale.
+        const int mark = ctx_->iteration_ + 1;
+        ctx_->visitMark_.resize(
+            static_cast<size_t>(ctx_->kvGen_->nodeCount()) + 1, 0);
         for (const auto &b : ctx_->active_) {
             const int leaf = b->curSeg >= 0 ? b->curSeg : b->leaf;
             unshared += ctx_->kvGen_->pathTokens(leaf);
             for (int id = leaf; id != KvCacheManager::kInvalid;
                  id = ctx_->kvGen_->parentOf(id)) {
-                if (!visited.insert(id).second)
+                int &seen = ctx_->visitMark_[static_cast<size_t>(id)];
+                if (seen == mark)
                     break; // Shared ancestors already counted.
+                seen = mark;
                 unique += ctx_->kvGen_->nodeTokens(id);
             }
         }

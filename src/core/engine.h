@@ -27,11 +27,14 @@
  * into the decode batch, fills free slots with speculative branches,
  * and picks dt, the fewest tokens any member has left in its step;
  * when the pool cannot take dt more tokens per member, all
- * speculation is dropped first. applyWave() then appends dt tokens
- * to each member, and a member whose append is refused leaves the
- * wave. The clock is charged once per wave, as one decode step of
- * the members that decoded, repeated dt times; a wave in which no
- * member decoded costs nothing.
+ * speculation is dropped first. applyWave() then decodes dt tokens
+ * for each member. A standard beam's KV append is deferred while it
+ * needs no new block: only a member whose step ends or whose next
+ * block fills appends, its deferred tokens and dt in one call, and a
+ * member whose append is refused leaves the wave. Speculative
+ * branches append every wave. The clock is charged once per wave, as
+ * one decode step of the members that decoded, repeated dt times; a
+ * wave in which no member decoded costs nothing.
  */
 
 #ifndef FASTTTS_CORE_ENGINE_H
@@ -349,6 +352,7 @@ class FastTtsEngine
     struct ActiveBeam;
     struct SpecBranch;
     struct WavePlan;
+    struct DecodeMember;
 
     // --- Request lifecycle ---
     void resetRequestState(const Problem &problem,
@@ -362,14 +366,22 @@ class FastTtsEngine
      *  admission's KV capacity; a zero dt means the phase is over. */
     WavePlan planWave(double budget_tokens);
     /** Run the planned wave and charge it for the members that
-     *  decoded. @return The standard beam refused last when no member
-     *  decoded, else nullptr. */
-    ActiveBeam *applyWave(const WavePlan &plan);
+     *  decoded. `prev_tick` is the previous wave's tick, the stamp of
+     *  deferred tokens that land on a refusal. @return The standard
+     *  beam refused last when no member decoded, else nullptr. */
+    ActiveBeam *applyWave(const WavePlan &plan, uint64_t prev_tick);
     void runVerificationPhase();
     void runSelectionPhase();
 
     // --- Generation helpers ---
     bool admitBeam(size_t idx);
+    /** Decode-set entry of active_[idx], its node caught up at the
+     *  current decode clock. */
+    DecodeMember decodeMember(size_t idx) const;
+    /** Bring the beam's decoded count and KV node up to decode clock
+     *  `clock`, stamping the deferred tokens `tick` (they need no
+     *  block). */
+    void catchUp(DecodeMember &m, long clock, uint64_t tick);
     void fillSpeculativeSlots();
     void finishStandardBeam(size_t idx);
     void forceKill(ActiveBeam &beam);

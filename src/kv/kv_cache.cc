@@ -124,15 +124,8 @@ KvCacheManager::NodeId
 KvCacheManager::createChild(NodeId parent, uint64_t seg_id, int tokens)
 {
     assert(parent >= 0 && parent < static_cast<NodeId>(nodes_.size()));
-    NodeId id;
-    if (!freeList_.empty()) {
-        id = freeList_.back();
-        freeList_.pop_back();
-        node(id) = Node();
-    } else {
-        id = static_cast<NodeId>(nodes_.size());
-        nodes_.emplace_back();
-    }
+    const NodeId id = static_cast<NodeId>(nodes_.size());
+    nodes_.emplace_back();
     Node &n = node(id);
     n.segId = seg_id;
     n.parent = parent;
@@ -140,7 +133,6 @@ KvCacheManager::createChild(NodeId parent, uint64_t seg_id, int tokens)
     const Node &p = node(parent);
     n.prefixTokens = p.prefixTokens + p.tokens;
     node(parent).children.emplace_back(seg_id, id);
-    ++liveNodes_;
     return id;
 }
 
@@ -244,9 +236,9 @@ KvCacheManager::release(NodeId leaf)
         Node &n = node(id);
         assert(n.refCount > 0);
         --n.refCount;
-        // Nodes are never erased while a request runs: beams keep
-        // (unpinned) references to their leaves and may re-touch them.
-        // Unreferenced resident nodes simply become eviction victims.
+        // Nodes are never erased: beams keep (unpinned) references to
+        // their leaves and may re-touch them. Unreferenced resident
+        // nodes simply become eviction victims.
         if (n.refCount == 0 && n.resident)
             maybeEnqueueVictim(id);
     }
@@ -262,8 +254,7 @@ KvCacheManager::refCount(NodeId id) const
 bool
 KvCacheManager::evictable(const Node &n) const
 {
-    return n.resident && !n.erased && n.refCount == 0
-        && n.residentChildren == 0;
+    return n.resident && n.refCount == 0 && n.residentChildren == 0;
 }
 
 void
@@ -322,12 +313,12 @@ KvCacheManager::reclaim(size_t need_blocks)
         while (!victims_.empty()) {
             const auto [tick, id] = victims_.top();
             Node &n = node(id);
-            if (!n.erased && evictable(n) && n.lastUse == tick)
+            if (evictable(n) && n.lastUse == tick)
                 break;
             victims_.pop();
             n.inVictimHeap = false;
             ++stats_.staleVictimEntries;
-            if (!n.erased && evictable(n)) {
+            if (evictable(n)) {
                 // Still a candidate, just under an outdated key:
                 // re-arm it with the current lastUse.
                 victims_.emplace(n.lastUse, id);
@@ -341,10 +332,8 @@ KvCacheManager::reclaim(size_t need_blocks)
             // evictability may have changed without an enqueue event);
             // nodes already queued are skipped by maybeEnqueueVictim.
             for (NodeId id = 1; id < static_cast<NodeId>(nodes_.size());
-                 ++id) {
-                if (!node(id).erased)
-                    maybeEnqueueVictim(id);
-            }
+                 ++id)
+                maybeEnqueueVictim(id);
             rescanned = true;
             if (victims_.empty())
                 return false;
@@ -463,7 +452,7 @@ KvCacheManager::forceEvictAll()
     for (NodeId id = 1; id < static_cast<NodeId>(nodes_.size()); ++id) {
         Node &n = node(id);
         n.inVictimHeap = false;
-        if (n.erased || !n.resident)
+        if (!n.resident)
             continue;
         releaseBlocks(n.blocksHeld);
         n.blocksHeld = 0;
@@ -499,7 +488,7 @@ KvCacheManager::residentPrefixTokens(NodeId leaf) const
 int
 KvCacheManager::nodeCount() const
 {
-    return liveNodes_;
+    return static_cast<int>(nodes_.size()) - 1;
 }
 
 int

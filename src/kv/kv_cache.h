@@ -228,7 +228,8 @@ class KvCacheManager
     /** Running statistics. */
     [[nodiscard]] const KvStats &stats() const { return stats_; }
 
-    /** Number of live (not erased) nodes, excluding root. O(1). */
+    /** Number of nodes, excluding root. O(1). Nodes are never erased,
+     *  so ids run from kRoot to nodeCount(). */
     [[nodiscard]] int nodeCount() const;
 
     /** Number of resident nodes, excluding root. */
@@ -285,7 +286,6 @@ class KvCacheManager
         int refCount = 0;
         int residentChildren = 0;
         bool resident = false;
-        bool erased = false;
         bool inVictimHeap = false; //!< Has exactly one victims_ entry.
         bool evictedOnce = false;  //!< Lost residency at least once
                                    //!< (LRU or preemption), so its next
@@ -322,11 +322,9 @@ class KvCacheManager
     KvBudgetLedger *ledger_ = nullptr; //!< Shared budget (optional).
     double ledgerCharged_ = 0;         //!< Bytes charged to ledger_.
     std::vector<Node> nodes_;
-    std::vector<NodeId> freeList_;
     KvStats stats_;
     int residentCount_ = 0;   //!< Resident nodes, excluding root.
     long residentTokens_ = 0; //!< Unique resident tokens.
-    int liveNodes_ = 0;       //!< Live nodes, excluding root.
     long unsharedTokens_ = 0; //!< Sum of tokens * refCount over nodes.
     std::vector<NodeId> dfsScratch_;  //!< Reused by prefix propagation.
     std::vector<NodeId> pathScratch_; //!< Reused by ensureResident.

@@ -25,6 +25,13 @@ SyntheticGenerator::SyntheticGenerator(const ModelSpec &spec,
     // matching the qualitative 1.5B vs 7B gap the paper's Fig. 14
     // configurations exhibit.
     skill_ = 0.45 * std::log10(spec.numParams / 1.5e9);
+    // Wrong answers follow a Zipf-like popularity skew: common mistakes
+    // recur across paths, which is what makes majority voting
+    // non-trivial.
+    const int wrong_space = std::max(1, profile_.numAnswers - 1);
+    wrongAnswerWeights_.resize(static_cast<size_t>(wrong_space));
+    for (int k = 0; k < wrong_space; ++k)
+        wrongAnswerWeights_[static_cast<size_t>(k)] = 1.0 / (1.0 + k);
 }
 
 int
@@ -84,14 +91,7 @@ SyntheticGenerator::sampleAnswer(double quality, const Problem &problem,
 {
     if (rng.bernoulli(correctProbability(quality, problem)))
         return 0;
-    // Wrong answers follow a Zipf-like popularity skew: common mistakes
-    // recur across paths, which is what makes majority voting
-    // non-trivial.
-    const int wrong_space = std::max(1, profile_.numAnswers - 1);
-    std::vector<double> weights(static_cast<size_t>(wrong_space));
-    for (int k = 0; k < wrong_space; ++k)
-        weights[static_cast<size_t>(k)] = 1.0 / (1.0 + k);
-    return 1 + rng.categorical(weights);
+    return 1 + rng.categorical(wrongAnswerWeights_);
 }
 
 } // namespace fasttts

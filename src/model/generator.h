@@ -21,6 +21,8 @@
 #ifndef FASTTTS_MODEL_GENERATOR_H
 #define FASTTTS_MODEL_GENERATOR_H
 
+#include <vector>
+
 #include "model/model_spec.h"
 #include "model/workload.h"
 #include "util/rng.h"
@@ -86,6 +88,8 @@ class SyntheticGenerator
     ModelSpec spec_;
     DatasetProfile profile_;
     double skill_;
+    std::vector<double> wrongAnswerWeights_; //!< Zipf popularity of
+                                             //!< answers 1..numAnswers-1.
 };
 
 } // namespace fasttts

@@ -241,5 +241,31 @@ TEST(EngineFloorBudget, ReprefillsWithoutReachingTheHangGuard)
     }
 }
 
+/** A decoding beam's KV appends wait while they need no new block
+ *  (engine.h). This is the smallest beam-search cell found, over widths
+ *  2-8, AMC and AIME, both systems and seeds 1-300 at the floor budget,
+ *  in which a beam with appends still waiting is refused and dropping
+ *  them would show: they must land before the refusal path runs. The
+ *  values are those of the engine that appended on every wave. */
+TEST(EngineFloorBudget, WaitingAppendsLandBeforeARefusal)
+{
+    const DatasetProfile profile = *datasetByName("AIME");
+    ModelConfig models = *modelConfigByLabel("1.5B+1.5B");
+    models.memoryFraction =
+        (models.generator.weightBytes() + models.verifier.weightBytes())
+        / rtx4090().usableBytes();
+    auto algo = *makeAlgorithm("beam_search", 8, 4);
+    FastTtsEngine engine(FastTtsConfig::baseline(), models, rtx4090(),
+                         profile, *algo);
+    const RequestResult result =
+        engine.runRequest(makeProblems(profile, 1, 64)[0]);
+    EXPECT_DOUBLE_EQ(result.completionTime, 65.218124608033648);
+    EXPECT_DOUBLE_EQ(result.generatorTime, 64.93175787866339);
+    EXPECT_EQ(result.kvStats.evictions, 77u);
+    EXPECT_EQ(result.kvStats.reprefilledTokens, 6015u);
+    EXPECT_EQ(engine.forcedTerminations(), 2);
+    EXPECT_EQ(result.defensiveExits, 0);
+}
+
 } // namespace
 } // namespace fasttts

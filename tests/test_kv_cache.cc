@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "kv/kv_cache.h"
 #include "util/rng.h"
 
@@ -695,6 +698,194 @@ TEST_P(KvCacheCompactionProperty, CompactVictimsIsObservablyInert)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KvCacheCompactionProperty,
+                         ::testing::Range(1, 9));
+
+/** A random tree as KvCacheProperty grows it, with each node's child
+ *  count so a test can find leaves. */
+struct RandomTree
+{
+    std::vector<int> nodes = {KvCacheManager::kRoot};
+    std::vector<int> children = {0};
+    std::vector<int> pinned;
+};
+
+RandomTree
+growRandomTree(KvCacheManager &kv, uint64_t seed, int ops)
+{
+    Rng rng(seed);
+    RandomTree tree;
+    uint64_t seg = 100;
+    for (int op = 0; op < ops; ++op) {
+        const uint64_t tick = static_cast<uint64_t>(op) + 1;
+        const int kind = rng.uniformInt(0, 4);
+        const int node = tree.nodes[static_cast<size_t>(rng.uniformInt(
+            0, static_cast<int>(tree.nodes.size()) - 1))];
+        switch (kind) {
+        case 0:
+            tree.nodes.push_back(
+                kv.createChild(node, seg++, rng.uniformInt(0, 90)));
+            tree.children.push_back(0);
+            ++tree.children[static_cast<size_t>(node)];
+            break;
+        case 1:
+            (void)kv.ensureResident(node, tick);
+            break;
+        case 2:
+            if (node != KvCacheManager::kRoot) {
+                kv.retain(node);
+                tree.pinned.push_back(node);
+            }
+            break;
+        case 3:
+            if (!tree.pinned.empty()) {
+                kv.release(tree.pinned.back());
+                tree.pinned.pop_back();
+            }
+            break;
+        default:
+            if (node != KvCacheManager::kRoot)
+                (void)kv.appendTokens(node, rng.uniformInt(0, 40), tick);
+            break;
+        }
+    }
+    return tree;
+}
+
+/** Everything a caller of the manager can observe about its state. */
+void
+expectSameState(const KvCacheManager &a, const KvCacheManager &b,
+                const std::vector<int> &nodes, const std::string &where)
+{
+    const KvStats &x = a.stats();
+    const KvStats &y = b.stats();
+    EXPECT_EQ(x.evictions, y.evictions) << where;
+    EXPECT_EQ(x.evictedTokens, y.evictedTokens) << where;
+    EXPECT_EQ(x.recomputedTokens, y.recomputedTokens) << where;
+    EXPECT_EQ(x.reprefilledTokens, y.reprefilledTokens) << where;
+    EXPECT_EQ(x.hitTokens, y.hitTokens) << where;
+    EXPECT_EQ(x.missTokens, y.missTokens) << where;
+    EXPECT_EQ(x.staleVictimEntries, y.staleVictimEntries) << where;
+    EXPECT_EQ(x.victimCompactions, y.victimCompactions) << where;
+    EXPECT_EQ(x.preemptEvictions, y.preemptEvictions) << where;
+    EXPECT_EQ(x.preemptEvictedTokens, y.preemptEvictedTokens) << where;
+    EXPECT_EQ(a.freeBlocks(), b.freeBlocks()) << where;
+    EXPECT_EQ(a.residentTokens(), b.residentTokens()) << where;
+    EXPECT_EQ(a.unsharedTokens(), b.unsharedTokens()) << where;
+    for (int node : nodes) {
+        EXPECT_EQ(a.pathTokens(node), b.pathTokens(node))
+            << where << ", node " << node;
+        EXPECT_EQ(a.isResident(node), b.isResident(node))
+            << where << ", node " << node;
+    }
+}
+
+/**
+ * The engine defers a decoding leaf's appends while they need no block
+ * and lands them in one call at the member's next event. On a retained
+ * leaf of a random tree, appending a block-free `a` tokens at t1 and
+ * then `b` at t2 must leave the state one append of a + b at t2
+ * leaves. When that append is refused, the refused call followed by
+ * appending `a` at t1 must leave the state the refused `b` leaves
+ * after `a` landed at t1. Afterwards every pin is dropped and fresh
+ * segments are touched one by one, so the victim order of the forced
+ * reclaims (which ranks the leaf by its LRU stamp) must match too.
+ */
+class KvCacheDeferredAppend : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(KvCacheDeferredAppend, OneLateAppendEqualsTheStepwiseAppends)
+{
+    constexpr int kOps = 300;
+    constexpr uint64_t t1 = kOps / 2; // Inside the tree's own ticks.
+    constexpr uint64_t t2 = kOps + 1;
+    int refused_after_deferral = 0;
+    int crossed_after_deferral = 0;
+    for (int scenario = 0; scenario < 16; ++scenario) {
+        const uint64_t seed =
+            static_cast<uint64_t>(GetParam()) * 1000 + scenario;
+        auto stepwise = makeCache(2048, 16);
+        auto deferred = makeCache(2048, 16);
+        const RandomTree tree = growRandomTree(stepwise, seed, kOps);
+        (void)growRandomTree(deferred, seed, kOps);
+        const std::string where = "seed " + std::to_string(seed);
+
+        // A childless segment, pinned and materialised like a beam the
+        // engine admits to its decode set.
+        Rng rng = Rng(seed).fork(0xdefe);
+        std::vector<int> leaves;
+        for (size_t i = 1; i < tree.nodes.size(); ++i)
+            if (tree.children[i] == 0)
+                leaves.push_back(tree.nodes[i]);
+        if (leaves.empty())
+            continue;
+        const int leaf = leaves[static_cast<size_t>(
+            rng.uniformInt(0, static_cast<int>(leaves.size()) - 1))];
+        const bool resident_a = stepwise.ensureResident(leaf, kOps).ok;
+        const bool resident_b = deferred.ensureResident(leaf, kOps).ok;
+        ASSERT_EQ(resident_a, resident_b) << where;
+        stepwise.retain(leaf);
+        deferred.retain(leaf);
+
+        // `a` fills the leaf's last block at most; `b` is either a
+        // decode-sized step or large enough to be refused.
+        const int tokens = stepwise.nodeTokens(leaf);
+        const int room = static_cast<int>(stepwise.blocksFor(tokens)) * 16
+            - tokens;
+        const int a = rng.uniformInt(0, room);
+        const int b = rng.bernoulli(0.5) ? rng.uniformInt(1, 40)
+                                         : rng.uniformInt(1, 2048);
+        ASSERT_EQ(stepwise.blocksFor(tokens + a), stepwise.blocksFor(tokens));
+
+        ASSERT_TRUE(stepwise.appendTokens(leaf, a, t1)) << where;
+        const bool ok_stepwise = stepwise.appendTokens(leaf, b, t2);
+        const bool ok_deferred = deferred.appendTokens(leaf, a + b, t2);
+        if (!ok_deferred) {
+            ASSERT_TRUE(deferred.appendTokens(leaf, a, t1)) << where;
+        }
+        ASSERT_EQ(ok_stepwise, ok_deferred) << where;
+        expectSameState(stepwise, deferred, tree.nodes, where);
+        if (resident_a && a > 0) {
+            if (!ok_stepwise)
+                ++refused_after_deferral;
+            else if (stepwise.blocksFor(tokens + a + b)
+                     > stepwise.blocksFor(tokens + a))
+                ++crossed_after_deferral;
+        }
+
+        // Victim order. A refusal reclaims every victim, so the tree's
+        // pins go too: the leaf then ranks against nodes last used
+        // between t1 and t2. Each fresh 4-block segment forces a
+        // reclaim.
+        stepwise.release(leaf);
+        deferred.release(leaf);
+        for (int node : tree.pinned) {
+            stepwise.release(node);
+            deferred.release(node);
+        }
+        std::vector<int> nodes = tree.nodes;
+        for (int k = 0; k < 40; ++k) {
+            const uint64_t seg = 1000000 + static_cast<uint64_t>(k);
+            const int fresh_a =
+                stepwise.createChild(KvCacheManager::kRoot, seg, 64);
+            const int fresh_b =
+                deferred.createChild(KvCacheManager::kRoot, seg, 64);
+            ASSERT_EQ(fresh_a, fresh_b);
+            nodes.push_back(fresh_a);
+            const uint64_t tick = t2 + 1 + static_cast<uint64_t>(k);
+            ASSERT_EQ(stepwise.ensureResident(fresh_a, tick).ok,
+                      deferred.ensureResident(fresh_b, tick).ok)
+                << where << ", touch " << k;
+            expectSameState(stepwise, deferred, nodes,
+                            where + ", touch " + std::to_string(k));
+        }
+    }
+    // Both paths the engine takes after deferring were exercised.
+    EXPECT_GT(refused_after_deferral, 0);
+    EXPECT_GT(crossed_after_deferral, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KvCacheDeferredAppend,
                          ::testing::Range(1, 9));
 
 } // namespace
