@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "kv/kv_session.h"
 #include "kv/prefix_index.h"
@@ -79,24 +80,34 @@ struct FastTtsEngine::WavePlan
 };
 
 /**
- * A standard beam in the decode set. An append that crosses no block
- * boundary needs no block, so it cannot fail, reclaim or charge the
- * ledger; it only moves the leaf's token count and LRU stamp, which
- * nothing reads while the leaf is pinned and childless. So a member
- * appends only when its step ends or its next block fills, and its
- * node then catches up in one append. The counters are stamps on the
- * phase's decode clock (RequestContext::decodeClock_), so a wave that
- * is no event for a member does not write it: at clock c the member
- * has end - c tokens left in its step and c - synced tokens decoded
- * but not yet appended.
+ * A decoding standard beam or running speculative branch. An append
+ * that crosses no block boundary needs no block, so it cannot fail,
+ * reclaim, charge the ledger or draw a fault; it only moves the
+ * node's token count and LRU stamp, which nothing reads while the
+ * node is a pinned, childless leaf. So a member appends only when its
+ * step ends or its next block fills, and its node then catches up in
+ * one append. The counters are stamps on the phase's decode clock
+ * (RequestContext::decodeClock_), so a wave that is no event for a
+ * member does not write it: at clock c the member has end - c tokens
+ * left in its step and c - synced tokens decoded but not yet
+ * appended.
  */
 struct FastTtsEngine::DecodeMember
 {
     size_t idx = 0;  //!< Index into active_.
+    int branch = -1; //!< Index into its branches; -1: its own step.
     long end = 0;    //!< Decode clock at which its step ends.
     long next = 0;   //!< Decode clock at which it must append: its
                      //!< step ends or its next block fills.
     long synced = 0; //!< Decode clock its node was last appended at.
+};
+
+/** What a decode member decodes into (see stepOf()). */
+struct FastTtsEngine::MemberStep
+{
+    int node = -1;          //!< Generator KV node of its tokens.
+    int *decoded = nullptr; //!< Its decoded count, current at events.
+    int target = 0;         //!< Its step length.
 };
 
 /**
@@ -178,13 +189,25 @@ struct FastTtsEngine::RequestContext
     std::vector<DecodeMember> decodeSet_;
     long decodeClock_ = 0; //!< Sum of the phase's wave dt: every
                            //!< decode-set member decodes dt per wave.
+    uint64_t lastTick_ = 0; //!< LRU tick of the last wave: the stamp
+                            //!< of deferred tokens that land late.
     long decodePath_ = 0; //!< Path tokens of the decode-set members,
                           //!< deferred tokens included.
-    // Running speculative branches as (active_ index, branch index)
-    // pairs, kept sorted in beam order and maintained incrementally
-    // (added at creation, filtered per event wave, cleared on kill) so
-    // the event loop never rescans all beams x branches.
-    std::vector<std::pair<size_t, size_t>> specRunning_;
+    // Running speculative branches, kept sorted in (beam, branch)
+    // order and maintained incrementally (added at creation, dropped
+    // at their events, cleared on kill) so the event loop never
+    // rescans all beams x branches.
+    std::vector<DecodeMember> specRunning_;
+    long specPath_ = 0; //!< Path tokens of the running branches,
+                        //!< deferred tokens included.
+    // SelectSPEC's ranking, which depends only on the previous step's
+    // scores: made once per phase, at its first speculative fill.
+    bool specRanked_ = false;
+    std::vector<double> specScores_; //!< active_ scores (bin edges).
+    std::vector<int> specPotential_; //!< Per active_ beam.
+    std::vector<size_t> specOrder_;  //!< active_ indices, best first.
+    // Beams selection retired, at most a search width, for newBeam().
+    std::vector<std::unique_ptr<ActiveBeam>> spareBeams_;
     double meanVerifierSeq_ = 0;  //!< Mean incremental request length.
     double meanVerifierPath_ = 0; //!< Mean full-path length (planning).
     bool specAllowed_ = true;      //!< Memory allows speculation.
@@ -298,6 +321,7 @@ FastTtsEngine::resetRequestState(const Problem &problem,
     ctx_->decodeClock_ = 0;
     ctx_->decodePath_ = 0;
     ctx_->specRunning_.clear();
+    ctx_->specPath_ = 0;
     ctx_->visitMark_.clear();
     ctx_->stepTokens_.assign(static_cast<size_t>(dataset_.maxSteps) + 1, {});
     ctx_->nextBeamId_ = 1;
@@ -391,7 +415,7 @@ FastTtsEngine::resetRequestState(const Problem &problem,
     const int branch = std::max(1, algorithm_.branchFactor());
     ctx_->active_.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
-        auto beam = std::make_unique<ActiveBeam>();
+        std::unique_ptr<ActiveBeam> beam = newBeam();
         beam->id = ctx_->nextBeamId_++;
         beam->seed = rootLineageSeed(problem, i);
         beam->rootIndex = i / branch;
@@ -508,24 +532,34 @@ FastTtsEngine::admitBeam(size_t idx)
             .push_back(b.targetTokens);
     } else {
         b.inDecode = true;
-        ctx_->decodeSet_.push_back(decodeMember(idx));
+        ctx_->decodeSet_.push_back(decodeMember(idx, -1, ctx_->decodeClock_));
         ctx_->decodePath_ += ctx_->kvGen_->pathTokens(b.curSeg);
     }
     return true;
 }
 
-FastTtsEngine::DecodeMember
-FastTtsEngine::decodeMember(size_t idx) const
+FastTtsEngine::MemberStep
+FastTtsEngine::stepOf(const DecodeMember &m) const
 {
-    const ActiveBeam &b = *ctx_->active_[idx];
-    const KvCacheManager &kv = *ctx_->kvGen_;
-    const int tokens = kv.nodeTokens(b.curSeg);
-    const int room =
-        static_cast<int>(kv.blocksFor(tokens)) * kv.blockTokens() - tokens;
-    const long clock = ctx_->decodeClock_;
+    ActiveBeam &b = *ctx_->active_[m.idx];
+    if (m.branch < 0)
+        return {b.curSeg, &b.decoded, b.targetTokens};
+    SpecBranch &br = b.branches[static_cast<size_t>(m.branch)];
+    return {br.node, &br.decoded, br.target};
+}
+
+FastTtsEngine::DecodeMember
+FastTtsEngine::decodeMember(size_t idx, int branch, long clock) const
+{
     DecodeMember m;
     m.idx = idx;
-    m.end = clock + b.targetTokens - b.decoded;
+    m.branch = branch;
+    const MemberStep step = stepOf(m);
+    const KvCacheManager &kv = *ctx_->kvGen_;
+    const int tokens = kv.nodeTokens(step.node);
+    const int room =
+        static_cast<int>(kv.blocksFor(tokens)) * kv.blockTokens() - tokens;
+    m.end = clock + step.target - *step.decoded;
     m.next = std::min(m.end, clock + room + 1);
     m.synced = clock;
     return m;
@@ -534,19 +568,48 @@ FastTtsEngine::decodeMember(size_t idx) const
 void
 FastTtsEngine::catchUp(DecodeMember &m, long clock, uint64_t tick)
 {
-    ActiveBeam &b = *ctx_->active_[m.idx];
-    b.decoded = b.targetTokens - static_cast<int>(m.end - clock);
+    const MemberStep step = stepOf(m);
+    *step.decoded = step.target - static_cast<int>(m.end - clock);
     const int lag = static_cast<int>(clock - m.synced);
     m.synced = clock;
     if (lag == 0)
         return;
     KvCacheManager &kv = *ctx_->kvGen_;
-    const int tokens = kv.nodeTokens(b.curSeg);
+    const int tokens = kv.nodeTokens(step.node);
     assert(kv.blocksFor(tokens + lag) == kv.blocksFor(tokens));
-    const bool appended = kv.appendTokens(b.curSeg, lag, tick);
+    const bool appended = kv.appendTokens(step.node, lag, tick);
     assert(appended);
     (void)tokens;
     (void)appended;
+}
+
+void
+FastTtsEngine::catchUpAll(std::vector<DecodeMember> &set)
+{
+    for (DecodeMember &m : set)
+        catchUp(m, ctx_->decodeClock_, ctx_->lastTick_);
+}
+
+bool
+FastTtsEngine::deferredAppendsHold() const
+{
+    const KvCacheManager &kv = *ctx_->kvGen_;
+    const long clock = ctx_->decodeClock_;
+    const auto holds = [&](const std::vector<DecodeMember> &set,
+                           long path_sum) {
+        long path = 0;
+        for (const DecodeMember &m : set) {
+            const MemberStep step = stepOf(m);
+            const long deferred = clock - m.synced;
+            if (kv.nodeTokens(step.node) + deferred
+                != step.target - (m.end - clock))
+                return false;
+            path += kv.pathTokens(step.node) + deferred;
+        }
+        return path == path_sum;
+    };
+    return holds(ctx_->decodeSet_, ctx_->decodePath_)
+        && holds(ctx_->specRunning_, ctx_->specPath_);
 }
 
 void
@@ -614,15 +677,47 @@ FastTtsEngine::killAllSpeculation()
     // Speculation stays off for the rest of the iteration. Branches
     // are only *marked* dead (node = -1), never erased from their
     // beam. Only the tracked running set needs visiting: completed
-    // branches stay alive for selection, dead ones are already
-    // node = -1.
-    for (const auto &[beam_idx, branch_idx] : ctx_->specRunning_) {
-        SpecBranch &br = ctx_->active_[beam_idx]->branches[branch_idx];
-        if (br.node >= 0 && !br.complete)
-            releaseBranch(br);
-    }
+    // branches stay alive for selection. A killed branch's deferred
+    // tokens land first, so they count as wasted.
+    catchUpAll(ctx_->specRunning_);
+    for (const DecodeMember &m : ctx_->specRunning_)
+        releaseBranch(ctx_->active_[m.idx]->branches[static_cast<size_t>(
+            m.branch)]);
     ctx_->specRunning_.clear();
+    ctx_->specPath_ = 0;
     ctx_->specDisabled_ = true;
+}
+
+void
+FastTtsEngine::rankSpeculation()
+{
+    // Score bins over the active beams' previous-step scores: one
+    // O(n) edge scan, then every potential query is O(1). Scores
+    // change only at selection, so the potentials and the order hold
+    // for the whole phase.
+    RequestContext &c = *ctx_;
+    const size_t n = c.active_.size();
+    c.specScores_.clear();
+    for (const auto &b : c.active_)
+        c.specScores_.push_back(b->score);
+    const SpeculativePolicy::ScoreBins bins =
+        specPolicy_.scoreBins(c.specScores_);
+    c.specPotential_.resize(n);
+    for (size_t i = 0; i < n; ++i)
+        c.specPotential_[i] =
+            specPolicy_.binnedPotential(c.active_[i]->score, bins);
+    // Highest speculative potential first, then score, then beam id.
+    c.specOrder_.resize(n);
+    std::iota(c.specOrder_.begin(), c.specOrder_.end(), size_t{0});
+    std::sort(c.specOrder_.begin(), c.specOrder_.end(),
+              [&](size_t a, size_t d) {
+                  if (c.specPotential_[a] != c.specPotential_[d])
+                      return c.specPotential_[a] > c.specPotential_[d];
+                  if (c.active_[a]->score != c.active_[d]->score)
+                      return c.active_[a]->score > c.active_[d]->score;
+                  return c.active_[a]->id < c.active_[d]->id;
+              });
+    c.specRanked_ = true;
 }
 
 void
@@ -643,31 +738,26 @@ FastTtsEngine::fillSpeculativeSlots()
     if (ctx_->kvGen_->freeBlocks() < slack_blocks)
         return;
 
-    // Score bins over the active beams' previous-step scores: one
-    // O(n) edge scan, then every potential query is O(1). The event
-    // loop calls this every wave, so the per-beam potentials are
-    // computed exactly once per call instead of per comparison.
-    std::vector<double> scores;
-    scores.reserve(ctx_->active_.size());
-    for (const auto &b : ctx_->active_)
-        scores.push_back(b->score);
-    const SpeculativePolicy::ScoreBins bins =
-        specPolicy_.scoreBins(scores);
-    std::vector<int> potentials(ctx_->active_.size(), 0);
-    for (size_t i = 0; i < ctx_->active_.size(); ++i) {
-        potentials[i] = specPolicy_.binnedPotential(
-            ctx_->active_[i]->score, bins);
-    }
-
-    // Candidates: finished, non-terminal beams with branch capacity
-    // left, highest speculative potential first.
-    std::vector<size_t> candidates;
-    for (size_t i = 0; i < ctx_->active_.size(); ++i) {
-        const ActiveBeam &b = *ctx_->active_[i];
-        if (!b.finishedGen || b.forceKilled || b.draw.terminal)
+    // planWave() calls this every wave, so the ranking is made once
+    // per phase and the candidate filters below run lazily, in rank
+    // order. That is exact: a new branch is a 0-token child of a fully
+    // resident path, so it needs no block and cannot change another
+    // candidate's residency, and the same touches run in the same
+    // order.
+    if (!ctx_->specRanked_)
+        rankSpeculation();
+    for (size_t idx : ctx_->specOrder_) {
+        if (free_slots == 0)
+            break;
+        ActiveBeam &b = *ctx_->active_[idx];
+        const int potential = ctx_->specPotential_[idx];
+        // Candidates: finished, non-terminal beams with branch
+        // capacity left.
+        if (b.branchesStarted >= potential || !b.finishedGen
+            || b.forceKilled || b.draw.terminal
+            || b.steps + 1 >= dataset_.maxSteps) {
             continue;
-        if (b.steps + 1 >= dataset_.maxSteps)
-            continue;
+        }
         // Speculating from an evicted path would force a recompute
         // prefill — never worth it for speculative work.
         if (b.curSeg < 0
@@ -675,53 +765,46 @@ FastTtsEngine::fillSpeculativeSlots()
                 != ctx_->kvGen_->pathTokens(b.curSeg)) {
             continue;
         }
-        if (b.branchesStarted >= potentials[i])
-            continue;
-        candidates.push_back(i);
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [&](size_t a, size_t c) {
-                  if (potentials[a] != potentials[c])
-                      return potentials[a] > potentials[c];
-                  if (ctx_->active_[a]->score != ctx_->active_[c]->score)
-                      return ctx_->active_[a]->score > ctx_->active_[c]->score;
-                  return ctx_->active_[a]->id < ctx_->active_[c]->id;
-              });
-
-    for (size_t i = 0; i < candidates.size() && free_slots > 0;) {
-        ActiveBeam &b = *ctx_->active_[candidates[i]];
-        const int potential = potentials[candidates[i]];
-        if (b.branchesStarted >= potential) {
-            ++i;
-            continue;
+        if (b.branches.empty())
+            b.branches.reserve(static_cast<size_t>(potential));
+        while (b.branchesStarted < potential && free_slots > 0) {
+            const int j = b.branchesStarted;
+            SpecBranch br;
+            br.childIdx = j;
+            const uint64_t child_seed =
+                childLineageSeed(b.seed, b.steps + 1, j);
+            br.draw = drawStep(generator_, ctx_->problem_, child_seed,
+                               b.steps + 1, b.draw.quality,
+                               algorithm_.stepTokenCap(b.steps + 1));
+            br.target = br.draw.tokens;
+            br.segId = ctx_->nextSegId_++;
+            br.node = ctx_->kvGen_->createChild(b.curSeg, br.segId, 0);
+            auto touch = ctx_->kvGen_->ensureResident(
+                br.node, static_cast<uint64_t>(ctx_->clock_.now() * 1e6));
+            if (!touch.ok) {
+                free_slots = 0; // Memory too tight to speculate at all.
+                break;
+            }
+            chargeRecompute(touch.recomputeTokens);
+            ctx_->kvGen_->retain(br.node);
+            br.retained = true;
+            b.branches.push_back(br);
+            const int branch = static_cast<int>(b.branches.size()) - 1;
+            ctx_->specRunning_.push_back(
+                decodeMember(idx, branch, ctx_->decodeClock_));
+            ctx_->specPath_ += ctx_->kvGen_->pathTokens(br.node);
+            ++b.branchesStarted;
+            --free_slots;
         }
-        const int j = b.branchesStarted;
-        SpecBranch br;
-        br.childIdx = j;
-        const uint64_t child_seed =
-            childLineageSeed(b.seed, b.steps + 1, j);
-        br.draw = drawStep(generator_, ctx_->problem_, child_seed, b.steps + 1,
-                           b.draw.quality,
-                           algorithm_.stepTokenCap(b.steps + 1));
-        br.target = br.draw.tokens;
-        br.segId = ctx_->nextSegId_++;
-        br.node = ctx_->kvGen_->createChild(b.curSeg, br.segId, 0);
-        auto touch = ctx_->kvGen_->ensureResident(
-            br.node, static_cast<uint64_t>(ctx_->clock_.now() * 1e6));
-        if (!touch.ok)
-            break; // Memory too tight to speculate at all.
-        chargeRecompute(touch.recomputeTokens);
-        ctx_->kvGen_->retain(br.node);
-        br.retained = true;
-        b.branches.push_back(br);
-        ctx_->specRunning_.emplace_back(candidates[i], b.branches.size() - 1);
-        ++b.branchesStarted;
-        --free_slots;
     }
     // Keep the running set in (beam, branch) order: the event loop
     // applies tokens in this order, and allocation-failure behaviour
     // under memory pressure must match the original full rescan.
-    std::sort(ctx_->specRunning_.begin(), ctx_->specRunning_.end());
+    std::sort(ctx_->specRunning_.begin(), ctx_->specRunning_.end(),
+              [](const DecodeMember &a, const DecodeMember &d) {
+                  return a.idx != d.idx ? a.idx < d.idx
+                                        : a.branch < d.branch;
+              });
 }
 
 void
@@ -752,10 +835,13 @@ FastTtsEngine::startGenerationPhase()
     }
     ctx_->decodeSet_.clear();
     ctx_->decodeClock_ = 0;
+    ctx_->lastTick_ = 0;
     ctx_->decodePath_ = 0;
-    // Selection released every branch of the previous iteration; start
-    // the running-set bookkeeping from a clean slate regardless.
+    // Branches of the previous iteration were caught up at its end
+    // and released by selection.
     ctx_->specRunning_.clear();
+    ctx_->specPath_ = 0;
+    ctx_->specRanked_ = false;
     ctx_->queueHead_ = 0;
     ctx_->pinnedTokens_ = 0;
     ctx_->specDisabled_ = false;
@@ -782,13 +868,16 @@ FastTtsEngine::runGenerationPhase(bool may_yield)
         * config_.blockTokens;
     const int safety_cap =
         static_cast<int>(ctx_->active_.size()) * 4096 + 4096;
-    uint64_t prev_tick = 0; // The last wave's tick.
     for (int wave = 0; wave < safety_cap; ++wave) {
         const WavePlan plan = planWave(budget_tokens);
-        if (plan.dt == 0)
+        if (plan.dt == 0) {
+            // Branches still running keep their partial tokens as
+            // head starts at selection.
+            catchUpAll(ctx_->specRunning_);
             return;
-        ActiveBeam *stuck = applyWave(plan, prev_tick);
-        prev_tick = plan.tick;
+        }
+        ActiveBeam *stuck = applyWave(plan);
+        assert(deferredAppendsHold());
         if (stuck == nullptr)
             continue;
         // Nothing decoded, so the wave cost no time. The beam
@@ -807,9 +896,10 @@ FastTtsEngine::runGenerationPhase(bool may_yield)
     }
     // Defensive: never hang a simulation. Every wave decodes or kills
     // a beam, so a healthy run never gets here. It is the one exit that
-    // leaves members in the decode set, so their nodes catch up here.
-    for (DecodeMember &m : ctx_->decodeSet_)
-        catchUp(m, ctx_->decodeClock_, prev_tick);
+    // leaves members in the decode set, so their nodes catch up here,
+    // as do the running branches'.
+    catchUpAll(ctx_->decodeSet_);
+    catchUpAll(ctx_->specRunning_);
     ++ctx_->defensiveExits_;
     ++defensiveExits_;
 }
@@ -886,12 +976,10 @@ FastTtsEngine::planWave(double budget_tokens)
     for (const DecodeMember &m : ctx_->decodeSet_)
         plan.dt = std::min(plan.dt,
                            static_cast<int>(m.end - ctx_->decodeClock_));
-    long context = ctx_->decodePath_;
-    for (const auto &[beam_idx, branch_idx] : ctx_->specRunning_) {
-        const SpecBranch &br = ctx_->active_[beam_idx]->branches[branch_idx];
-        plan.dt = std::min(plan.dt, br.target - br.decoded);
-        context += ctx_->kvGen_->pathTokens(br.node);
-    }
+    for (const DecodeMember &m : ctx_->specRunning_)
+        plan.dt = std::min(plan.dt,
+                           static_cast<int>(m.end - ctx_->decodeClock_));
+    const long context = ctx_->decodePath_ + ctx_->specPath_;
     plan.dt = std::max(plan.dt, 1);
     const int members = static_cast<int>(ctx_->decodeSet_.size()
                                          + ctx_->specRunning_.size());
@@ -912,15 +1000,16 @@ FastTtsEngine::planWave(double budget_tokens)
 }
 
 FastTtsEngine::ActiveBeam *
-FastTtsEngine::applyWave(const WavePlan &plan, uint64_t prev_tick)
+FastTtsEngine::applyWave(const WavePlan &plan)
 {
     const int dt = plan.dt;
     KvCacheManager &kv = *ctx_->kvGen_;
     DecodeMember *set = ctx_->decodeSet_.data();
-    const size_t count = ctx_->decodeSet_.size();
-    const long clock = ctx_->decodeClock_; // Before the wave.
+    size_t count = ctx_->decodeSet_.size();
+    // The decode clock moves only after the wave, so a kill inside it
+    // catches branches up to their pre-wave tokens.
+    const long clock = ctx_->decodeClock_;
     const long after = clock + dt;
-    ctx_->decodeClock_ = after;
     int members = static_cast<int>(count); // Members that decoded: what
                                            // the wave costs.
     long context = ctx_->decodePath_; // Their path tokens before the wave.
@@ -948,7 +1037,7 @@ FastTtsEngine::applyWave(const WavePlan &plan, uint64_t prev_tick)
             // that wave's tick; then memory pressure stops speculation,
             // and the beam itself is preempted if still stuck (vLLM
             // swap semantics).
-            catchUp(m, clock, prev_tick);
+            catchUp(m, clock, ctx_->lastTick_);
             killAllSpeculation();
             if (!kv.appendTokens(b.curSeg, dt, plan.tick)) {
                 kv.release(b.curSeg);
@@ -970,7 +1059,7 @@ FastTtsEngine::applyWave(const WavePlan &plan, uint64_t prev_tick)
             finished += path;
             finishStandardBeam(m.idx);
         } else {
-            set[kept++] = decodeMember(m.idx);
+            set[kept++] = decodeMember(m.idx, -1, after);
         }
     }
     ctx_->decodeSet_.resize(kept);
@@ -978,30 +1067,57 @@ FastTtsEngine::applyWave(const WavePlan &plan, uint64_t prev_tick)
         context - finished + static_cast<long>(dt) * static_cast<long>(kept);
     ctx_->generatedTokens_ += static_cast<long>(dt) * members;
 
-    // Branches that complete, are preempted or were killed above drop
-    // out of the running set; order is preserved.
+    // Speculative branches defer the same way, after the standard
+    // members. Their appends may only take free blocks: they must
+    // never evict cache the standard beams will re-touch. A branch
+    // that completes or is refused leaves the running set; order is
+    // preserved.
+    set = ctx_->specRunning_.data();
+    count = ctx_->specRunning_.size();
+    int branches = static_cast<int>(count); // Branches that decoded.
+    long spec_context = ctx_->specPath_;    // Their pre-wave paths.
+    finished = 0;
     kept = 0;
-    for (const auto &entry : ctx_->specRunning_) {
-        SpecBranch &br = ctx_->active_[entry.first]->branches[entry.second];
-        const int path = ctx_->kvGen_->pathTokens(br.node);
-        // Speculative appends may only take free blocks; they must
-        // never evict cache the standard beams will re-touch.
-        if (!ctx_->kvGen_->appendTokens(br.node, dt, plan.tick,
-                                        /*allow_evict=*/false)) {
-            releaseBranch(br);
+    for (size_t i = 0; i < count; ++i) {
+        if (after < set[i].next) {
+            if (kept != i)
+                set[kept] = set[i];
+            ++kept;
             continue;
         }
-        ++members;
-        context += path;
-        br.decoded += dt;
-        ctx_->generatedTokens_ += dt;
-        ctx_->speculativeTokens_ += dt;
-        if (br.decoded >= br.target)
+        DecodeMember m = set[i];
+        SpecBranch &br =
+            ctx_->active_[m.idx]->branches[static_cast<size_t>(m.branch)];
+        const int lag = static_cast<int>(clock - m.synced);
+        const int left = static_cast<int>(m.end - clock);
+        const int path = kv.pathTokens(br.node) + lag;
+        if (!kv.appendTokens(br.node, lag + dt, plan.tick,
+                             /*allow_evict=*/false)) {
+            // Its deferred tokens land as for a standard beam, so they
+            // count as wasted.
+            catchUp(m, clock, ctx_->lastTick_);
+            releaseBranch(br);
+            --branches;
+            spec_context -= path;
+            continue;
+        }
+        br.decoded = br.target - left + dt;
+        if (br.decoded >= br.target) {
             br.complete = true;
-        else
-            ctx_->specRunning_[kept++] = entry;
+            finished += path;
+        } else {
+            set[kept++] = decodeMember(m.idx, m.branch, after);
+        }
     }
     ctx_->specRunning_.resize(kept);
+    ctx_->specPath_ = spec_context - finished
+        + static_cast<long>(dt) * static_cast<long>(kept);
+    ctx_->generatedTokens_ += static_cast<long>(dt) * branches;
+    ctx_->speculativeTokens_ += static_cast<long>(dt) * branches;
+    members += branches;
+    context += spec_context;
+    ctx_->decodeClock_ = after;
+    ctx_->lastTick_ = plan.tick;
 
     if (members == 0)
         return refused;
@@ -1149,6 +1265,22 @@ FastTtsEngine::runVerificationPhase()
         ctx_->meanVerifierSeq_ = seq_total / requests.size();
 }
 
+std::unique_ptr<FastTtsEngine::ActiveBeam>
+FastTtsEngine::newBeam()
+{
+    std::vector<std::unique_ptr<ActiveBeam>> &spare = ctx_->spareBeams_;
+    if (spare.empty())
+        return std::make_unique<ActiveBeam>();
+    std::unique_ptr<ActiveBeam> beam = std::move(spare.back());
+    spare.pop_back();
+    // Reset, keeping the branch vector's capacity.
+    std::vector<SpecBranch> branches = std::move(beam->branches);
+    branches.clear();
+    *beam = ActiveBeam();
+    beam->branches = std::move(branches);
+    return beam;
+}
+
 void
 FastTtsEngine::completeBeam(ActiveBeam &beam, double score)
 {
@@ -1239,7 +1371,7 @@ FastTtsEngine::runSelectionPhase()
             ActiveBeam &parent = *ctx_->active_[live[k]];
             const int num_children = child_count[k];
             for (int j = 0; j < num_children; ++j) {
-                auto child = std::make_unique<ActiveBeam>();
+                std::unique_ptr<ActiveBeam> child = newBeam();
                 child->id = ctx_->nextBeamId_++;
                 child->seed =
                     childLineageSeed(parent.seed, parent.steps, j);
@@ -1309,6 +1441,15 @@ FastTtsEngine::runSelectionPhase()
             pruneBeam(*ctx_->active_[live[k]]);
     }
 
+    // Every retired beam was pruned; keep up to a search width of them
+    // for the next iteration's children.
+    const size_t spare_cap = static_cast<size_t>(algorithm_.beamWidth());
+    ctx_->spareBeams_.reserve(spare_cap);
+    for (auto &retired : ctx_->active_) {
+        if (ctx_->spareBeams_.size() == spare_cap)
+            break;
+        ctx_->spareBeams_.push_back(std::move(retired));
+    }
     ctx_->active_ = std::move(next);
 }
 

@@ -28,13 +28,15 @@
  * and picks dt, the fewest tokens any member has left in its step;
  * when the pool cannot take dt more tokens per member, all
  * speculation is dropped first. applyWave() then decodes dt tokens
- * for each member. A standard beam's KV append is deferred while it
+ * for each member, standard beams first, then speculative branches.
+ * A member's KV append, standard or speculative, is deferred while it
  * needs no new block: only a member whose step ends or whose next
  * block fills appends, its deferred tokens and dt in one call, and a
- * member whose append is refused leaves the wave. Speculative
- * branches append every wave. The clock is charged once per wave, as
- * one decode step of the members that decoded, repeated dt times; a
- * wave in which no member decoded costs nothing.
+ * member whose append is refused leaves the wave. Every other way out
+ * of the decode set or the running branches lands the deferred tokens
+ * first. The clock is charged once per wave, as one decode step of
+ * the members that decoded, repeated dt times; a wave in which no
+ * member decoded costs nothing.
  */
 
 #ifndef FASTTTS_CORE_ENGINE_H
@@ -353,6 +355,7 @@ class FastTtsEngine
     struct SpecBranch;
     struct WavePlan;
     struct DecodeMember;
+    struct MemberStep;
 
     // --- Request lifecycle ---
     void resetRequestState(const Problem &problem,
@@ -366,23 +369,36 @@ class FastTtsEngine
      *  admission's KV capacity; a zero dt means the phase is over. */
     WavePlan planWave(double budget_tokens);
     /** Run the planned wave and charge it for the members that
-     *  decoded. `prev_tick` is the previous wave's tick, the stamp of
-     *  deferred tokens that land on a refusal. @return The standard
-     *  beam refused last when no member decoded, else nullptr. */
-    ActiveBeam *applyWave(const WavePlan &plan, uint64_t prev_tick);
+     *  decoded. @return The standard beam refused last when no member
+     *  decoded, else nullptr. */
+    ActiveBeam *applyWave(const WavePlan &plan);
+    /** Whether every decode-set member and running branch holds its
+     *  decoded tokens in its node or as deferred tokens, and both
+     *  running path sums match (checked after every wave under
+     *  assert). */
+    [[nodiscard]] bool deferredAppendsHold() const;
     void runVerificationPhase();
     void runSelectionPhase();
 
     // --- Generation helpers ---
     bool admitBeam(size_t idx);
-    /** Decode-set entry of active_[idx], its node caught up at the
-     *  current decode clock. */
-    DecodeMember decodeMember(size_t idx) const;
-    /** Bring the beam's decoded count and KV node up to decode clock
-     *  `clock`, stamping the deferred tokens `tick` (they need no
-     *  block). */
+    /** The node, decoded count and step length a member decodes:
+     *  its beam's own step, or one of the beam's branches. */
+    MemberStep stepOf(const DecodeMember &m) const;
+    /** Decode-set or running-branch entry of active_[idx] (its
+     *  `branch`, or its own step when negative), its node caught up
+     *  at decode clock `clock`. */
+    DecodeMember decodeMember(size_t idx, int branch, long clock) const;
+    /** Bring the member's decoded count and KV node up to decode
+     *  clock `clock`, stamping the deferred tokens `tick` (they need
+     *  no block). */
     void catchUp(DecodeMember &m, long clock, uint64_t tick);
+    /** Catch every member of `set` up to the current decode clock,
+     *  stamped with the last wave's tick. */
+    void catchUpAll(std::vector<DecodeMember> &set);
     void fillSpeculativeSlots();
+    /** SelectSPEC's potentials and candidate order for this phase. */
+    void rankSpeculation();
     void finishStandardBeam(size_t idx);
     void forceKill(ActiveBeam &beam);
     bool blockedOnLedger(const ActiveBeam &refused, int dt) const;
@@ -390,6 +406,8 @@ class FastTtsEngine
     void chargeRecompute(int tokens);
 
     // --- Bookkeeping ---
+    /** A reset beam: a retired one when selection kept one, else new. */
+    std::unique_ptr<ActiveBeam> newBeam();
     void completeBeam(ActiveBeam &beam, double score);
     void pruneBeam(ActiveBeam &beam);
     void releaseBranch(SpecBranch &branch);

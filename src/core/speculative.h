@@ -49,8 +49,8 @@ class SpeculativePolicy
      * Bin edges of one iteration's score set: the [lo, hi] range that
      * the equal-width partition divides. Computing this once per
      * iteration and reusing it for every beam turns the per-beam
-     * potential query into O(1) (the engine's event loop queries every
-     * candidate every wave).
+     * potential query into O(1) (the engine ranks every beam once per
+     * generation phase).
      */
     struct ScoreBins
     {

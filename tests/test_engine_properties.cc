@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "kv/kv_session.h"
+#include "util/fault_injector.h"
 
 namespace fasttts
 {
@@ -264,6 +266,64 @@ TEST(EngineFloorBudget, WaitingAppendsLandBeforeARefusal)
     EXPECT_EQ(result.kvStats.evictions, 77u);
     EXPECT_EQ(result.kvStats.reprefilledTokens, 6015u);
     EXPECT_EQ(engine.forcedTerminations(), 2);
+    EXPECT_EQ(result.defensiveExits, 0);
+}
+
+/** FastTTS beam search on AMC with a 2% kv_alloc brownout on an
+ *  attached ledger. Without a ledger no speculative append is ever
+ *  refused: the pre-wave drop leaves every branch the blocks it
+ *  needs. */
+RequestResult
+runAmcBrownout(int width, bool floor_budget, uint64_t seed)
+{
+    const DatasetProfile profile = *datasetByName("AMC");
+    ModelConfig models = *modelConfigByLabel("1.5B+1.5B");
+    if (floor_budget) {
+        models.memoryFraction = (models.generator.weightBytes()
+                                 + models.verifier.weightBytes())
+            / rtx4090().usableBytes();
+    }
+    auto algo = *makeAlgorithm("beam_search", width, 4);
+    FastTtsEngine engine(FastTtsConfig::fastTts(), models, rtx4090(),
+                         profile, *algo);
+    KvBudgetLedger ledger(engine.kvBudgetBytes());
+    FaultInjector brownout(
+        FaultPlan{{FaultRule{FaultSite::kKvAlloc, 0.02}}}, seed);
+    ledger.attachFaultInjector(&brownout);
+    engine.attachKvLedger(&ledger);
+    return engine.runRequest(makeProblems(profile, 1, seed)[0]);
+}
+
+/** A speculative branch's KV appends wait like a standard beam's, and
+ *  its waiting tokens must land on every way out of the running set:
+ *  a refused append, a kill of all speculation, and the end of the
+ *  phase (its tokens become a head start). This is the smallest cell
+ *  found, over widths 2-16, AMC and AIME, seeds 1-300, the default
+ *  and the floor budget and brownout rates of 1-10%, in which all
+ *  three exits meet a branch with waiting tokens. The values are
+ *  those of the engine that appended every branch on every wave. */
+TEST(EngineSpeculation, WaitingBranchAppendsLandAtEveryExit)
+{
+    const RequestResult result = runAmcBrownout(5, false, 113);
+    EXPECT_DOUBLE_EQ(result.completionTime, 11.289454657361505);
+    EXPECT_DOUBLE_EQ(result.generatorTime, 11.214270310849779);
+    EXPECT_EQ(result.speculativeTokens, 2009);
+    EXPECT_EQ(result.wastedSpecTokens, 1653);
+    EXPECT_EQ(result.kvStats.evictions, 1u);
+    EXPECT_EQ(result.defensiveExits, 0);
+}
+
+/** Waiting tokens land stamped with the last wave's tick, the stamp
+ *  they would have had. The only cell of the same grid (at the 2%
+ *  brownout) in which the stamp shows: a killed branch's node then
+ *  ranks among the eviction victims. */
+TEST(EngineSpeculation, KilledBranchKeepsTheLastWavesStamp)
+{
+    const RequestResult result = runAmcBrownout(5, true, 148);
+    EXPECT_DOUBLE_EQ(result.completionTime, 8.5730647694868978);
+    EXPECT_EQ(result.wastedSpecTokens, 922);
+    EXPECT_EQ(result.kvStats.evictions, 17u);
+    EXPECT_EQ(result.kvStats.reprefilledTokens, 414u);
     EXPECT_EQ(result.defensiveExits, 0);
 }
 

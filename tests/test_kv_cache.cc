@@ -789,6 +789,8 @@ expectSameState(const KvCacheManager &a, const KvCacheManager &b,
  * after `a` landed at t1. Afterwards every pin is dropped and fresh
  * segments are touched one by one, so the victim order of the forced
  * reclaims (which ranks the leaf by its LRU stamp) must match too.
+ * Both kinds of decode member are covered: a standard beam's append
+ * may evict, a speculative branch's (allow_evict false) may not.
  */
 class KvCacheDeferredAppend : public ::testing::TestWithParam<int>
 {
@@ -799,16 +801,19 @@ TEST_P(KvCacheDeferredAppend, OneLateAppendEqualsTheStepwiseAppends)
     constexpr int kOps = 300;
     constexpr uint64_t t1 = kOps / 2; // Inside the tree's own ticks.
     constexpr uint64_t t2 = kOps + 1;
-    int refused_after_deferral = 0;
-    int crossed_after_deferral = 0;
-    for (int scenario = 0; scenario < 16; ++scenario) {
+    int refused_after_deferral[2] = {0, 0}; // By allow_evict.
+    int crossed_after_deferral[2] = {0, 0};
+    for (int run = 0; run < 32; ++run) {
+        const int scenario = run / 2;
+        const bool allow_evict = run % 2 == 0;
         const uint64_t seed =
             static_cast<uint64_t>(GetParam()) * 1000 + scenario;
         auto stepwise = makeCache(2048, 16);
         auto deferred = makeCache(2048, 16);
         const RandomTree tree = growRandomTree(stepwise, seed, kOps);
         (void)growRandomTree(deferred, seed, kOps);
-        const std::string where = "seed " + std::to_string(seed);
+        const std::string where = "seed " + std::to_string(seed)
+            + (allow_evict ? ", may evict" : ", free blocks only");
 
         // A childless segment, pinned and materialised like a beam the
         // engine admits to its decode set.
@@ -837,26 +842,30 @@ TEST_P(KvCacheDeferredAppend, OneLateAppendEqualsTheStepwiseAppends)
                                          : rng.uniformInt(1, 2048);
         ASSERT_EQ(stepwise.blocksFor(tokens + a), stepwise.blocksFor(tokens));
 
-        ASSERT_TRUE(stepwise.appendTokens(leaf, a, t1)) << where;
-        const bool ok_stepwise = stepwise.appendTokens(leaf, b, t2);
-        const bool ok_deferred = deferred.appendTokens(leaf, a + b, t2);
+        ASSERT_TRUE(stepwise.appendTokens(leaf, a, t1, allow_evict))
+            << where;
+        const bool ok_stepwise =
+            stepwise.appendTokens(leaf, b, t2, allow_evict);
+        const bool ok_deferred =
+            deferred.appendTokens(leaf, a + b, t2, allow_evict);
         if (!ok_deferred) {
-            ASSERT_TRUE(deferred.appendTokens(leaf, a, t1)) << where;
+            ASSERT_TRUE(deferred.appendTokens(leaf, a, t1, allow_evict))
+                << where;
         }
         ASSERT_EQ(ok_stepwise, ok_deferred) << where;
         expectSameState(stepwise, deferred, tree.nodes, where);
         if (resident_a && a > 0) {
             if (!ok_stepwise)
-                ++refused_after_deferral;
+                ++refused_after_deferral[allow_evict];
             else if (stepwise.blocksFor(tokens + a + b)
                      > stepwise.blocksFor(tokens + a))
-                ++crossed_after_deferral;
+                ++crossed_after_deferral[allow_evict];
         }
 
-        // Victim order. A refusal reclaims every victim, so the tree's
-        // pins go too: the leaf then ranks against nodes last used
-        // between t1 and t2. Each fresh 4-block segment forces a
-        // reclaim.
+        // Victim order. The tree's pins go too, so the leaf ranks
+        // against nodes last used between t1 and t2 (after a refusal
+        // that may evict, every victim is already gone). Each fresh
+        // 4-block segment forces a reclaim.
         stepwise.release(leaf);
         deferred.release(leaf);
         for (int node : tree.pinned) {
@@ -880,9 +889,12 @@ TEST_P(KvCacheDeferredAppend, OneLateAppendEqualsTheStepwiseAppends)
                             where + ", touch " + std::to_string(k));
         }
     }
-    // Both paths the engine takes after deferring were exercised.
-    EXPECT_GT(refused_after_deferral, 0);
-    EXPECT_GT(crossed_after_deferral, 0);
+    // Both paths the engine takes after deferring were exercised, for
+    // both kinds of member.
+    for (const bool allow_evict : {true, false}) {
+        EXPECT_GT(refused_after_deferral[allow_evict], 0) << allow_evict;
+        EXPECT_GT(crossed_after_deferral[allow_evict], 0) << allow_evict;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KvCacheDeferredAppend,
