@@ -38,17 +38,16 @@ main(int argc, char **argv)
         argc, argv, defaults,
         "Online serving responsiveness under load (arrival rates swept; "
         "--problems sets the request count, --policy/--max-inflight/"
-        "--slo/--arrivals/--preempt/--kv-budget/--shed-doomed/"
-        "--batching/--prefix-cache the queueing discipline, "
-        "--faults/--retry-max the fault-tolerance machinery, "
-        "--calibrate-kv the working-set calibration)",
+        "--slo/--arrivals/--kv-budget/--shed-doomed/"
+        "--max-batched-tokens/--prefill-chunk/--prefix-cache the "
+        "queueing discipline, --faults/--retry-max the fault-tolerance "
+        "machinery)",
         {"--problems", "--dataset", "--seed", "--beams", "--policy",
-         "--max-inflight", "--slo", "--arrivals", "--preempt",
-         "--kv-budget", "--shed-doomed", "--batching",
-         "--max-batched-tokens", "--prefill-chunk", "--prefix-cache",
-         "--prefix-cache-budget", "--faults", "--fault-plan",
-         "--retry-max", "--retry-backoff", "--request-timeout",
-         "--calibrate-kv"});
+         "--max-inflight", "--slo", "--arrivals", "--kv-budget",
+         "--shed-doomed", "--max-batched-tokens", "--prefill-chunk",
+         "--prefix-cache", "--prefix-cache-budget", "--faults",
+         "--fault-plan", "--retry-max", "--retry-backoff",
+         "--request-timeout"});
     const int requests = args.numProblems;
     const OnlineServerOptions &online = args.online;
 

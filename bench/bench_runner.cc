@@ -1541,6 +1541,21 @@ engineKvBudgetGiB(const OnlineSweep &sweep)
     return probe.engine().kvBudgetBytes() / GiB;
 }
 
+/** Size the sweep's wave budget to fuse every in-flight request's
+ *  decode work (in flight x beams x expected step tokens, the README's
+ *  sizing rule), so occupancy is limited by arrivals and memory, not
+ *  by the token knob, and report it in the config. */
+void
+sizeWaveBudget(OnlineSweep &sweep)
+{
+    const ServingSystem probe = ServingSystem::create(sweep.serving).value();
+    sweep.base.maxBatchedTokens = sweep.base.maxInflight
+        * sweep.serving.numBeams
+        * std::max(1, static_cast<int>(
+                          probe.engine().expectedStepTokens() + 1));
+    sweep.config.set("max_batched_tokens", sweep.base.maxBatchedTokens);
+}
+
 /** Admission policies on one identical heavy-tailed arrival trace. */
 OnlineSweep
 schedulingSweep(bool quick, uint64_t seed)
@@ -1549,6 +1564,7 @@ schedulingSweep(bool quick, uint64_t seed)
     OnlineSweep sweep = newSweep(quick ? 8 : 32, requests, seed);
     const Storm storm = serveStorm(sweep, requests, seed);
     sweep.config.set("max_inflight", sweep.base.maxInflight);
+    sizeWaveBudget(sweep);
     sweep.config.set("arrivals", "bursty");
     sweep.config.set("arrival_rate_per_s", storm.rate);
     sweep.config.set("slo_s", storm.slo);
@@ -1557,10 +1573,9 @@ schedulingSweep(bool quick, uint64_t seed)
     return sweep;
 }
 
-/** Shared KV budget tiers crossed with non-preemptive time slicing vs
- *  policy-driven preemption (preemptive EDF with doomed-request
- *  shedding) on one bursty overload trace: shed rate, recompute
- *  volume and SLO attainment versus memory. */
+/** EDF with doomed-request shedding on one bursty overload trace at
+ *  three shared KV budget tiers: SLO attainment, goodput, recompute
+ *  and batch occupancy versus memory. */
 OnlineSweep
 preemptionSweep(bool quick, uint64_t seed)
 {
@@ -1576,46 +1591,11 @@ preemptionSweep(bool quick, uint64_t seed)
     sweep.config.set("arrival_rate_per_s", storm.rate);
     sweep.config.set("slo_s", storm.slo);
     sweep.config.set("engine_kv_budget_gib", engineGiB);
+    sizeWaveBudget(sweep);
+    sweep.config.set("prefill_chunk", sweep.base.prefillChunk);
     sweep.config.set("shed_doomed", true);
     sweep.outer = budgetArms(
         engineGiB, {{"1.00x", 1.0}, {"0.50x", 0.5}, {"0.25x", 0.25}});
-    sweep.inner = knobArms(&OnlineServerOptions::preempt, {"slice", "policy"});
-    return sweep;
-}
-
-/** Co-scheduled decode (--batching continuous) vs round-robin time
- *  slicing on one bursty overload trace at equal shared KV budgets. */
-OnlineSweep
-batchingSweep(bool quick, uint64_t seed)
-{
-    const int requests = quick ? 10 : 24;
-    OnlineSweep sweep = newSweep(quick ? 8 : 16, requests, seed);
-    const Storm storm = serveStorm(sweep, requests, seed);
-    const ServingSystem probe = ServingSystem::create(sweep.serving).value();
-    const double engineGiB = probe.engine().kvBudgetBytes() / GiB;
-    sweep.base.policy = "edf";
-    sweep.base.preempt = "slice"; // Ignored under continuous batching.
-    sweep.base.shedDoomed = true;
-    // Size the wave budget to fuse every in-flight request's decode
-    // work (README's sizing rule of thumb), so occupancy is limited by
-    // arrivals and memory, not the token knob.
-    sweep.base.maxBatchedTokens = sweep.base.maxInflight
-        * sweep.serving.numBeams
-        * std::max(1, static_cast<int>(
-                          probe.engine().expectedStepTokens() + 1));
-    sweep.config.set("max_inflight", sweep.base.maxInflight);
-    sweep.config.set("policy", "edf");
-    sweep.config.set("arrivals", "bursty");
-    sweep.config.set("arrival_rate_per_s", storm.rate);
-    sweep.config.set("slo_s", storm.slo);
-    sweep.config.set("engine_kv_budget_gib", engineGiB);
-    sweep.config.set("max_batched_tokens", sweep.base.maxBatchedTokens);
-    sweep.config.set("prefill_chunk", sweep.base.prefillChunk);
-    sweep.config.set("shed_doomed", true);
-    sweep.outer = budgetArms(engineGiB, {{"1.00x", 1.0}, {"0.50x", 0.5}});
-    sweep.inner = {
-        knobArm("sliced", &OnlineServerOptions::batching, "off"),
-        knobArm("continuous", &OnlineServerOptions::batching, "continuous")};
     return sweep;
 }
 
@@ -1664,13 +1644,11 @@ prefixReuseSweep(bool quick, uint64_t seed)
     const double engineGiB = engineKvBudgetGiB(sweep);
     sweep.base.policy = "fifo";
     sweep.base.kvBudgetGiB = engineGiB;
-    sweep.base.batching = "continuous";
     sweep.config.set("sessions", numSessions);
     sweep.config.set("base_prompt_tokens", basePromptTokens);
     sweep.config.set("turn_growth_tokens", turnGrowthTokens);
     sweep.config.set("max_inflight", sweep.base.maxInflight);
     sweep.config.set("policy", "fifo");
-    sweep.config.set("batching", "continuous");
     sweep.config.set("arrivals", "poisson");
     sweep.config.set("arrival_rate_per_s", arrivalRate);
     sweep.config.set("kv_budget_gib", engineGiB);
@@ -1680,8 +1658,7 @@ prefixReuseSweep(bool quick, uint64_t seed)
 
 /** One bursty trace under deterministic wave-step fault injection at
  *  {0%, 1%, 5%} per-wave rates, fail-fast (a fault terminally fails its
- *  request) vs retry+degrade (capped exponential backoff plus graceful
- *  degradation under sustained fault pressure). */
+ *  request) vs retry (capped exponential backoff). */
 OnlineSweep
 faultToleranceSweep(bool quick, uint64_t seed)
 {
@@ -1715,10 +1692,8 @@ faultToleranceSweep(bool quick, uint64_t seed)
     const double retryBackoff = 0.25 * storm.measuredMean;
     sweep.base.policy = "edf";
     sweep.base.slo = storm.slo;
-    sweep.base.batching = "continuous";
     sweep.config.set("max_inflight", sweep.base.maxInflight);
     sweep.config.set("policy", "edf");
-    sweep.config.set("batching", "continuous");
     sweep.config.set("arrivals", "bursty");
     sweep.config.set("arrival_rate_per_s", storm.rate);
     sweep.config.set("slo_s", storm.slo);
@@ -1744,48 +1719,11 @@ faultToleranceSweep(bool quick, uint64_t seed)
     sweep.inner = {
         {"no_retry", Json::object(),
          [](OnlineServerOptions &o) { o.retryMax = 0; }},
-        {"retry_degrade", Json::object(),
+        {"retry", Json::object(),
          [retryBackoff](OnlineServerOptions &o) {
              o.retryMax = kRetryMax;
              o.retryBackoff = retryBackoff;
          }}};
-    return sweep;
-}
-
-/** The preemption storm (EDF, round-robin slicing, 0.3x device KV
- *  budget — the regime where suspended requests are constantly
- *  force-evicted) with working-set calibration (--calibrate-kv) off
- *  and on. */
-OnlineSweep
-kvCalibrationSweep(bool quick, uint64_t seed)
-{
-    const int requests = quick ? 10 : 24;
-    OnlineSweep sweep = newSweep(quick ? 8 : 16, requests, seed);
-    const Storm storm = serveStorm(sweep, requests, seed);
-    const double engineGiB = engineKvBudgetGiB(sweep);
-    // The device budget sits between one request's working set and the
-    // sum of the in-flight sets: every rotation force-evicts suspended
-    // requests, so how many working sets the admission gate lets share
-    // the budget decides the recompute bill.
-    const double budgetGiB = 0.3 * engineGiB;
-    sweep.base.policy = "edf";
-    sweep.base.preempt = "slice";
-    sweep.base.kvBudgetGiB = budgetGiB;
-    sweep.base.shedDoomed = true;
-    sweep.config.set("max_inflight", sweep.base.maxInflight);
-    sweep.config.set("policy", "edf");
-    sweep.config.set("preempt", "slice");
-    sweep.config.set("arrivals", "bursty");
-    sweep.config.set("arrival_rate_per_s", storm.rate);
-    sweep.config.set("slo_s", storm.slo);
-    sweep.config.set("engine_kv_budget_gib", engineGiB);
-    sweep.config.set("kv_budget_gib", budgetGiB);
-    sweep.config.set("shed_doomed", true);
-    for (const bool calibrate : {false, true})
-        sweep.outer.push_back({calibrate ? "on" : "off", Json::object(),
-                               [calibrate](OnlineServerOptions &o) {
-                                   o.calibrateKv = calibrate;
-                               }});
     return sweep;
 }
 
@@ -1824,8 +1762,6 @@ onlineMetrics(const OnlineServer &server, const OnlineTraceResult &out,
     m.set("verified_tokens", out.verifiedTokens);
     m.set("makespan_s", out.makespan);
     m.set("batch_occupancy", out.batchOccupancy);
-    m.set("context_switches", out.contextSwitches);
-    m.set("preemptions", out.preemptions);
     m.set("recomputed_tokens", out.recomputedTokens);
     m.set("reprefilled_tokens", out.reprefilledTokens);
     m.set("preempt_evicted_tokens", out.preemptEvictedTokens);
@@ -1838,11 +1774,6 @@ onlineMetrics(const OnlineServer &server, const OnlineTraceResult &out,
     m.set("failed_requests", out.failedRequests);
     m.set("timeouts", out.timeouts);
     m.set("wasted_recompute_tokens", out.faultWastedTokens);
-    m.set("degraded_waves", out.degradedWaves);
-    m.set("degraded_time_s", out.degradedTime);
-    // Mean sim-time from degradation entry until the fault window
-    // cleared (or the trace ended still degraded).
-    m.set("time_to_recovery_s", ratio(out.degradedTime, out.degradedEpisodes));
     m.set("kv_peak_gib", toGiB(server.kvLedger().peakUsedBytes()));
     m.set("utilization", out.utilization);
     return m;
@@ -1920,36 +1851,21 @@ const OnlineBench kOnlineBenchmarks[] = {
              + percent(doc["policies"]["edf"]["slo_attainment"]) + "%";
      }},
     {"online_preemption",
-     "Preemptive vs sliced serving under a shared KV budget",
+     "Continuous batching under a shared KV budget (1.00x, 0.50x, 0.25x)",
      preemptionSweep, "budgets",
-     {"latency_s", "slo_attainment", "deadline_misses", "completed",
-      "shed_requests", "shed_rate", "context_switches", "preemptions",
-      "recomputed_tokens", "preempt_evicted_tokens", "kv_peak_gib",
-      "utilization"},
-     nullptr,
-     [](const Json &doc) {
-         const Json &tight = doc["budgets"]["0.25x"];
-         return "slo (0.25x budget) slice "
-             + percent(tight["slice"]["slo_attainment"]) + "% vs policy "
-             + percent(tight["policy"]["slo_attainment"]) + "%, shed "
-             + percent(tight["policy"]["shed_rate"]) + "%";
-     }},
-    {"online_batching",
-     "Continuous batching vs time-sliced serving on one bursty trace",
-     batchingSweep, "budgets",
      {"latency_s", "goodput_tokens_per_s", "verified_tokens", "makespan_s",
       "slo_attainment", "deadline_misses", "completed", "shed_requests",
-      "batch_occupancy", "context_switches", "recomputed_tokens",
-      "kv_peak_gib", "utilization"},
+      "shed_rate", "batch_occupancy", "recomputed_tokens",
+      "preempt_evicted_tokens", "kv_peak_gib", "utilization"},
      nullptr,
      [](const Json &doc) {
-         const Json &full = doc["budgets"]["1.00x"];
-         return "goodput sliced "
-             + whole(full["sliced"]["goodput_tokens_per_s"])
-             + " vs continuous "
-             + whole(full["continuous"]["goodput_tokens_per_s"])
-             + " tok/s, occupancy "
-             + formatDouble(full["continuous"]["batch_occupancy"].asNumber(),
+         const Json &budgets = doc["budgets"];
+         return "slo at 1.00x/0.50x/0.25x budget "
+             + percent(budgets["1.00x"]["slo_attainment"]) + "/"
+             + percent(budgets["0.50x"]["slo_attainment"]) + "/"
+             + percent(budgets["0.25x"]["slo_attainment"])
+             + "%, occupancy at 1.00x "
+             + formatDouble(budgets["1.00x"]["batch_occupancy"].asNumber(),
                             2);
      }},
     {"online_prefix_reuse",
@@ -1976,18 +1892,17 @@ const OnlineBench kOnlineBenchmarks[] = {
              + whole(doc["modes"]["on"]["goodput_tokens_per_s"]) + " tok/s";
      }},
     {"online_fault_tolerance",
-     "Retry + degradation vs fail-fast under deterministic fault injection",
+     "Retry vs fail-fast under deterministic fault injection",
      faultToleranceSweep, "rates",
      {"latency_s", "slo_attainment", "deadline_misses", "completed",
       "goodput_tokens_per_s", "verified_tokens", "makespan_s",
       "injected_faults", "retries", "failed_requests", "timeouts",
-      "wasted_recompute_tokens", "degraded_waves", "degraded_time_s",
-      "time_to_recovery_s", "utilization"},
+      "wasted_recompute_tokens", "utilization"},
      [](const Json &rates) {
          const double noRetry =
              rates["5%"]["no_retry"]["slo_attainment"].asNumber();
          const double retry =
-             rates["5%"]["retry_degrade"]["slo_attainment"].asNumber();
+             rates["5%"]["retry"]["slo_attainment"].asNumber();
          Json summary = Json::object();
          summary.set("slo_attainment_no_retry_at_5pct", noRetry);
          summary.set("slo_attainment_retry_at_5pct", retry);
@@ -1999,23 +1914,10 @@ const OnlineBench kOnlineBenchmarks[] = {
          const Json &summary = doc["summary"];
          return "slo at 5% faults no-retry "
              + percent(summary["slo_attainment_no_retry_at_5pct"])
-             + "% vs retry+degrade "
+             + "% vs retry "
              + percent(summary["slo_attainment_retry_at_5pct"])
              + "% (recovered "
              + whole(summary["slo_recovery_points_at_5pct"]) + " pts)";
-     }},
-    {"online_kv_calibration",
-     "Working-set calibration off vs on under a preemption storm",
-     kvCalibrationSweep, "calibration",
-     {"latency_s", "slo_attainment", "deadline_misses", "completed",
-      "shed_requests", "context_switches", "preemptions",
-      "recomputed_tokens", "reprefilled_tokens", "preempt_evicted_tokens",
-      "kv_peak_gib", "utilization", "makespan_s"},
-     nullptr,
-     [](const Json &doc) {
-         const Json &cells = doc["calibration"];
-         return "slo off " + percent(cells["off"]["slo_attainment"])
-             + "% vs on " + percent(cells["on"]["slo_attainment"]) + "%";
      }},
 };
 

@@ -7,29 +7,22 @@
 #
 # Configures a sanitizer build (FASTTTS_SANITIZE=address), builds the
 # online-responsiveness bench, and serves a heavy-tailed (bursty)
-# 512-request trace with 8 requests time-sliced on the engine's own KV
-# budget under each of two admission policies — sjf (queue reordering)
-# and priority (aging) — so races, lifetime bugs and leaks in the
-# one-wave-at-a-time machinery cannot land silently. A third pass
-# runs preemptive EDF with doomed-request shedding under a tight
-# shared KV budget (--preempt policy --kv-budget), hammering the
-# park/evict/restore path of the shared-engine server. A fourth pass
-# runs continuous batching under the same tight budget (--batching
-# continuous --kv-budget 0.5), fusing decode across requests while the
-# ledger benches and lazily restores batch members. A fifth pass turns
+# 512-request trace with 8 requests in flight, continuously batched on
+# the engine's own KV budget, under each of two admission policies —
+# sjf (queue reordering) and priority (aging) — so races, lifetime bugs
+# and leaks in the fused-wave machinery cannot land silently. A third
+# pass runs EDF with doomed-request shedding under a tight shared KV
+# budget (--kv-budget 0.5), fusing decode across requests while the
+# ledger benches and lazily restores batch members. A fourth pass turns
 # the cross-request prefix cache on (--prefix-cache on) under the same
 # tight budget, so radix-index insert/split/evict and pin/release race
-# against benching and forced eviction. A sixth pass injects
+# against benching and forced eviction. A fifth pass injects
 # deterministic wave-step faults at 5% with retries (--faults plan
 # --retry-max 3), so the abort/refund/re-admit machinery — cancel
 # mid-wave, prefix-pin release, ledger refund, backoff re-queue —
-# churns under the sanitizers too. A seventh pass turns on working-set
-# calibration under round-robin time slicing and a tighter budget
-# (--preempt slice --calibrate-kv --kv-budget 0.25), so the EWMA-scaled
-# admission gate decides how many working sets share the budget while
-# every context switch force-evicts and lazily restores. The bench
-# exits 1 when a defensive hang-guard exit fired, so a pass that
-# stalls the simulation fails the script too.
+# churns under the sanitizers too. The bench exits 1 when a defensive
+# hang-guard exit fired, so a pass that stalls the simulation fails the
+# script too.
 
 set -euo pipefail
 
@@ -53,7 +46,7 @@ while [[ $# -gt 0 ]]; do
         shift 2
         ;;
     --help | -h)
-        sed -n '2,32p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'
+        sed -n '2,25p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'
         exit 0
         ;;
     *)
@@ -81,60 +74,38 @@ for policy in sjf priority; do
         --max-inflight "${max_inflight}" --slo 2000 >/dev/null
 done
 
-# Preemption storm: policy-driven preemption + doomed-request shedding
-# under a deliberately tight shared KV budget, so every request is
-# suspended, force-evicted and recomputed many times.
+# Memory storm: EDF with shedding under a deliberately tight shared
+# budget, so batch members are benched (force-evicted) and lazily
+# restored while other members keep decoding in fused waves.
 echo "-- stress: ${requests} bursty requests, K=${max_inflight}," \
-    "policy=edf, preempt=policy, kv-budget=0.5 GiB, shed-doomed"
+    "policy=edf, kv-budget=0.5 GiB, shed-doomed"
 "${bench}" --problems "${requests}" --beams 4 --dataset AMC \
-    --arrivals bursty --policy edf --preempt policy \
-    --kv-budget 0.5 --shed-doomed \
-    --max-inflight "${max_inflight}" --slo 2000 >/dev/null
-
-# Continuous-batching storm: co-scheduled decode under the same tight
-# shared budget, so batch members are benched (force-evicted) and
-# lazily restored while other members keep decoding in fused waves.
-echo "-- stress: ${requests} bursty requests, K=${max_inflight}," \
-    "policy=edf, batching=continuous, kv-budget=0.5 GiB, shed-doomed"
-"${bench}" --problems "${requests}" --beams 4 --dataset AMC \
-    --arrivals bursty --policy edf --batching continuous \
+    --arrivals bursty --policy edf \
     --kv-budget 0.5 --shed-doomed \
     --max-inflight "${max_inflight}" --slo 2000 >/dev/null
 
 # Prefix-cache storm: cross-request prefix caching on top of the
-# continuous-batching storm, so radix-index insert/split/LRU-evict and
-# prefix pin/release race against benching and forced eviction under
-# the same tight shared budget.
+# memory storm, so radix-index insert/split/LRU-evict and prefix
+# pin/release race against benching and forced eviction under the same
+# tight shared budget.
 echo "-- stress: ${requests} bursty requests, K=${max_inflight}," \
-    "policy=edf, batching=continuous, prefix-cache=on," \
-    "kv-budget=0.5 GiB, shed-doomed"
+    "policy=edf, prefix-cache=on, kv-budget=0.5 GiB, shed-doomed"
 "${bench}" --problems "${requests}" --beams 4 --dataset AMC \
-    --arrivals bursty --policy edf --batching continuous \
+    --arrivals bursty --policy edf \
     --prefix-cache on --kv-budget 0.5 --shed-doomed \
     --max-inflight "${max_inflight}" --slo 2000 >/dev/null
 
 # Fault-injection storm: deterministic 5% wave-step faults with a
-# retry budget on top of the continuous-batching storm, so injected
-# aborts (cancel mid-wave, ledger refund, prefix-pin release) and
-# backed-off re-admissions race the benching/restore machinery.
+# retry budget on top of the memory storm, so injected aborts (cancel
+# mid-wave, ledger refund, prefix-pin release) and backed-off
+# re-admissions race the benching/restore machinery.
 echo "-- stress: ${requests} bursty requests, K=${max_inflight}," \
-    "policy=edf, batching=continuous, faults=plan (5% wave_step)," \
-    "retry-max=3, kv-budget=0.5 GiB, shed-doomed"
+    "policy=edf, faults=plan (5% wave_step), retry-max=3," \
+    "kv-budget=0.5 GiB, shed-doomed"
 "${bench}" --problems "${requests}" --beams 4 --dataset AMC \
-    --arrivals bursty --policy edf --batching continuous \
-    --faults plan \
+    --arrivals bursty --policy edf --faults plan \
     --fault-plan '{"rules": [{"site": "wave_step", "rate": 0.05}]}' \
     --retry-max 3 --kv-budget 0.5 --shed-doomed \
     --max-inflight "${max_inflight}" --slo 2000 >/dev/null
 
-# Calibration storm: EWMA working-set calibration under round-robin
-# time slicing and a tighter shared budget, so the rescaled admission
-# gate churns against suspend, forced eviction and lazy restore.
-echo "-- stress: ${requests} bursty requests, K=${max_inflight}," \
-    "policy=edf, preempt=slice, calibrate-kv," \
-    "kv-budget=0.25 GiB, shed-doomed"
-"${bench}" --problems "${requests}" --beams 4 --dataset AMC \
-    --arrivals bursty --policy edf --preempt slice \
-    --calibrate-kv --kv-budget 0.25 --shed-doomed \
-    --max-inflight "${max_inflight}" --slo 2000 >/dev/null
 echo "-- scheduler stress passed (ASan+UBSan clean)"

@@ -104,11 +104,6 @@ const Flag kFlags[] = {
      "per-request latency SLO (0 disables)"},
     {"--arrivals", "arrivals", field(&EngineArgs::arrivals), "MODE",
      "arrival process: 'poisson' or 'bursty'"},
-    {"--preempt", "preempt", field(&OnlineServerOptions::preempt), "MODE",
-     "online preemption: 'off' (run to\n"
-     "completion), 'slice' (round-robin time\n"
-     "slices) or 'policy' (the queue policy\n"
-     "preempts the running victim)"},
     {"--kv-budget", "kv_budget_gib",
      field(&OnlineServerOptions::kvBudgetGiB), "GIB",
      "shared KV budget all in-flight online\n"
@@ -119,15 +114,10 @@ const Flag kFlags[] = {
      "shed queued requests whose predicted\n"
      "finish already misses their deadline",
      0, 0, "serve doomed requests anyway (default)"},
-    {"--batching", "batching", field(&OnlineServerOptions::batching),
-     "MODE",
-     "online wave scheduling: 'off' (time-\n"
-     "sliced; default) or 'continuous' (co-\n"
-     "scheduled decode across requests)"},
     {"--max-batched-tokens", "max_batched_tokens",
      field(&OnlineServerOptions::maxBatchedTokens), "N",
-     "per-wave online token budget, time\n"
-     "slices included (default 2048)",
+     "per-wave online token budget shared by\n"
+     "the in-flight requests (default 2048)",
      1, kMaxCount},
     {"--prefill-chunk", "prefill_chunk",
      field(&OnlineServerOptions::prefillChunk), "N",
@@ -168,12 +158,6 @@ const Flag kFlags[] = {
      field(&OnlineServerOptions::requestTimeout), "S",
      "watchdog: abort requests older than\n"
      "S sim seconds (0 disables)"},
-    {"--calibrate-kv", "calibrate_kv",
-     field(&OnlineServerOptions::calibrateKv), "",
-     "rescale predicted KV working sets by\n"
-     "an EWMA of observed residency in the\n"
-     "admission gate and bench returns",
-     0, 0, "use raw predictions (default)"},
 };
 
 /** "--no-NAME", a switch's clearing form. */

@@ -74,7 +74,7 @@ struct EngineArgs
                                       //!< 'poisson' or 'bursty'.
 
     /** The OnlineServer knobs: every flag from --policy to
-     *  --calibrate-kv except --arrivals. */
+     *  --request-timeout except --arrivals. */
     OnlineServerOptions online;
 
     bool helpRequested = false; //!< --help seen; see parseOrExit().

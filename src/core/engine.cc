@@ -476,15 +476,6 @@ FastTtsEngine::replan()
     const double ver_working_set =
         shape.numRequests * shape.verifierSeqLen;
     ctx_->lookaheadAllowed_ = ver_working_set > ver_pool_tokens;
-
-    // Graceful degradation under fault pressure: the serving layer
-    // turns both accelerations off wholesale so transient faults
-    // cannot waste speculative work (timing-only; solutions are
-    // unchanged by the engine's equivalence design).
-    if (degraded_) {
-        ctx_->specAllowed_ = false;
-        ctx_->lookaheadAllowed_ = false;
-    }
 }
 
 void
@@ -1891,7 +1882,7 @@ SuspendedEngineRequest::evictKv()
         return 0;
     long dropped = 0;
     // Skip trees that hold no blocks (O(1)): under sustained budget
-    // pressure the serving layer retries eviction every time slice,
+    // pressure the serving layer retries eviction every wave,
     // and an already-evicted victim must not pay two full-tree scans
     // per retry.
     if (ctx_->kvGen_ != nullptr && ctx_->kvGen_->residentBytes() > 0)

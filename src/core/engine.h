@@ -336,20 +336,6 @@ class FastTtsEngine
      *  (safety_cap), over its lifetime; 0 in a healthy simulation. */
     [[nodiscard]] int defensiveExits() const { return defensiveExits_; }
 
-    /**
-     * Graceful-degradation override (serving layer, fault pressure):
-     * while set, replan() disables speculative beam extension and
-     * LookAhead verification regardless of the memory heuristics.
-     * Speculation and scheduling affect only *when* tokens
-     * materialise, never *what* a beam samples, so degraded waves
-     * keep producing identical solutions — they just stop spending
-     * device time on work that transient faults would waste.
-     */
-    void setDegraded(bool degraded) { degraded_ = degraded; }
-
-    /** Whether the degradation override is active. */
-    [[nodiscard]] bool degraded() const { return degraded_; }
-
   private:
     struct ActiveBeam;
     struct SpecBranch;
@@ -427,7 +413,6 @@ class FastTtsEngine
 
     double kvBudget_ = 0;
     double expectedStepTokens_ = 0; //!< Cached mean step length.
-    bool degraded_ = false; //!< Fault-pressure degradation override.
     int defensiveExits_ = 0; //!< safety_cap exits, all requests.
     KvBudgetLedger *ledger_ = nullptr; //!< Shared KV budget (optional).
     PrefixIndex *prefixIndex_ = nullptr; //!< Cross-request prefix

@@ -12,81 +12,6 @@
 namespace fasttts
 {
 
-namespace
-{
-
-/** Preemption modes of OnlineServerOptions::preempt. */
-enum class PreemptMode { Off, Slice, Policy };
-
-/** Parse a preempt-mode name; nullopt-style via ok flag. */
-bool
-parsePreemptMode(const std::string &name, PreemptMode *mode)
-{
-    if (name == "off")
-        *mode = PreemptMode::Off;
-    else if (name == "slice")
-        *mode = PreemptMode::Slice;
-    else if (name == "policy")
-        *mode = PreemptMode::Policy;
-    else
-        return false;
-    return true;
-}
-
-/**
- * Rolling fault-rate window driving graceful degradation. Every
- * wave-step probe outcome (fault or clean) is recorded; when the rate
- * over the last kWindow probes crosses kEnter (with at least
- * kMinSamples observed, so one early fault cannot trip it) the server
- * degrades — speculation off, admission halved — and it recovers only
- * when the rate falls below kExit. The enter/exit gap is hysteresis:
- * without it a rate hovering at the threshold would toggle the engine
- * mode every few waves.
- */
-class DegradeTracker
-{
-  public:
-    void record(bool fault)
-    {
-        if (count_ == kWindow)
-            faults_ -= window_[head_] ? 1 : 0;
-        else
-            ++count_;
-        window_[head_] = fault;
-        faults_ += fault ? 1 : 0;
-        head_ = (head_ + 1) % kWindow;
-    }
-
-    /** Re-evaluate the degraded state after a batch of record()s. */
-    bool update()
-    {
-        const double rate = count_ > 0
-            ? static_cast<double>(faults_) / count_
-            : 0.0;
-        if (!degraded_ && count_ >= kMinSamples && rate >= kEnter)
-            degraded_ = true;
-        else if (degraded_ && rate < kExit)
-            degraded_ = false;
-        return degraded_;
-    }
-
-    [[nodiscard]] bool degraded() const { return degraded_; }
-
-    static constexpr int kWindow = 64;
-    static constexpr int kMinSamples = 32;
-    static constexpr double kEnter = 0.03;
-    static constexpr double kExit = 0.015;
-
-  private:
-    bool window_[kWindow] = {};
-    int head_ = 0;
-    int count_ = 0;
-    int faults_ = 0;
-    bool degraded_ = false;
-};
-
-} // namespace
-
 OnlineServer::OnlineServer(ServingSystem system,
                            std::unique_ptr<KvBudgetLedger> ledger,
                            std::unique_ptr<FaultInjector> faults,
@@ -134,15 +59,11 @@ OnlineServerOptions::validate() const
             + std::to_string(maxInflight));
     if (!non_negative(slo))
         return Status::invalidArgument("slo must be >= 0 seconds");
-    if (Status s = check_mode("preempt", preempt, {"off", "slice", "policy"});
-        !s.ok())
-        return s;
     if (!non_negative(kvBudgetGiB))
         return Status::invalidArgument(
             "kv_budget must be >= 0 GiB (0 uses the engine's device "
             "KV budget)");
-    if (Status s = check_mode("batching", batching, {"off", "continuous"});
-        !s.ok())
+    if (Status s = check_mode("batching", batching, {"continuous"}); !s.ok())
         return s;
     if (maxBatchedTokens < 1)
         return Status::invalidArgument(
@@ -304,21 +225,6 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
         return aggregateTrace({}, 0.0);
 
     constexpr double kInfinity = std::numeric_limits<double>::infinity();
-    PreemptMode mode = PreemptMode::Slice;
-    parsePreemptMode(online_.preempt, &mode); // Validated at create().
-    const bool continuous = online_.batching == "continuous";
-
-    // Working-set calibration (--calibrate-kv):
-    // predictKvWorkingSetBytes is a pre-serving heuristic, so the
-    // admission gate and the bench-return rule rescale its
-    // predictions by a rolling EWMA of observed over predicted
-    // residency across this trace's completions. Off, kv_scale stays
-    // 1.0 and both use the raw predictions.
-    const bool calibrate_kv = online_.calibrateKv;
-    double kv_scale = 1.0;
-    const auto effectiveKv = [&](double predicted_bytes) {
-        return predicted_bytes * kv_scale;
-    };
 
     // --- Build and validate tickets in submission order. ---
     struct Ticket
@@ -436,36 +342,21 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
     int failed_with_deadline = 0; //!< Never-completed requests that
                                   //!< carried a deadline (SLO misses).
     long fault_wasted = 0;
-    long degraded_waves = 0;
-    double degraded_time = 0;
-    int degraded_episodes = 0;
-    DegradeTracker degrade;
-    // Degradation trades speculation throughput for stability, which
-    // only pays off when kills are survivable — without a retry budget
-    // the fault already failed the request, so there is nothing left
-    // to protect (and the bench's no-retry arm measures exactly that).
-    const bool degrade_enabled =
-        injector != nullptr && online_.retryMax > 0;
     const double watchdog = online_.requestTimeout;
     const int engine_exits_before = system_.engine().defensiveExits();
     int defensive_exits = 0; //!< The serve loop's own hang-guard exits.
 
-    // --- In-flight bookkeeping, one record type for both batching
-    //     modes. ---
+    // --- In-flight bookkeeping. ---
     struct Flight
     {
         Ticket ticket;
         RequestId sysId = 0;  //!< Parked in the engine at admission.
         bool started = false; //!< rec.start stamped (first wave).
-        bool benched = false; //!< Force-evicted under memory pressure
-                              //!< (continuous batching); sits waves
-                              //!< out until the ledger can hold its
-                              //!< predicted working set again.
-        bool runs = false;    //!< A candidate of the coming wave.
+        bool benched = false; //!< Force-evicted under memory pressure;
+                              //!< sits waves out until the ledger can
+                              //!< hold its predicted working set again.
         long decoded = 0;     //!< Decode tokens this attempt has
                               //!< produced (wasted if killed).
-        double peakKvBytes = 0; //!< Largest observed residency
-                                //!< (EWMA calibration).
         OnlineRequestRecord rec;
     };
 
@@ -475,24 +366,17 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
         std::max(1.0, system_.engine().expectedStepTokens());
     const double headroom = 0.10 * ledger_->totalBytes();
     const size_t max_inflight = static_cast<size_t>(online_.maxInflight);
-    constexpr size_t kNone = static_cast<size_t>(-1);
     std::vector<Ticket> queued;
     std::vector<Flight> inflight;
     std::vector<OnlineRequestRecord> records;
     records.reserve(tickets.size());
     std::vector<QueuedRequest> view; // pick() scratch.
     size_t next_ticket = 0;
-    size_t rr = 0;          //!< Round-robin cursor ("slice" preempt).
-    size_t current = kNone; //!< In-flight index that ran the last
-                            //!< time slice (time slicing only).
     double now = 0;
     double busy = 0;
     int cancelled = 0;
     int shed = 0;
-    int context_switches = 0;
-    int preemptions = 0;
-    long waves = 0;         //!< Engine waves (a time slice is a
-                            //!< one-member wave)...
+    long waves = 0;         //!< Engine waves...
     long wave_members = 0;  //!< ...and their decode members.
     long blocked_steps = 0;
     long recomputed_tokens = 0;
@@ -501,22 +385,6 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
     long verified_tokens = 0;
     long generated_tokens = 0;
     long prefix_hit_tokens = 0;
-
-    // Drop in-flight entry idx, keeping the current index and the
-    // round-robin cursor on the requests they named.
-    const auto eraseFlight = [&](size_t idx) {
-        inflight.erase(inflight.begin() + static_cast<long>(idx));
-        if (current != kNone) {
-            if (idx == current)
-                current = kNone;
-            else if (idx < current)
-                --current;
-        }
-        if (idx < rr)
-            --rr;
-        if (rr >= inflight.size())
-            rr = 0;
-    };
 
     // Abnormal exit of an in-flight attempt (watchdog or fault): its
     // decode so far is wasted recompute, and cancelWith refunds every
@@ -527,31 +395,12 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
         fault_wasted += inflight[idx].decoded;
         checkOk(system_.cancelWith(id, std::move(reason)));
         checkOk(system_.release(id));
-        eraseFlight(idx);
-    };
-
-    // Memory-pressure sweep: while the ledger is short of headroom,
-    // force-evict the suspended `victims` in the order given (each
-    // batching mode's own order). Returns the victims actually
-    // evicted.
-    const auto evictForHeadroom = [&](const std::vector<size_t> &victims) {
-        std::vector<size_t> evicted;
-        for (const size_t i : victims) {
-            if (ledger_->freeBytes() >= headroom)
-                break;
-            auto tokens = system_.evictSuspendedKv(inflight[i].sysId);
-            if (tokens.ok()) {
-                preempt_evicted += *tokens;
-                evicted.push_back(i);
-            }
-        }
-        return evicted;
+        inflight.erase(inflight.begin() + static_cast<long>(idx));
     };
 
     // --- The serve loop. Each turn takes in arrivals and expired
     //     retries, drops cancelled and timed-out requests, admits
-    //     through the policy, then runs one engine wave. `batching`
-    //     only chooses the wave's candidates. ---
+    //     through the policy, then runs one engine wave. ---
     while (true) {
         if (injector != nullptr)
             injector->setNow(now);
@@ -610,16 +459,9 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
             }
         }
 
-        // Degraded mode halves the admission ceiling: fewer
-        // co-resident requests means each kill wastes less decode
-        // work and retries re-enter a calmer batch.
-        const size_t effective_inflight =
-            degrade_enabled && degrade.degraded()
-                ? std::max<size_t>(1, max_inflight / 2)
-                : max_inflight;
         // The policy fills free in-flight slots (work conservation:
         // the device never idles while a request is queued).
-        while (!queued.empty() && inflight.size() < effective_inflight) {
+        while (!queued.empty() && inflight.size() < max_inflight) {
             view.clear();
             for (const Ticket &ticket : queued)
                 view.push_back(ticket.meta);
@@ -648,9 +490,8 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
             if (!inflight.empty()) {
                 double inflight_kv = 0;
                 for (const Flight &f : inflight)
-                    inflight_kv += effectiveKv(f.ticket.kvBytes);
-                if (inflight_kv + effectiveKv(ticket.kvBytes)
-                    > ledger_->totalBytes())
+                    inflight_kv += f.ticket.kvBytes;
+                if (inflight_kv + ticket.kvBytes > ledger_->totalBytes())
                     break; // Wait for completions.
             }
 
@@ -690,127 +531,57 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
             continue;
         }
 
-        // --- Choose the wave's candidates. ---
-        if (continuous) {
-            // Continuous batching: every unbenched member runs. Under
-            // budget pressure the later-admitted members are
-            // force-evicted and benched. Benching is sticky with
-            // hysteresis: a member returns only when the ledger can
-            // hold its predicted working set on top of double the
-            // pressure threshold — re-admitting it the moment its own
-            // eviction freed the room would lazily re-prefill its KV,
-            // re-create the pressure and evict it again, paying the
-            // recompute forever. The oldest member always runs (a
-            // benched member that becomes oldest after a completion
-            // is released), so a thrashing batch degenerates to the
-            // time-sliced server's one-resident-working-set shape
-            // instead of deadlocking or ping-ponging.
+        // --- Choose the wave's members. Every unbenched member runs.
+        //     Under budget pressure the later-admitted members are
+        //     force-evicted and benched. Benching is sticky with
+        //     hysteresis: a member returns only when the ledger can
+        //     hold its predicted working set on top of double the
+        //     pressure threshold — re-admitting it the moment its own
+        //     eviction freed the room would lazily re-prefill its KV,
+        //     re-create the pressure and evict it again, paying the
+        //     recompute forever. The oldest member always runs (a
+        //     benched member that becomes oldest after a completion is
+        //     released), so a thrashing batch shrinks to one resident
+        //     working set instead of deadlocking or ping-ponging. ---
 
-            // Remembered so the hysteresis rule below cannot clear the
-            // front's flag twice.
-            const bool front_returned = inflight.front().benched;
-            inflight.front().benched = false;
-            // Youngest-admitted member first.
-            std::vector<size_t> victims;
-            for (size_t i = inflight.size() - 1; i > 0; --i) {
-                if (!inflight[i].benched)
-                    victims.push_back(i);
-            }
-            for (const size_t i : evictForHeadroom(victims))
+        // Remembered so the hysteresis rule below cannot clear the
+        // front's flag twice.
+        const bool front_returned = inflight.front().benched;
+        inflight.front().benched = false;
+        // While the ledger is short of headroom, evict the youngest-
+        // admitted members first.
+        for (size_t i = inflight.size() - 1;
+             i > 0 && ledger_->freeBytes() < headroom; --i) {
+            if (inflight[i].benched)
+                continue;
+            auto tokens = system_.evictSuspendedKv(inflight[i].sysId);
+            if (tokens.ok()) {
+                preempt_evicted += *tokens;
                 inflight[i].benched = true;
-            // At most one return per wave, oldest benched first
-            // (pickBenchReturn holds the unit-tested contract).
-            std::vector<std::pair<bool, double>> wave;
-            wave.reserve(inflight.size());
-            for (const Flight &flight : inflight)
-                wave.emplace_back(flight.benched,
-                                  effectiveKv(flight.ticket.kvBytes));
-            const int back = pickBenchReturn(
-                wave, ledger_->freeBytes(), headroom, front_returned);
-            if (back >= 0)
-                inflight[static_cast<size_t>(back)].benched = false;
-            for (Flight &flight : inflight)
-                flight.runs = !flight.benched;
-        } else {
-            // Time slicing: the one member the preempt mode picks runs.
-            size_t chosen = 0;
-            switch (mode) {
-            case PreemptMode::Off:
-                // Run-to-completion: stick with the current request;
-                // otherwise take the earliest admitted.
-                chosen = current != kNone ? current : 0;
-                break;
-            case PreemptMode::Slice:
-                // Round-robin, one engine wave per turn.
-                chosen = rr;
-                break;
-            case PreemptMode::Policy:
-            default: {
-                // The policy ranks the in-flight set every slice; it
-                // may take the engine from the running victim, but
-                // only when its preemption predicate says the
-                // challenger is strictly more urgent (no thrash on
-                // ties). predictedCost is discounted by the device
-                // time each request has already consumed, so "sjf"
-                // preempts on *remaining* work (SRPT) rather than
-                // yanking a nearly finished victim for a shorter
-                // total job.
-                view.clear();
-                for (const Flight &f : inflight) {
-                    QueuedRequest meta = f.ticket.meta;
-                    meta.predictedCost = std::max(
-                        0.0, meta.predictedCost - f.rec.activeTime);
-                    view.push_back(meta);
-                }
-                size_t best = policy_->pick(view, now);
-                if (best >= inflight.size())
-                    best = 0;
-                chosen = current == kNone
-                        || (best != current
-                            && policy_->shouldPreempt(view[current],
-                                                      view[best], now))
-                    ? best
-                    : current;
-                break;
             }
-            }
-            if (current != kNone && current != chosen) {
-                ++inflight[current].rec.preemptions;
-                ++context_switches;
-                // Mid-run switches only happen through slice-mode
-                // rotation or the policy's shouldPreempt; only the
-                // latter is a preemption in the scheduling sense.
-                if (mode == PreemptMode::Policy)
-                    ++preemptions;
-            }
-            current = chosen;
-            // Make room for the chosen request by force-evicting the
-            // others (earliest admitted first) before their caches
-            // squeeze it into thrashing.
-            std::vector<size_t> victims;
-            for (size_t i = 0; i < inflight.size(); ++i) {
-                inflight[i].runs = i == current;
-                if (i != current)
-                    victims.push_back(i);
-            }
-            (void)evictForHeadroom(victims);
         }
+        // At most one return per wave, oldest benched first
+        // (pickBenchReturn holds the unit-tested contract).
+        std::vector<std::pair<bool, double>> wave;
+        wave.reserve(inflight.size());
+        for (const Flight &flight : inflight)
+            wave.emplace_back(flight.benched, flight.ticket.kvBytes);
+        const int back = pickBenchReturn(wave, ledger_->freeBytes(),
+                                         headroom, front_returned);
+        if (back >= 0)
+            inflight[static_cast<size_t>(back)].benched = false;
 
-        // Wave-step fault probe: every candidate of this wave probes
-        // the injector. A fault kills the attempt before the wave
-        // runs: it consumes no device time and is retried after
-        // backoff or failed.
+        // Wave-step fault probe: every member of this wave probes the
+        // injector. A fault kills the attempt before the wave runs: it
+        // consumes no device time and is retried after backoff or
+        // failed.
         if (injector != nullptr) {
             for (size_t i = inflight.size(); i > 0; --i) {
                 const Flight &flight = inflight[i - 1];
-                if (!flight.runs)
-                    continue;
-                const bool fault = injector->shouldFault(
-                    FaultSite::kWaveStep,
-                    static_cast<long>(flight.ticket.meta.id));
-                if (degrade_enabled)
-                    degrade.record(fault);
-                if (!fault)
+                if (flight.benched
+                    || !injector->shouldFault(
+                        FaultSite::kWaveStep,
+                        static_cast<long>(flight.ticket.meta.id)))
                     continue;
                 // Re-queue the attempt after a capped exponential
                 // backoff, or fail the request for good once its
@@ -834,21 +605,12 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
                            Status::unavailable(
                                "injected transient device error"));
             }
-            // Flip the engine's degraded mode on a window-state change.
-            if (degrade_enabled) {
-                const bool was = degrade.degraded();
-                if (degrade.update() != was) {
-                    system_.engine().setDegraded(!was);
-                    if (!was)
-                        ++degraded_episodes;
-                }
-            }
-            if (std::none_of(inflight.begin(), inflight.end(),
-                             [](const Flight &f) { return f.runs; }))
+            if (std::all_of(inflight.begin(), inflight.end(),
+                            [](const Flight &f) { return f.benched; }))
                 continue; // Loop top re-admits, re-picks or idles.
         }
 
-        // --- Run the wave: one plan over the candidates, one fused
+        // --- Run the wave: one plan over the members, one fused
         //     engine wave (sched/batch_scheduler.h). ---
         std::vector<RequestId> ids;
         ids.reserve(inflight.size());
@@ -857,7 +619,7 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
         for (size_t i = 0; i < inflight.size(); ++i) {
             const Flight &flight = inflight[i];
             ids.push_back(flight.sysId);
-            if (!flight.runs)
+            if (flight.benched)
                 continue;
             const auto info = system_.suspendedInfo(flight.sysId);
             BatchCandidate candidate;
@@ -879,10 +641,6 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
         busy += wave_time;
         wave_members += plan.decodeMembers();
         ++waves;
-        if (degrade_enabled && degrade.degraded()) {
-            ++degraded_waves;
-            degraded_time += wave_time;
-        }
 
         // --- Completion accounting for every request that ran. ---
         for (size_t i = inflight.size(); i > 0; --i) {
@@ -897,16 +655,8 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
             flight.rec.activeTime += member.activeDelta;
             flight.decoded += member.decodedTokens;
             blocked_steps += member.blocked ? 1 : 0;
-            if (member.moreWork) {
-                // A member parked again after running is the trace's
-                // honest observation of its real working set.
-                if (calibrate_kv)
-                    flight.peakKvBytes = std::max(
-                        flight.peakKvBytes,
-                        system_.suspendedInfo(flight.sysId)
-                            ->residentKvBytes);
+            if (member.moreWork)
                 continue;
-            }
             flight.rec.finish = now;
             auto result = system_.result(flight.sysId);
             if (result.ok()) {
@@ -918,29 +668,18 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
                     result->kvStats.reprefilledTokens);
                 prefix_hit_tokens += static_cast<long>(
                     result->kvStats.prefixHitTokens);
-                // EWMA of observed over predicted residency.
-                if (calibrate_kv && flight.ticket.kvBytes > 0
-                    && flight.peakKvBytes > 0)
-                    kv_scale = 0.8 * kv_scale
-                        + 0.2 * (flight.peakKvBytes / flight.ticket.kvBytes);
                 if (results != nullptr)
                     results->push_back(*std::move(result));
             }
             records.push_back(flight.rec);
             checkOk(system_.release(flight.sysId));
-            eraseFlight(i - 1);
+            inflight.erase(inflight.begin() + static_cast<long>(i - 1));
         }
-        // Slice mode rotates past a request that ran and did not
-        // finish.
-        if (mode == PreemptMode::Slice && current != kNone)
-            rr = (rr + 1) % inflight.size();
     }
 
     OnlineTraceResult out = aggregateTrace(std::move(records), busy);
     out.cancelled = cancelled;
     out.shedRequests = shed;
-    out.contextSwitches = context_switches;
-    out.preemptions = preemptions;
     out.recomputedTokens = recomputed_tokens;
     out.reprefilledTokens = reprefilled_tokens;
     out.preemptEvictedTokens = preempt_evicted;
@@ -963,9 +702,6 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
     out.timeouts = timeouts;
     out.failedRequests = failed;
     out.faultWastedTokens = fault_wasted;
-    out.degradedWaves = degraded_waves;
-    out.degradedTime = degraded_time;
-    out.degradedEpisodes = degraded_episodes;
     out.defensiveExits = defensive_exits
         + system_.engine().defensiveExits() - engine_exits_before;
     if (failed_with_deadline > 0) {
@@ -978,10 +714,6 @@ OnlineServer::serveRequests(const std::vector<OnlineRequest> &requests,
         out.sloAttainment = static_cast<double>(met)
             / (completed_with_deadline + failed_with_deadline);
     }
-    // The degraded engine mode must not leak into the next trace
-    // served by this server.
-    if (degrade_enabled)
-        system_.engine().setDegraded(false);
     return out;
 }
 

@@ -33,36 +33,24 @@
  *     "priority", "sjf", "edf") picks, shedDoomed sheds requests whose
  *     predicted finish already exceeds their deadline, and the memory
  *     gate holds back requests the shared budget cannot fit beside the
- *     in-flight working sets (predicted, or EWMA-calibrated against
- *     observed residency under calibrateKv);
+ *     in-flight predicted working sets;
  *  4. idles to the next arrival or retry when nothing is in flight;
- *  5. chooses the wave's candidates, force-evicting parked KV in the
- *     batching mode's own order while the ledger is short of headroom;
- *  6. probes the fault injector for every candidate, killing faulted
+ *  5. chooses the wave's members by continuous batching: every
+ *     unbenched member runs. While the ledger is short of headroom the
+ *     youngest-admitted members are force-evicted and benched first,
+ *     the oldest always runs, and pickBenchReturn() returns at most one
+ *     benched member per wave;
+ *  6. probes the fault injector for every member, killing faulted
  *     attempts (retried after backoff or failed);
- *  7. runs one engine wave — one BatchScheduler plan over the
- *     candidates under maxBatchedTokens, long prompts fed in
+ *  7. runs one fused engine wave — one BatchScheduler plan over the
+ *     members under maxBatchedTokens, long prompts fed in
  *     prefillChunk-token slices, then one stepBatch() — and accounts
  *     every request it completed.
  *
- * OnlineServerOptions::batching only chooses the wave's candidates:
- *
- *  - "continuous": every unbenched member. Under memory pressure the
- *    youngest members are evicted and benched first, the oldest always
- *    runs, and pickBenchReturn() returns at most one benched member per
- *    wave; the fused wave decodes all of them together.
- *  - "off" (time slicing): the one member the preempt mode picks —
- *    "off" runs it to completion, "slice" round-robins one wave at a
- *    time, "policy" lets QueuePolicy::shouldPreempt take the engine for
- *    a more urgent request — and the others are evicted oldest first.
- *    A sliced request's prompt is a wave of its own.
- *
- * Admission, the fault probe, the wave and completion accounting run
- * the same code in both modes, so a request's wall time is the sum of
- * the waves it ran in and device busy time is the sum of all waves.
- *
- * With the defaults ("fifo", maxInflight 1, batching "off") the server
- * is a run-to-completion FIFO queue.
+ * A request's wall time is the sum of the waves it ran in, and device
+ * busy time is the sum of all waves. With the defaults ("fifo",
+ * maxInflight 1) every wave has one member, so the server is a
+ * run-to-completion FIFO queue.
  */
 
 #ifndef FASTTTS_CORE_ONLINE_SERVER_H
@@ -90,7 +78,7 @@ struct OnlineRequestRecord
     int problemId = 0;
     double arrival = 0;   //!< Arrival time (s).
     double start = 0;     //!< Service start (s): the start of the
-                          //!< request's first wave, in every mode.
+                          //!< request's first wave.
     double finish = 0;    //!< Completion (s).
     int priority = 0;     //!< Admission priority the request carried.
     double deadline = std::numeric_limits<double>::infinity();
@@ -99,22 +87,17 @@ struct OnlineRequestRecord
 
     /** Engine time actually spent on this request (decode, verify,
      *  recompute — including re-prefill after a preemption eviction).
-     *  Unlike serviceTime(), never counts slices the device spent on
-     *  other requests, so utilization and cost models built on it do
-     *  not over-count under interleaving. */
+     *  Unlike serviceTime(), it counts only this request's share of
+     *  each fused wave it ran in, so utilization and cost models built
+     *  on it do not over-count when requests share waves. */
     double activeTime = 0;
-
-    /** Times time slicing switched the engine away from this request
-     *  mid-run — every context switch counts, including routine
-     *  "slice"-mode round-robin rotation, not only policy-driven
-     *  preemption. */
-    int preemptions = 0;
 
     [[nodiscard]] double queueDelay() const { return start - arrival; }
 
-    /** Wall time between service start and completion. Under
-     *  interleaving this includes slices the device spent on other
-     *  requests — use activeTime for device-time accounting. */
+    /** Wall time between service start and completion. It includes
+     *  the other members' shares of fused waves and the waves the
+     *  request sat out benched — use activeTime for device-time
+     *  accounting. */
     [[nodiscard]] double serviceTime() const { return finish - start; }
 
     [[nodiscard]] double latency() const { return finish - arrival; }
@@ -153,14 +136,6 @@ struct OnlineTraceResult
     int deadlineMisses = 0;  //!< Requests that blew their deadline.
     int cancelled = 0;       //!< Requests abandoned while queued.
     int shedRequests = 0;    //!< Doomed requests shed at admission.
-    int contextSwitches = 0; //!< Times time slicing moved the engine
-                             //!< off an unfinished request (any cause,
-                             //!< slice rotation included; 0 under
-                             //!< continuous batching).
-    int preemptions = 0;     //!< Policy-driven takeovers only: the
-                             //!< QueuePolicy displaced the running
-                             //!< victim for a more urgent request
-                             //!< ("policy" preempt mode).
     long recomputedTokens = 0; //!< KV tokens re-prefilled (all causes,
                                //!< preemption eviction included).
     long preemptEvictedTokens = 0; //!< KV tokens force-evicted from
@@ -177,11 +152,9 @@ struct OnlineTraceResult
                               //!< --prefix-cache off): the trace's
                               //!< saved recompute volume.
     double batchOccupancy = 0; //!< Mean decode members per engine wave
-                               //!< (at most 1 under time slicing, where
-                               //!< each slice is a one-member wave and
-                               //!< a prompt wave decodes nothing; > 1
-                               //!< when continuous batching fuses
-                               //!< requests; 0 when no wave ran).
+                               //!< (> 1 when a wave fuses requests;
+                               //!< a wave that only prefills decodes
+                               //!< nothing; 0 when no wave ran).
 
     long reprefilledTokens = 0; //!< Subset of recomputedTokens that is
                                 //!< genuine re-prefill after an LRU
@@ -201,14 +174,7 @@ struct OnlineTraceResult
                                 //!< the trace's wasted recompute. Each
                                 //!< fault- or watchdog-killed attempt
                                 //!< counts only the tokens it decoded
-                                //!< itself, in both batching modes.
-    long degradedWaves = 0;  //!< Engine waves run in degraded mode
-                             //!< (speculation disabled, admission
-                             //!< halved).
-    double degradedTime = 0; //!< Sim seconds spent degraded.
-    int degradedEpisodes = 0; //!< Times degradation engaged; with
-                              //!< degradedTime this yields mean
-                              //!< time-to-recovery.
+                                //!< itself.
 
     long blockedSteps = 0; //!< Decode steps that yielded blocked on
                            //!< memory: the shared ledger refused the
@@ -231,10 +197,10 @@ struct OnlineTraceResult
  * Population contract: latency statistics (mean, p50/p95/p99, queue
  * delay, SLO attainment) are computed over COMPLETED requests only —
  * `records` must contain one entry per completion, and the serve loop
- * never creates a record for a shed or cancelled request, in either
- * batching mode. Shed/cancelled volumes are reported solely through
- * the shedRequests/cancelled counters, so a trace that sheds cannot
- * skew its percentiles.
+ * never creates a record for a shed or cancelled request. Shed and
+ * cancelled volumes are reported solely through the
+ * shedRequests/cancelled counters, so a trace that sheds cannot skew
+ * its percentiles.
  */
 [[nodiscard]] OnlineTraceResult
 aggregateTrace(std::vector<OnlineRequestRecord> records, double busy_time);
@@ -268,46 +234,30 @@ struct OnlineServerOptions
     double slo = 0;              //!< Default per-request latency budget
                                  //!< (s); 0 disables SLO tracking.
 
-    /** Preemption mode of time slicing, where each slice is one
-     *  engine wave of one request: "off" (run-to-completion), "slice"
-     *  (round-robin, one wave per turn; the default), or "policy"
-     *  (QueuePolicy::shouldPreempt decides when a higher-urgency
-     *  in-flight request takes the engine). */
-    std::string preempt = "slice";
-
     /** Shared KV budget (GiB) all in-flight requests contend for,
      *  which also gates admission; 0 means the engine's own device KV
      *  budget. */
     double kvBudgetGiB = 0;
-
-    /** Working-set calibration: rescale every predicted KV working
-     *  set (predictKvWorkingSetBytes) by an EWMA, over the trace's
-     *  completed requests, of each one's observed peak residency
-     *  divided by its prediction, in the admission gate and
-     *  continuous batching's bench-return rule. Off (the default)
-     *  uses the raw predictions. */
-    bool calibrateKv = false;
 
     /** Shed queued requests whose predicted finish already exceeds
      *  their deadline instead of serving them doomed (counted in
      *  OnlineTraceResult::shedRequests). */
     bool shedDoomed = false;
 
-    /** Wave scheduling: "off" time-slices (one request decodes per
-     *  engine wave, rotated by `preempt`); "continuous" co-schedules
-     *  decode across all in-flight requests in fused waves under
-     *  maxBatchedTokens. `preempt` is ignored under "continuous" —
-     *  every in-flight request advances every wave it is planned
-     *  into, so there is no victim to rotate off the engine. */
-    std::string batching = "off";
+    /** Wave scheduling. "continuous", the only value validate()
+     *  accepts, co-schedules decode across all in-flight requests in
+     *  fused waves under maxBatchedTokens. The field remains so that
+     *  existing configurations that name the mode keep building. */
+    std::string batching = "continuous";
 
     /** Per-wave token budget: decode demand is packed first, leftover
-     *  budget becomes prompt-prefill chunks. Shapes time slices too,
-     *  each of which is a one-member wave. */
+     *  budget becomes prompt-prefill chunks. Size it to fuse every
+     *  in-flight request's decode work: maxInflight x beams x
+     *  expected step tokens. */
     int maxBatchedTokens = 2048;
 
     /** Largest prompt slice one request prefills per wave (chunked
-     *  prefill), in both batching modes. */
+     *  prefill). */
     int prefillChunk = 512;
 
     /** Cross-request prefix cache (kv/prefix_index.h): "off" (the
@@ -353,9 +303,10 @@ struct OnlineServerOptions
     double requestTimeout = 0;
 
     /**
-     * kInvalidArgument on a knob out of range or an unknown mode name;
-     * a faultPlan that does not parse returns its parse status. The
-     * policy name is resolved by OnlineServer::create() (kNotFound).
+     * kInvalidArgument on a knob out of range or an unknown mode name
+     * (batching accepts only "continuous"); a faultPlan that does not
+     * parse returns its parse status. The policy name is resolved by
+     * OnlineServer::create() (kNotFound).
      */
     [[nodiscard]] Status validate() const;
 };

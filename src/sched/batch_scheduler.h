@@ -2,12 +2,11 @@
  * @file
  * Wave-level batch scheduler for continuous cross-request batching.
  *
- * PR 5's shared-engine refactor made every in-flight request's state
- * co-resident on one engine, but the server still time-slices: exactly
- * one request decodes per engine wave. This scheduler produces the
- * BatchPlan that fuses decode work from *different* requests into one
- * wave under a token budget — the omniserve/vLLM continuous-batching
- * design (max_num_batched_tokens with a prefill/decode phase split):
+ * Every in-flight request's state is co-resident on one engine. This
+ * scheduler produces the BatchPlan that fuses decode work from
+ * *different* requests into one wave under a token budget — the
+ * omniserve/vLLM continuous-batching design (max_num_batched_tokens
+ * with a prefill/decode phase split):
  *
  *  - Decode first: requests already past their prompt always keep
  *    decoding, so a long prompt can never stall resident decoders.

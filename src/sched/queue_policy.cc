@@ -97,17 +97,6 @@ class PriorityPolicy final : public QueuePolicy
         });
     }
 
-    bool
-    shouldPreempt(const QueuedRequest &running,
-                  const QueuedRequest &challenger, double now) override
-    {
-        const auto effective = [&](const QueuedRequest &r) {
-            return static_cast<double>(r.priority)
-                + agingPerSecond_ * (now - r.arrival);
-        };
-        return effective(challenger) > effective(running);
-    }
-
   private:
     double agingPerSecond_;
 };
@@ -124,13 +113,6 @@ class SjfPolicy final : public QueuePolicy
             pending,
             [](const QueuedRequest &r) { return r.predictedCost; });
     }
-
-    bool
-    shouldPreempt(const QueuedRequest &running,
-                  const QueuedRequest &challenger, double) override
-    {
-        return challenger.predictedCost < running.predictedCost;
-    }
 };
 
 class EdfPolicy final : public QueuePolicy
@@ -144,13 +126,6 @@ class EdfPolicy final : public QueuePolicy
         // Deadline-free requests carry +infinity and so sort last.
         return pickByKey(pending,
                          [](const QueuedRequest &r) { return r.deadline; });
-    }
-
-    bool
-    shouldPreempt(const QueuedRequest &running,
-                  const QueuedRequest &challenger, double) override
-    {
-        return challenger.deadline < running.deadline;
     }
 };
 

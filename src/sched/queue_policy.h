@@ -13,10 +13,7 @@
  *
  * A QueuePolicy ranks the *request* queue of OnlineServer; it is
  * distinct from sched/scheduler.h's BeamScheduler, which orders the
- * *beams* of one in-flight request. Each policy also carries a
- * preemptive variant (shouldPreempt) used by the server's
- * --preempt policy mode to take the engine away from a running
- * victim when a strictly more urgent request is in flight. Built-ins:
+ * *beams* of one in-flight request. Built-ins:
  *
  *  - "fifo"     arrival order (the legacy OnlineServer behaviour),
  *  - "priority" highest priority first, with time-based aging so a
@@ -89,16 +86,11 @@ class QueuePolicy
     pick(const std::vector<QueuedRequest> &pending, double now) = 0;
 
     /**
-     * Preemptive variant (OnlineServer's --preempt policy mode):
-     * whether `challenger` is urgent enough to take the device away
-     * from `running` mid-request. The server then suspends the
-     * victim's engine state and runs the challenger; the victim keeps
-     * its in-flight slot and continues later.
-     *
-     * The base implementation never preempts (every policy is usable
-     * non-preemptively); built-ins override it with a strict version
-     * of their pick() ordering — strict so equal-urgency requests
-     * cannot thrash the engine with suspend/resume cycles.
+     * Whether `challenger` should take the device from `running`.
+     * Nothing in the library calls it: the server serves every
+     * admitted request by continuous batching. It stays so that
+     * existing policy decorators that forward it keep building; the
+     * base never preempts and no built-in overrides it.
      */
     [[nodiscard]] virtual bool
     shouldPreempt(const QueuedRequest &running,

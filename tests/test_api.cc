@@ -505,74 +505,16 @@ TEST(EngineArgsOnline, DefaultsMatchLegacyServer)
     EXPECT_EQ(args.online.maxInflight, 1);
     EXPECT_DOUBLE_EQ(args.online.slo, 0);
     EXPECT_EQ(args.arrivals, "poisson");
-    EXPECT_EQ(args.online.preempt, "slice");
+    EXPECT_EQ(args.online.batching, "continuous");
     EXPECT_DOUBLE_EQ(args.online.kvBudgetGiB, 0);
     EXPECT_FALSE(args.online.shedDoomed);
     const OnlineServerOptions online = args.online;
     EXPECT_EQ(online.policy, "fifo");
     EXPECT_EQ(online.maxInflight, 1);
     EXPECT_DOUBLE_EQ(online.slo, 0);
-    EXPECT_EQ(online.preempt, "slice");
+    EXPECT_EQ(online.batching, "continuous");
     EXPECT_DOUBLE_EQ(online.kvBudgetGiB, 0);
     EXPECT_FALSE(online.shedDoomed);
-}
-
-TEST(EngineArgsOnline, PreemptionFlagsArgvAndJsonAgree)
-{
-    const auto via_argv =
-        parse({"--preempt", "policy", "--kv-budget", "1.5",
-               "--shed-doomed"});
-    ASSERT_TRUE(via_argv.ok());
-    const auto via_json = EngineArgs::fromJsonText(R"({
-        "preempt": "policy",
-        "kv_budget_gib": 1.5,
-        "shed_doomed": true
-    })");
-    ASSERT_TRUE(via_json.ok());
-    for (const EngineArgs *args : {&*via_argv, &*via_json}) {
-        EXPECT_EQ(args->online.preempt, "policy");
-        EXPECT_DOUBLE_EQ(args->online.kvBudgetGiB, 1.5);
-        EXPECT_TRUE(args->online.shedDoomed);
-        EXPECT_TRUE(args->validate().ok());
-        const OnlineServerOptions online = args->online;
-        EXPECT_EQ(online.preempt, "policy");
-        EXPECT_DOUBLE_EQ(online.kvBudgetGiB, 1.5);
-        EXPECT_TRUE(online.shedDoomed);
-    }
-    // The equals and negation forms work too.
-    const auto negated =
-        parse({"--preempt=off", "--kv-budget=0", "--no-shed-doomed"});
-    ASSERT_TRUE(negated.ok());
-    EXPECT_EQ(negated->online.preempt, "off");
-    EXPECT_FALSE(negated->online.shedDoomed);
-    EXPECT_TRUE(negated->wasSet("--shed-doomed"));
-    EXPECT_TRUE(negated->wasSet("--preempt"));
-}
-
-TEST(EngineArgsOnline, PreemptionFlagValidation)
-{
-    EngineArgs args;
-    args.online.preempt = "sometimes";
-    EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
-
-    args = EngineArgs();
-    args.online.kvBudgetGiB = -2;
-    EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
-
-    EXPECT_EQ(parse({"--shed-doomed=yes"}).status().code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(EngineArgs::fromJsonText(R"({"preempt": 1})")
-                  .status()
-                  .code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(EngineArgs::fromJsonText(R"({"shed_doomed": "yes"})")
-                  .status()
-                  .code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(EngineArgs::fromJsonText(R"({"kv_budget_gib": "big"})")
-                  .status()
-                  .code(),
-              StatusCode::kInvalidArgument);
 }
 
 TEST(EngineArgsOnline, ArgvAndJsonAgree)
@@ -650,6 +592,20 @@ TEST(EngineArgsOnline, RangeAndModeValidation)
                   .status()
                   .code(),
               StatusCode::kInvalidArgument);
+
+    args = EngineArgs();
+    args.online.kvBudgetGiB = -2;
+    EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(parse({"--shed-doomed=yes"}).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(EngineArgs::fromJsonText(R"({"shed_doomed": "yes"})")
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(EngineArgs::fromJsonText(R"({"kv_budget_gib": "big"})")
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
 }
 
 TEST(EngineArgsOnline, FixedConfigToolsRejectOnlineFlags)
@@ -690,42 +646,43 @@ TEST(EngineArgsOnline, HelpAndRegistryListingCoverPolicies)
 
 TEST(EngineArgsOnline, BatchingFlagsArgvAndJsonAgree)
 {
-    const auto via_argv =
-        parse({"--batching", "continuous", "--max-batched-tokens",
-               "4096", "--prefill-chunk", "256"});
+    const auto via_argv = parse(
+        {"--max-batched-tokens", "4096", "--prefill-chunk", "256"});
     ASSERT_TRUE(via_argv.ok());
     const auto via_json = EngineArgs::fromJsonText(R"({
-        "batching": "continuous",
         "max_batched_tokens": 4096,
         "prefill_chunk": 256
     })");
     ASSERT_TRUE(via_json.ok());
     for (const EngineArgs *args : {&*via_argv, &*via_json}) {
-        EXPECT_EQ(args->online.batching, "continuous");
         EXPECT_EQ(args->online.maxBatchedTokens, 4096);
         EXPECT_EQ(args->online.prefillChunk, 256);
         EXPECT_TRUE(args->validate().ok());
         const OnlineServerOptions online = args->online;
-        EXPECT_EQ(online.batching, "continuous");
         EXPECT_EQ(online.maxBatchedTokens, 4096);
         EXPECT_EQ(online.prefillChunk, 256);
     }
-    EXPECT_TRUE(via_argv->wasSet("--batching"));
     EXPECT_TRUE(via_argv->wasSet("--max-batched-tokens"));
     EXPECT_TRUE(via_argv->wasSet("--prefill-chunk"));
 
-    // Defaults keep batching off.
-    const auto defaults = parse({});
-    ASSERT_TRUE(defaults.ok());
-    EXPECT_EQ(defaults->online.batching, "off");
-    EXPECT_EQ(defaults->online.batching, "off");
+    // Continuous batching is the only mode, so no flag chooses one.
+    EXPECT_EQ(parse({"--batching", "continuous"}).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(
+        EngineArgs::fromJsonText(R"({"batching": "continuous"})")
+            .status()
+            .code(),
+        StatusCode::kInvalidArgument);
 }
 
 TEST(EngineArgsOnline, BatchingFlagValidation)
 {
     EngineArgs args;
-    args.online.batching = "dynamic";
-    EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument);
+    for (const char *mode : {"off", "dynamic"}) {
+        args.online.batching = mode;
+        EXPECT_EQ(args.validate().code(), StatusCode::kInvalidArgument)
+            << mode;
+    }
 
     args = EngineArgs();
     args.online.maxBatchedTokens = 0;
@@ -740,17 +697,14 @@ TEST(EngineArgsOnline, BatchingFlagValidation)
               StatusCode::kInvalidArgument);
     EXPECT_EQ(parse({"--prefill-chunk", "0"}).status().code(),
               StatusCode::kInvalidArgument);
-    EXPECT_EQ(EngineArgs::fromJsonText(R"({"batching": 1})")
-                  .status()
-                  .code(),
-              StatusCode::kInvalidArgument);
 
     // Fixed-config tools reject the batching flags too.
-    const auto set = parse({"--batching", "continuous"});
+    const auto set = parse({"--max-batched-tokens", "4096"});
     ASSERT_TRUE(set.ok());
     const Status status = set->rejectUnsupportedFlags({"--problems"});
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(status.message().find("--batching"), std::string::npos);
+    EXPECT_NE(status.message().find("--max-batched-tokens"),
+              std::string::npos);
 }
 
 TEST(EngineArgsOnline, PrefixCacheFlagsArgvAndJsonAgree)
@@ -975,12 +929,11 @@ knobs(const EngineArgs &a)
     return std::tie(a.device, a.dataset, a.algorithm, a.models, a.mode,
                     a.numBeams, a.branchFactor, a.numProblems, a.seed,
                     a.offload, a.memoryFraction, a.reservedGiB, a.arrivals,
-                    o.policy, o.maxInflight, o.slo, o.preempt,
-                    o.kvBudgetGiB, o.shedDoomed, o.batching,
-                    o.maxBatchedTokens, o.prefillChunk, o.prefixCache,
-                    o.prefixCacheBudgetGiB, o.faults, o.faultPlan,
-                    o.retryMax, o.retryBackoff, o.requestTimeout,
-                    o.calibrateKv);
+                    o.policy, o.maxInflight, o.slo, o.kvBudgetGiB,
+                    o.shedDoomed, o.batching, o.maxBatchedTokens,
+                    o.prefillChunk, o.prefixCache, o.prefixCacheBudgetGiB,
+                    o.faults, o.faultPlan, o.retryMax, o.retryBackoff,
+                    o.requestTimeout);
 }
 
 template <typename Tuple, size_t... I>
@@ -1025,10 +978,8 @@ const FlagCase kFlagCases[] = {
     {"--max-inflight", "8", R"("max_inflight": 8)"},
     {"--slo", "30.5", R"("slo": 30.5)"},
     {"--arrivals", "bursty", R"("arrivals": "bursty")"},
-    {"--preempt", "policy", R"("preempt": "policy")"},
     {"--kv-budget", "1.5", R"("kv_budget_gib": 1.5)"},
     {"--shed-doomed", nullptr, R"("shed_doomed": true)"},
-    {"--batching", "continuous", R"("batching": "continuous")"},
     {"--max-batched-tokens", "4096", R"("max_batched_tokens": 4096)"},
     {"--prefill-chunk", "256", R"("prefill_chunk": 256)"},
     {"--prefix-cache", "on", R"("prefix_cache": "on")"},
@@ -1038,7 +989,6 @@ const FlagCase kFlagCases[] = {
     {"--retry-max", "3", R"("retry_max": 3)"},
     {"--retry-backoff", "0.125", R"("retry_backoff": 0.125)"},
     {"--request-timeout", "90", R"("request_timeout": 90)"},
-    {"--calibrate-kv", nullptr, R"("calibrate_kv": true)"},
 };
 
 TEST(EngineArgsFlags, EveryDocumentedFlagParsesInEverySpelling)

@@ -3,7 +3,7 @@
  * Smoke test for the JSON-emitting benchmark harness.
  *
  * Runs the real bench_runner binary (path injected by CMake as
- * FASTTTS_BENCH_RUNNER_PATH): --list must enumerate all 22 registered
+ * FASTTTS_BENCH_RUNNER_PATH): --list must enumerate all 20 registered
  * benchmarks (the paper figures, the engine-cost pairs and the online
  * serving suite), a --quick run must write BENCH_<name>.json files
  * that parse and carry the throughput / latency-percentile /
@@ -71,7 +71,7 @@ TEST(BenchRunner, ListEnumeratesAllFigureBenchmarks)
     ASSERT_EQ(status, 0);
 
     const std::vector<std::string> names = splitLines(output);
-    EXPECT_EQ(names.size(), 22u);
+    EXPECT_EQ(names.size(), 20u);
     for (const char *expected :
          {"fig01_frontier", "fig03_patterns", "fig04_utilization",
           "fig05_prefix_sharing", "fig06_kv_throughput", "fig10_allocation",
@@ -79,9 +79,8 @@ TEST(BenchRunner, ListEnumeratesAllFigureBenchmarks)
           "fig14_accuracy", "fig15_hardware", "fig16_ablation",
           "fig17_speculative", "fig18_scheduling", "micro",
           "online_responsiveness", "online_scheduling",
-          "online_preemption", "online_batching",
-          "online_prefix_reuse", "online_fault_tolerance",
-          "online_kv_calibration"}) {
+          "online_preemption", "online_prefix_reuse",
+          "online_fault_tolerance"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expected),
                   names.end())
             << "missing benchmark: " << expected;
@@ -427,7 +426,7 @@ TEST(BenchRunner, FaultToleranceSweepsRatesAndSurvivalModes)
 
     for (const char *rate : {"0%", "1%", "5%"}) {
         const Json &cell = doc["rates"][rate];
-        for (const char *arm : {"no_retry", "retry_degrade"}) {
+        for (const char *arm : {"no_retry", "retry"}) {
             const Json &run = cell[arm];
             EXPECT_GE(run["slo_attainment"].asNumber(), 0.0)
                 << rate << "/" << arm;
@@ -442,22 +441,20 @@ TEST(BenchRunner, FaultToleranceSweepsRatesAndSurvivalModes)
         }
         // The clean cells inject nothing; the 5% cells certainly do.
         if (std::string(rate) == "0%") {
-            for (const char *arm : {"no_retry", "retry_degrade"})
+            for (const char *arm : {"no_retry", "retry"})
                 EXPECT_EQ(cell[arm]["injected_faults"].asNumber(), 0.0)
                     << arm;
         }
         if (std::string(rate) == "5%") {
-            for (const char *arm : {"no_retry", "retry_degrade"})
+            for (const char *arm : {"no_retry", "retry"})
                 EXPECT_GT(cell[arm]["injected_faults"].asNumber(), 0.0)
                     << arm;
         }
-        // The fail-fast arm never retries or degrades.
+        // The fail-fast arm never retries.
         EXPECT_EQ(cell["no_retry"]["retries"].asNumber(), 0.0) << rate;
-        EXPECT_EQ(cell["no_retry"]["degraded_waves"].asNumber(), 0.0)
-            << rate;
     }
 
-    // The headline criterion: retry+degrade recovers at least 25
+    // The headline criterion: retry recovers at least 25
     // points of SLO attainment over fail-fast at the 5% fault rate.
     EXPECT_GE(doc["summary"]["slo_recovery_points_at_5pct"].asNumber(),
               25.0);
@@ -489,9 +486,8 @@ TEST(BenchRunner, OnlineBenchmarksKeepTheirContract)
     std::filesystem::remove_all(outDir);
 
     const std::vector<std::string> online = {
-        "online_scheduling",      "online_preemption",
-        "online_batching",        "online_prefix_reuse",
-        "online_fault_tolerance", "online_kv_calibration"};
+        "online_scheduling", "online_preemption", "online_prefix_reuse",
+        "online_fault_tolerance"};
     std::string command = std::string(FASTTTS_BENCH_RUNNER_PATH)
         + " --quick --jobs 4 --out-dir " + outDir.string();
     for (const std::string &name : online)

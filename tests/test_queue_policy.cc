@@ -384,7 +384,8 @@ TEST(QueuePolicyProperties, InterleavingUnblocksShortBehindLong)
 {
     // Measure real service times, then queue the shortest job right
     // behind the longest: serially it waits for the whole long job,
-    // interleaved it round-robins and finishes much earlier.
+    // interleaved it shares the long job's waves and finishes much
+    // earlier.
     OnlineServer serial = makeServer("fifo", 1);
     OnlineServer interleaved = makeServer("fifo", 2);
     const std::vector<Problem> &problems = serial.system().problems();
